@@ -29,7 +29,6 @@ from .dynamics import (
 )
 from .payoff import (
     PayoffMatrix,
-    UtilityReport,
     build_payoff_matrix,
     expected_total_utility,
     factor_utilities,
@@ -68,7 +67,6 @@ from .strategy_space import (
     StrategyCode,
     StrategySpace,
     build_strategy_space,
-    format_code,
     parse_code,
 )
 

@@ -29,8 +29,14 @@ EXIT_ERROR = 1
 EXIT_NOT_FOUND = 2
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """One header line, then one row per sample with every value at 17
+    significant digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(
+            fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+            header=",".join(header), comments="",
+        )
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
@@ -41,33 +47,27 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
         + [f"y_{s}" for s in traj.strategy_labels]
         + ["utility"]
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(len(traj)):
-            row = (
-                [traj.t[k]]
-                + list(traj.x[k])
-                + list(traj.z[k])
-                + list(traj.y[k])
-                + [traj.utility[k]]
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, header, [traj.t, traj.x, traj.z, traj.y, traj.utility])
 
 
 def read_trajectory_csv(path: Path) -> Trajectory:
     """Rebuild a trajectory from its CSV export (factor utilities are not
     stored in the file and come back as zeros)."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [ln for ln in fh if ln.strip()]
     if len(lines) < 2:
         raise QGameError(f"{path}: no trajectory rows")
-    header = lines[0].split(",")
+    header = lines[0].rstrip("\n").split(",")
     if header[0] != "t" or header[-1] != "utility":
         raise QGameError(f"{path}: unexpected trajectory header")
     x_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
     z_cols = [i for i, h in enumerate(header) if h.startswith("z_")]
     y_cols = [i for i, h in enumerate(header) if h.startswith("y_")]
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    if data.shape[1] != len(header):
+        raise QGameError(
+            f"{path}: rows have {data.shape[1]} values, the header names {len(header)}"
+        )
     return Trajectory(
         t=data[:, 0],
         x=data[:, x_cols],
@@ -80,40 +80,27 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     )
 
 
-def _write_panel(path: Path, t: np.ndarray, columns: list[tuple[str, np.ndarray]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["t"] + [name for name, _ in columns]) + "\n")
-        for k in range(len(t)):
-            fh.write(",".join([_fmt(t[k])] + [_fmt(col[k]) for _, col in columns]) + "\n")
-
-
 def write_plotdata(traj: Trajectory, plot_dir: Path) -> None:
     """Per-figure CSV panels: x, z, utility, and y split by Tool level."""
     plot_dir.mkdir(parents=True, exist_ok=True)
-    _write_panel(
-        plot_dir / "x.csv", traj.t,
-        [(f"x_{q}", traj.x[:, i]) for i, q in enumerate(traj.factor_labels)],
-    )
-    _write_panel(
-        plot_dir / "z.csv", traj.t,
-        [(f"z_{q}", traj.z[:, i]) for i, q in enumerate(traj.factor_labels)],
-    )
-    _write_panel(plot_dir / "utility.csv", traj.t, [("utility", traj.utility)])
+    x_names = [f"x_{q}" for q in traj.factor_labels]
+    z_names = [f"z_{q}" for q in traj.factor_labels]
+    y_names = [f"y_{s}" for s in traj.strategy_labels]
+    _write_csv(plot_dir / "x.csv", ["t"] + x_names, [traj.t, traj.x])
+    _write_csv(plot_dir / "z.csv", ["t"] + z_names, [traj.t, traj.z])
+    _write_csv(plot_dir / "utility.csv", ["t", "utility"], [traj.t, traj.utility])
     try:
-        tools = [parse_code(s).tool for s in traj.strategy_labels]
+        tools = np.array([parse_code(s).tool for s in traj.strategy_labels])
     except QGameError:
-        _write_panel(
-            plot_dir / "y.csv", traj.t,
-            [(f"y_{s}", traj.y[:, j]) for j, s in enumerate(traj.strategy_labels)],
-        )
+        _write_csv(plot_dir / "y.csv", ["t"] + y_names, [traj.t, traj.y])
         return
     for tool in TOOL_LEVELS:
-        cols = [
-            (f"y_{s}", traj.y[:, j])
-            for j, s in enumerate(traj.strategy_labels)
-            if tools[j] == tool
-        ]
-        _write_panel(plot_dir / f"y_tool_{tool}.csv", traj.t, cols)
+        cols = np.flatnonzero(tools == tool)
+        _write_csv(
+            plot_dir / f"y_tool_{tool}.csv",
+            ["t"] + [y_names[j] for j in cols],
+            [traj.t, traj.y[:, cols]],
+        )
 
 
 def cmd_simulate(args) -> int:
@@ -170,7 +157,7 @@ def cmd_sample_y0(args) -> int:
     )
     shares = sample_y0(dist, cfg)
     lines = ["strategy,share"] + [
-        f"{code},{_fmt(v)}" for code, v in zip(dist.codes, shares)
+        f"{code},{v:.17g}" for code, v in zip(dist.codes, shares)
     ]
     if args.output:
         Path(args.output).parent.mkdir(parents=True, exist_ok=True)

@@ -16,11 +16,13 @@ clamped to zero and x, y are renormalized once their sums drift beyond a
 threshold. Coordinates that start at exactly zero stay exactly zero.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidState, StepSizeUnderflow
+from .payoff import payoff_values, sign_gains
 from .qdata import ZScoreMatrix
 
 STATE_SUM_TOL = 1e-9   # allowed drift of simplex sums in a valid state
@@ -82,6 +84,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("step", "t_end", "abs_tol", "rel_tol", "renorm_tol", "clamp_eps", "conv_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.step <= 0 or self.t_end <= 0:
             raise ValueError("step and t_end must be positive")
         if min(self.abs_tol, self.rel_tol, self.renorm_tol, self.clamp_eps) <= 0:
@@ -114,19 +119,8 @@ class Trajectory:
         return GameState(x=self.x[i], y=self.y[i], z=self.z[i], t=float(self.t[i]))
 
     @property
-    def samples(self) -> list[GameState]:
-        return [self.state(i) for i in range(len(self))]
-
-    @property
     def terminal(self) -> GameState:
         return self.state(len(self) - 1)
-
-
-def default_labels(n_factors: int, n_strategies: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    return (
-        tuple(f"Q{i + 1}" for i in range(n_factors)),
-        tuple(f"s{j}" for j in range(n_strategies)),
-    )
 
 
 def replicator_field(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,11 +134,7 @@ def _rhs(v: np.ndarray, scores: np.ndarray, n: int) -> np.ndarray:
     x = v[:n]
     z = v[n:2 * n]
     y = v[2 * n:]
-    A = scores * (2.0 * z - 1.0)[:, None]
-    Ay = A @ y
-    ATx = A.T @ x
-    dx = x * (Ay - x @ Ay)
-    dy = y * (ATx - y @ ATx)
+    dx, dy = replicator_field(payoff_values(scores, z), x, y)
     dz = z * (1.0 - z) * (2.0 * (scores @ y))
     return np.concatenate([dx, dz, dy])
 
@@ -253,10 +243,8 @@ def integrate(
     n, m = S.shape
     if state0.x.shape != (n,) or state0.y.shape != (m,) or state0.z.shape != (n,):
         raise InvalidState("initial state does not match the score matrix shape")
-    if factor_labels is None or strategy_labels is None:
-        fl, sl = default_labels(n, m)
-        factor_labels = factor_labels or fl
-        strategy_labels = strategy_labels or sl
+    factor_labels = factor_labels or tuple(f"Q{i + 1}" for i in range(n))
+    strategy_labels = strategy_labels or scores.strategy_labels
 
     v = np.concatenate([state0.x, state0.z, state0.y])
     t = 0.0
@@ -321,7 +309,7 @@ def integrate(
     x = v_arr[:, :n]
     z = v_arr[:, n:2 * n]
     y = v_arr[:, 2 * n:]
-    gains = 2.0 * z - 1.0
+    gains = sign_gains(z)
     factor_utility = y @ S.T
     utility = np.einsum("ki,ki->k", x * gains, factor_utility)
     return Trajectory(

@@ -29,6 +29,10 @@ class DuplicateStrategy(QGameError, ValueError):
     """A tabular source contains the same strategy code more than once."""
 
 
+class InvalidNumber(QGameError, ValueError):
+    """A table cell is not a finite number."""
+
+
 class ScoreOutOfRange(QGameError, ValueError):
     """A grid score falls outside the integer range -5..5."""
 

@@ -45,6 +45,16 @@ def factor_utilities(scores: ZScoreMatrix, strategy_shares: np.ndarray) -> np.nd
     return scores.scores @ y
 
 
+def sign_gains(z: np.ndarray) -> np.ndarray:
+    """Row scaling 2*z - 1 of A(z), elementwise over an array of any shape."""
+    return 2.0 * z - 1.0
+
+
+def payoff_values(scores: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A(z) = S * (2*z - 1) row-wise, on bare arrays and without checks."""
+    return scores * sign_gains(z)[:, None]
+
+
 def build_payoff_matrix(scores: ZScoreMatrix, sign_freqs: np.ndarray) -> PayoffMatrix:
     """Stakeholder payoff matrix a[i, j] = score[i, j] * (2*z[i] - 1)."""
     z = np.asarray(sign_freqs, dtype=float)
@@ -54,7 +64,7 @@ def build_payoff_matrix(scores: ZScoreMatrix, sign_freqs: np.ndarray) -> PayoffM
         )
     if np.any(z < 0) or np.any(z > 1):
         raise ValueError("sign frequencies must lie in [0, 1]")
-    return PayoffMatrix(scores.scores * (2.0 * z - 1.0)[:, None], z)
+    return PayoffMatrix(payoff_values(scores.scores, z), z)
 
 
 def expected_total_utility(
@@ -65,23 +75,3 @@ def expected_total_utility(
     x = _check_simplex(factor_shares, n, "factor shares")
     y = _check_simplex(strategy_shares, m, "strategy shares")
     return float(x @ payoff.values @ y)
-
-
-@dataclass(frozen=True)
-class UtilityReport:
-    per_factor: np.ndarray  # factor_utilities(scores, y)
-    total: float            # x' A(z) y
-
-    @classmethod
-    def at_state(
-        cls,
-        scores: ZScoreMatrix,
-        factor_shares: np.ndarray,
-        strategy_shares: np.ndarray,
-        sign_freqs: np.ndarray,
-    ) -> "UtilityReport":
-        payoff = build_payoff_matrix(scores, sign_freqs)
-        return cls(
-            per_factor=factor_utilities(scores, strategy_shares),
-            total=expected_total_utility(payoff, factor_shares, strategy_shares),
-        )

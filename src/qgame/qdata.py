@@ -9,6 +9,7 @@ On the bundled twenty-stakeholder data this assigns 19 stakeholders,
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DuplicateStrategy,
+    InvalidNumber,
     MissingStrategy,
     NoFlaggedStakeholders,
     ScoreOutOfRange,
@@ -43,7 +45,7 @@ class LoadingMatrix:
                 f"loadings shape {arr.shape} does not match "
                 f"{len(self.stakeholder_ids)} stakeholders x {self.factor_count} factors"
             )
-        if np.any(np.abs(arr) > 1.0):
+        if not np.all(np.abs(arr) <= 1.0):  # also rejects NaN
             raise ValueError("loadings must lie in [-1, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "loadings", arr)
@@ -229,6 +231,39 @@ def load_loadings(path: str | Path) -> LoadingMatrix:
     return LoadingMatrix(np.array(values), tuple(ids), n_factors)
 
 
+def _read_code_table(
+    path: str | Path, space: StrategySpace, width: int | None = None
+) -> np.ndarray:
+    """Read rows `code,v1..vk` in any order into a (len(space), k) array in
+    canonical order; k is `width`, or the header's column count minus one.
+
+    Every canonical code must appear exactly once, every row must carry k
+    values, and every value must be a finite number.
+    """
+    header, rows = _read_rows(path)
+    k = len(header) - 1 if width is None else width
+    by_index: dict[int, list[float]] = {}
+    for row in rows:
+        code = parse_code(row[0])
+        if len(row) != k + 1:
+            raise DimensionMismatch(
+                f"{path}: row {code.code} has {len(row) - 1} values, expected {k}"
+            )
+        if code.index in by_index:
+            raise DuplicateStrategy(f"{path}: duplicate row for {code.code}")
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            raise InvalidNumber(f"{path}: row {code.code} has a non-numeric value") from None
+        if not all(map(math.isfinite, values)):
+            raise InvalidNumber(f"{path}: row {code.code} has a non-finite value")
+        by_index[code.index] = values
+    missing = [s.code for s in space if s.index not in by_index]
+    if missing:
+        raise MissingStrategy(f"{path}: missing strategies {missing}")
+    return np.array([by_index[i] for i in range(len(space))])
+
+
 def load_zscores(path: str | Path, space: StrategySpace | None = None) -> ZScoreMatrix:
     """Read the per-strategy factor scores, reordering rows to canonical order.
 
@@ -236,43 +271,18 @@ def load_zscores(path: str | Path, space: StrategySpace | None = None) -> ZScore
     (trailing dots tolerated); scores are validated as integers in -5..5.
     """
     space = space or build_strategy_space()
-    header, rows = _read_rows(path)
-    n_factors = len(header) - 1
-    by_index: dict[int, list[float]] = {}
-    for row in rows:
-        code = parse_code(row[0])
-        if code.index in by_index:
-            raise DuplicateStrategy(f"{path}: duplicate row for {code.code}")
-        if len(row) != n_factors + 1:
-            raise DimensionMismatch(
-                f"{path}: row {code.code} has {len(row) - 1} values, expected {n_factors}"
-            )
-        scores = [float(v) for v in row[1:]]
-        for v in scores:
-            if not v.is_integer() or not SCORE_MIN <= v <= SCORE_MAX:
-                raise ScoreOutOfRange(
-                    f"{path}: score {v} for {code.code} outside integers "
-                    f"{SCORE_MIN}..{SCORE_MAX}"
-                )
-        by_index[code.index] = scores
-    missing = [space[i].code for i in range(len(space)) if i not in by_index]
-    if missing:
-        raise MissingStrategy(f"{path}: missing strategies {missing}")
-    matrix = np.array([by_index[i] for i in range(len(space))]).T  # factors x strategies
-    return ZScoreMatrix(matrix, space)
+    table = _read_code_table(path, space)
+    bad = np.argwhere((table != np.round(table)) | (table < SCORE_MIN) | (table > SCORE_MAX))
+    if len(bad):
+        i, f = bad[0]
+        raise ScoreOutOfRange(
+            f"{path}: score {table[i, f]} for {space[i].code} outside integers "
+            f"{SCORE_MIN}..{SCORE_MAX}"
+        )
+    return ZScoreMatrix(table.T, space)  # factors x strategies
 
 
 def load_share_table(path: str | Path, space: StrategySpace | None = None) -> np.ndarray:
     """Read per-strategy shares (header: strategy,share) into canonical order."""
     space = space or build_strategy_space()
-    _, rows = _read_rows(path)
-    shares = np.full(len(space), np.nan)
-    for row in rows:
-        code = parse_code(row[0])
-        if not np.isnan(shares[code.index]):
-            raise DuplicateStrategy(f"{path}: duplicate row for {code.code}")
-        shares[code.index] = float(row[1])
-    if np.isnan(shares).any():
-        missing = [space[i].code for i in np.flatnonzero(np.isnan(shares))]
-        raise MissingStrategy(f"{path}: missing strategies {missing}")
-    return shares
+    return _read_code_table(path, space, width=1)[:, 0]

@@ -9,15 +9,14 @@ stream. The result is bit-for-bit reproducible for a fixed seed and
 independent of any batching or scheduling.
 """
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import DuplicateStrategy, MissingStrategy
-from .strategy_space import StrategySpace, build_strategy_space, parse_code
+from .qdata import _read_code_table
+from .strategy_space import StrategySpace, build_strategy_space
 
 TIE_RULES = ("first-index", "random-uniform")
 
@@ -129,21 +128,6 @@ def load_distribution(
 ) -> StatementDistribution:
     """Read per-strategy (mean, sigma) rows, reordered to canonical order."""
     space = space or build_strategy_space()
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [
-            row
-            for row in csv.reader(fh)
-            if row and not row[0].lstrip().startswith("#")
-        ]
-    means = np.full(len(space), np.nan)
-    sigmas = np.full(len(space), np.nan)
-    for row in rows[1:]:
-        code = parse_code(row[0])
-        if not np.isnan(means[code.index]):
-            raise DuplicateStrategy(f"{path}: duplicate row for {code.code}")
-        means[code.index] = float(row[1])
-        sigmas[code.index] = float(row[2])
-    if np.isnan(means).any():
-        missing = [space[i].code for i in np.flatnonzero(np.isnan(means))]
-        raise MissingStrategy(f"{path}: missing strategies {missing}")
+    # contiguous rows: sample_y0 broadcasts them over every draw
+    means, sigmas = _read_code_table(path, space, width=2).T.copy()
     return StatementDistribution(means, sigmas, space.codes)

@@ -8,6 +8,7 @@ vectors are renormalized after validation.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -84,6 +85,20 @@ def _simplex_vector(value, field: str, length: int) -> np.ndarray:
     return vec / vec.sum()
 
 
+def _require_finite(value, field: str) -> None:
+    """Reject NaN and infinite numbers anywhere in parsed JSON, naming the
+    field. Python's json parser yields them for the NaN and Infinity
+    literals and for numbers that overflow a float, such as 1e400."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(field, f"expected a finite number, got {value}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{field}.{key}" if field else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{field}[{i}]")
+
+
 def load_scenario(path: str | Path, sampler_seed: int | None = None) -> ResolvedScenario:
     """Load, validate, and resolve a scenario file into ready-to-run inputs.
 
@@ -98,6 +113,7 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
+    _require_finite(raw, "")
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ValidationError(sorted(unknown)[0], "unknown scenario field")
@@ -222,13 +238,7 @@ def run_scenario(
     state0 = GameState(
         x=scenario.initial.x0, y=scenario.initial.y0, z=scenario.initial.z0
     )
-    return integrate(
-        state0,
-        scenario.scores,
-        config or scenario.integrator,
-        factor_labels=tuple(f"Q{i + 1}" for i in range(scenario.scores.n_factors)),
-        strategy_labels=scenario.scores.space.codes,
-    )
+    return integrate(state0, scenario.scores, config or scenario.integrator)
 
 
 def case_study_path() -> Path:

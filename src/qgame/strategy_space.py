@@ -80,9 +80,6 @@ class StrategySpace:
     def codes(self) -> tuple[str, ...]:
         return tuple(s.code for s in self.strategies)
 
-    def index_of(self, text: str) -> int:
-        return parse_code(text).index
-
     def tool_block(self, tool: str) -> list[StrategyCode]:
         """All strategies whose Tool level equals `tool`, in canonical order."""
         if tool not in TOOL_LEVELS:
@@ -121,8 +118,3 @@ def parse_code(text: str) -> StrategyCode:
             raise UnknownLevel(f"{text!r}: {part!r} is not a {dim.name} level {dim.levels}")
     code = ".".join(parts)
     return _INDEX[code]
-
-
-def format_code(strategy: StrategyCode) -> str:
-    """Canonical textual form, no trailing dot."""
-    return strategy.code

@@ -61,6 +61,24 @@ def test_trajectory_round_trip_is_exact(short_run, case_study):
     assert parsed.strategy_labels == traj.strategy_labels
 
 
+def test_csv_cells_are_17_significant_digits(short_run, case_study):
+    traj = qgame.run_scenario(case_study, qgame.IntegratorConfig(step=0.01, t_end=2.0))
+    lines = (short_run / "trajectory.csv").read_text().splitlines()
+    rows = np.column_stack([traj.t, traj.x, traj.z, traj.y, traj.utility])
+    assert len(lines) == len(rows) + 1
+    for line, row in zip(lines[1:], rows):
+        assert line == ",".join(format(v, ".17g") for v in row)
+    header = lines[0].split(",")
+    cells = [line.split(",") for line in lines[1:]]
+    panels = sorted((short_run / "plotdata").glob("*.csv"))
+    assert len(panels) == 6
+    for panel in panels:
+        panel_lines = panel.read_text().splitlines()
+        for pj, name in enumerate(panel_lines[0].split(",")):
+            j = header.index(name)
+            assert [line.split(",")[pj] for line in panel_lines[1:]] == [c[j] for c in cells]
+
+
 def test_report_conforms_to_schema(short_run):
     import jsonschema
 
@@ -129,6 +147,21 @@ def test_sample_y0_prints_when_no_output(capsys):
     assert out.startswith("strategy,share")
 
 
+def test_sample_y0_short_row_exits_1_without_traceback(tmp_path):
+    bad = tmp_path / "short.csv"
+    lines = (DATA / "symmetric_distribution.csv").read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0]
+    bad.write_text("\n".join(lines) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgame", "sample-y0", str(bad)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_scenario_exits_2(capsys):
     assert main(["simulate", "/no/such/scenario.json"]) == 2
 
@@ -137,6 +170,14 @@ def test_invalid_scenario_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not valid json")
     assert main(["simulate", str(bad)]) == 1
+
+
+def test_analyze_rejects_rows_narrower_than_header(short_run, tmp_path, capsys):
+    lines = (short_run / "trajectory.csv").read_text().splitlines()
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("\n".join([lines[0]] + [ln.rsplit(",", 1)[0] for ln in lines[1:]]) + "\n")
+    assert main(["analyze", str(narrow), "-o", str(tmp_path)]) == 1
+    assert "header" in capsys.readouterr().err
 
 
 def test_missing_trajectory_exits_2():

@@ -214,6 +214,15 @@ def test_config_validation():
         IntegratorConfig(sample_stride=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "name", ["step", "t_end", "abs_tol", "rel_tol", "renorm_tol", "clamp_eps", "conv_tol"]
+)
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        IntegratorConfig(**{name: value})
+
+
 # --- case-study asymptotics (shared session fixtures) ---
 
 def test_case_study_fixates_on_first_factor(case_trajectory):
@@ -296,8 +305,7 @@ def test_trajectory_accessors(case_trajectory):
     assert s.t == 0.0
     assert np.array_equal(s.x, case_trajectory.x[0])
     assert case_trajectory.terminal.t == case_trajectory.t[-1]
-    sub = case_trajectory.samples[:3]
-    assert [g.t for g in sub] == list(case_trajectory.t[:3])
+    assert [case_trajectory.state(i).t for i in range(3)] == list(case_trajectory.t[:3])
 
 
 # --- reduced-game analytic oracle ---

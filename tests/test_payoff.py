@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qgame import (
-    UtilityReport,
     ZScoreMatrix,
     build_payoff_matrix,
     expected_total_utility,
@@ -149,17 +148,6 @@ def test_utility_bound(scores):
         x = rng.dirichlet(np.ones(5))
         y = rng.dirichlet(np.ones(36))
         assert abs(expected_total_utility(payoff, x, y)) <= 5.0
-
-
-def test_utility_report_invariant(scores):
-    rng = np.random.default_rng(31)
-    x = rng.dirichlet(np.ones(5))
-    y = rng.dirichlet(np.ones(36))
-    z = rng.uniform(0, 1, 5)
-    report = UtilityReport.at_state(scores, x, y, z)
-    assert report.per_factor == pytest.approx(scores.scores @ y, abs=1e-12)
-    payoff = build_payoff_matrix(scores, z)
-    assert report.total == pytest.approx(x @ payoff.values @ y, abs=1e-12)
 
 
 def test_small_matrix_works_without_space():

@@ -16,6 +16,7 @@ from qgame.errors import (
     DuplicateStrategy,
     MissingStrategy,
     NoFlaggedStakeholders,
+    QGameError,
     ScoreOutOfRange,
 )
 
@@ -87,6 +88,8 @@ def test_flagging_rejects_bad_inputs(loadings):
         flag_stakeholders(loadings, 1, 0.05)
     with pytest.raises(DimensionMismatch):
         LoadingMatrix(np.zeros((20, 4)), tuple(LOADINGS), 5)
+    with pytest.raises(ValueError):
+        LoadingMatrix(np.array([[np.nan, 0.1, 0.1, 0.1, 0.1]]), ("STK1",))
 
 
 # --- x0 ---
@@ -239,3 +242,36 @@ def test_bundled_share_table_matches_transcription(space):
     shares = load_share_table(qgame.case_study_path().parent.parent / "data" / "y0.csv")
     assert np.array_equal(shares, [Y0[c] for c in CANONICAL_ORDER])
     assert shares.sum() == pytest.approx(0.9996, abs=1e-12)
+
+
+# --- faults shared by the three code-keyed tables ---
+
+@pytest.mark.parametrize("fault", ["short row", "nan", "inf", "duplicate after nan"])
+@pytest.mark.parametrize(
+    "loader, name",
+    [
+        (qgame.load_zscores, "zscores.csv"),
+        (qgame.load_share_table, "y0.csv"),
+        (qgame.load_distribution, "symmetric_distribution.csv"),
+    ],
+    ids=["zscores", "share_table", "distribution"],
+)
+def test_code_table_fault_names_path_and_code(tmp_path, loader, name, fault):
+    lines = (qgame.case_study_path().parent.parent / "data" / name).read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("D.R.A.PP,"))
+    row = lines[k]
+    head = row.rsplit(",", 1)[0]
+    if fault == "short row":
+        lines[k] = head
+    elif fault == "duplicate after nan":
+        lines[k] = head + ",nan"
+        lines.append(row)
+    else:
+        lines[k] = f"{head},{fault}"
+    p = tmp_path / name
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(QGameError) as err:
+        loader(p)
+    assert not isinstance(err.value, MissingStrategy)
+    assert str(p) in str(err.value)
+    assert "D.R.A.PP" in str(err.value)

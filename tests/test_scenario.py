@@ -139,6 +139,23 @@ def test_wrong_types_are_validation_errors(sandbox):
         qgame.load_scenario(write_scenario(scen_dir2, base2))
 
 
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400"])
+@pytest.mark.parametrize(
+    "key, field", [("integrator", r"integrator\.t_end"), ("z0", r"z0\[1\]")]
+)
+def test_non_finite_numbers_are_rejected(sandbox, literal, key, field):
+    """Loading does not integrate, so t_end = Infinity cannot hang here."""
+    scen_dir, base = sandbox
+    if key == "integrator":
+        base["integrator"] = {"method": "rk4", "t_end": "HOLE"}
+    else:
+        base["z0"] = [0.39, "HOLE", 0.39, 0.28, 0.28]
+    p = scen_dir / "scenario.json"
+    p.write_text(json.dumps(base).replace('"HOLE"', literal))
+    with pytest.raises(ValidationError, match=field):
+        qgame.load_scenario(p)
+
+
 def test_derived_z0_uses_positive_fractions(sandbox):
     scen_dir, base = sandbox
     base["z0"] = "derive-from-loadings"

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qgame import format_code, parse_code
+from qgame import parse_code
 from qgame.errors import MalformedCode, UnknownLevel
 from qgame.strategy_space import (
     CONTENT_LEVELS,
@@ -41,12 +41,12 @@ def test_tool_blocks_of_twelve(space):
 
 def test_parse_round_trip_bijection(space):
     for i in range(36):
-        assert parse_code(format_code(space[i])).index == i
+        assert parse_code(space[i].code).index == i
 
 
 def test_parse_trailing_dot_normalizes():
     assert parse_code("D.R.T.Pu.") == parse_code("D.R.T.Pu")
-    assert format_code(parse_code("D.R.A.PP.")) == "D.R.A.PP"
+    assert parse_code("D.R.A.PP.").code == "D.R.A.PP"
 
 
 def test_parse_example_fields():
@@ -89,4 +89,4 @@ def test_random_recombinations_round_trip():
             for tool in TOOL_LEVELS:
                 for resource in RESOURCE_LEVELS:
                     text = f"{target}.{content}.{tool}.{resource}"
-                    assert format_code(parse_code(text)) == text
+                    assert parse_code(text).code == text
