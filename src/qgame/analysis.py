@@ -14,7 +14,8 @@ time rescaling):
   dips, orders below a genuine transient collapse).
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +35,21 @@ class AnalysisThresholds:
     rise_tol: float = 0.01
     die_tol: float = 1e-4
     mono_slack: float = 0.01
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if not 0.5 <= self.winner_threshold < 1.0:
+            raise ValueError(
+                f"winner_threshold must lie in [0.5, 1), got {self.winner_threshold!r}"
+            )
+        if not 0.0 < self.z_tol < 0.5:
+            raise ValueError(f"z_tol must lie in (0, 0.5), got {self.z_tol!r}")
+        for name in ("rise_tol", "die_tol", "mono_slack"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

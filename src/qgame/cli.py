@@ -3,6 +3,8 @@
 All verbs are file-in/file-out and deterministic: identical inputs and
 seeds produce byte-identical outputs. Floats are written with 17
 significant digits so re-parsing a trajectory reproduces it exactly.
+`simulate` formats each value once, into trajectory.csv; the plotdata/
+panels are column slices of that file's text, cell for cell.
 
 Exit status: 0 on success, 2 when an input file is missing, 1 on any
 other validation or runtime failure.
@@ -12,6 +14,8 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import ExitStack
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,17 +33,9 @@ EXIT_ERROR = 1
 EXIT_NOT_FOUND = 2
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """One header line, then one row per sample with every value at 17
     significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(
-            fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
-            header=",".join(header), comments="",
-        )
-
-
-def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     header = (
         ["t"]
         + [f"x_{q}" for q in traj.factor_labels]
@@ -47,7 +43,24 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
         + [f"y_{s}" for s in traj.strategy_labels]
         + ["utility"]
     )
-    _write_csv(path, header, [traj.t, traj.x, traj.z, traj.y, traj.utility])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(
+            fh, np.column_stack([traj.t, traj.x, traj.z, traj.y, traj.utility]),
+            fmt="%.17g", delimiter=",", header=",".join(header), comments="",
+        )
+
+
+def _parse_header(path: Path, line: str) -> tuple[list[str], list[int], list[int], list[int]]:
+    """Names of a trajectory header and the indices of its x_, z_ and y_
+    columns; t comes first and utility last."""
+    header = line.rstrip("\n").split(",")
+    if header[0] != "t" or header[-1] != "utility":
+        raise QGameError(f"{path}: unexpected trajectory header")
+    x_cols, z_cols, y_cols = (
+        [i for i, h in enumerate(header) if h.startswith(prefix)]
+        for prefix in ("x_", "z_", "y_")
+    )
+    return header, x_cols, z_cols, y_cols
 
 
 def read_trajectory_csv(path: Path) -> Trajectory:
@@ -57,12 +70,7 @@ def read_trajectory_csv(path: Path) -> Trajectory:
         lines = [ln for ln in fh if ln.strip()]
     if len(lines) < 2:
         raise QGameError(f"{path}: no trajectory rows")
-    header = lines[0].rstrip("\n").split(",")
-    if header[0] != "t" or header[-1] != "utility":
-        raise QGameError(f"{path}: unexpected trajectory header")
-    x_cols = [i for i, h in enumerate(header) if h.startswith("x_")]
-    z_cols = [i for i, h in enumerate(header) if h.startswith("z_")]
-    y_cols = [i for i, h in enumerate(header) if h.startswith("y_")]
+    header, x_cols, z_cols, y_cols = _parse_header(path, lines[0])
     data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
     if data.shape[1] != len(header):
         raise QGameError(
@@ -80,27 +88,43 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     )
 
 
-def write_plotdata(traj: Trajectory, plot_dir: Path) -> None:
-    """Per-figure CSV panels: x, z, utility, and y split by Tool level."""
+def write_plotdata(trajectory_csv: Path, plot_dir: Path) -> None:
+    """Per-figure CSV panels: x, z, utility, and y split by Tool level
+    (one y panel when the y labels are not strategy codes).
+
+    Each panel is a column slice of `trajectory_csv`, copied cell for
+    cell, so no value is formatted twice. The file is read in blocks of
+    lines, never whole.
+    """
     plot_dir.mkdir(parents=True, exist_ok=True)
-    x_names = [f"x_{q}" for q in traj.factor_labels]
-    z_names = [f"z_{q}" for q in traj.factor_labels]
-    y_names = [f"y_{s}" for s in traj.strategy_labels]
-    _write_csv(plot_dir / "x.csv", ["t"] + x_names, [traj.t, traj.x])
-    _write_csv(plot_dir / "z.csv", ["t"] + z_names, [traj.t, traj.z])
-    _write_csv(plot_dir / "utility.csv", ["t", "utility"], [traj.t, traj.utility])
-    try:
-        tools = np.array([parse_code(s).tool for s in traj.strategy_labels])
-    except QGameError:
-        _write_csv(plot_dir / "y.csv", ["t"] + y_names, [traj.t, traj.y])
-        return
-    for tool in TOOL_LEVELS:
-        cols = np.flatnonzero(tools == tool)
-        _write_csv(
-            plot_dir / f"y_tool_{tool}.csv",
-            ["t"] + [y_names[j] for j in cols],
-            [traj.t, traj.y[:, cols]],
-        )
+    with open(trajectory_csv, encoding="utf-8") as src, ExitStack() as stack:
+        header, x_cols, z_cols, y_cols = _parse_header(trajectory_csv, src.readline())
+        panels = {"x": x_cols, "z": z_cols, "utility": [len(header) - 1]}
+        try:
+            tools = [parse_code(header[j][2:]).tool for j in y_cols]
+        except QGameError:
+            panels["y"] = y_cols
+        else:
+            for tool in TOOL_LEVELS:
+                panels[f"y_tool_{tool}"] = [j for j, lv in zip(y_cols, tools) if lv == tool]
+        outs = []
+        for name, cols in panels.items():
+            cols = [0] + cols
+            fh = stack.enter_context(
+                open(plot_dir / f"{name}.csv", "w", encoding="utf-8", newline="\n")
+            )
+            fh.write(",".join(header[j] for j in cols) + "\n")
+            # itemgetter returns a bare cell, not a tuple, for one index
+            cells = itemgetter(*cols) if len(cols) > 1 else lambda row: row[:1]
+            outs.append((fh, cells))
+        while block := src.readlines(1 << 16):
+            rows = [line.rstrip("\n").split(",") for line in block]
+            if any(len(row) != len(header) for row in rows):
+                raise QGameError(
+                    f"{trajectory_csv}: a row's width differs from the header's {len(header)}"
+                )
+            for fh, cells in outs:
+                fh.write("".join(",".join(cells(row)) + "\n" for row in rows))
 
 
 def cmd_simulate(args) -> int:
@@ -124,7 +148,7 @@ def cmd_simulate(args) -> int:
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2) + "\n", encoding="utf-8"
     )
-    write_plotdata(traj, out_dir / "plotdata")
+    write_plotdata(out_dir / "trajectory.csv", out_dir / "plotdata")
 
     print(f"simulated {len(traj)} samples to t={traj.t[-1]:g} ({traj.method})")
     print(an.render_summary(report))

@@ -38,7 +38,7 @@ class GameState:
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -93,6 +93,8 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be at least 1")
+        if self.conv_window < 1:
+            raise ValueError("conv_window must be at least 1")
 
 
 @dataclass

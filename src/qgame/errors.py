@@ -29,6 +29,10 @@ class DuplicateStrategy(QGameError, ValueError):
     """A tabular source contains the same strategy code more than once."""
 
 
+class DuplicateStakeholder(QGameError, ValueError):
+    """A loading table contains the same stakeholder id more than once."""
+
+
 class InvalidNumber(QGameError, ValueError):
     """A table cell is not a finite number."""
 

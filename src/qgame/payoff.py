@@ -34,7 +34,7 @@ class PayoffMatrix:
 
     def __post_init__(self):
         for name in ("values", "sign_freqs"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

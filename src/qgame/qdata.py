@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DuplicateStakeholder,
     DuplicateStrategy,
     InvalidNumber,
     MissingStrategy,
@@ -39,7 +40,7 @@ class LoadingMatrix:
     factor_count: int = N_FACTORS
 
     def __post_init__(self):
-        arr = np.asarray(self.loadings, dtype=float)
+        arr = np.array(self.loadings, dtype=float)
         if arr.ndim != 2 or arr.shape != (len(self.stakeholder_ids), self.factor_count):
             raise DimensionMismatch(
                 f"loadings shape {arr.shape} does not match "
@@ -65,7 +66,7 @@ class ZScoreMatrix:
     space: StrategySpace | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.scores, dtype=float)
+        arr = np.array(self.scores, dtype=float)
         if arr.ndim != 2:
             raise DimensionMismatch(f"scores must be 2-d, got shape {arr.shape}")
         if self.space is not None and arr.shape[1] != len(self.space):
@@ -121,7 +122,7 @@ class InitialConditions:
 
     def __post_init__(self):
         for name in ("x0", "y0", "z0"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         for name in ("x0", "y0"):
@@ -226,6 +227,8 @@ def load_loadings(path: str | Path) -> LoadingMatrix:
             raise DimensionMismatch(
                 f"{path}: row {row[0]!r} has {len(row) - 1} values, expected {n_factors}"
             )
+        if row[0] in ids:
+            raise DuplicateStakeholder(f"{path}: duplicate row for stakeholder {row[0]!r}")
         ids.append(row[0])
         values.append([float(v) for v in row[1:]])
     return LoadingMatrix(np.array(values), tuple(ids), n_factors)

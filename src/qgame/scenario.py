@@ -215,7 +215,10 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     for key, value in analysis_spec.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValidationError(f"analysis.{key}", "expected a number")
-    thresholds = AnalysisThresholds(**analysis_spec)
+    try:
+        thresholds = AnalysisThresholds(**analysis_spec)
+    except ValueError as exc:
+        raise ValidationError("analysis", str(exc)) from exc
 
     try:
         initial = InitialConditions(x0=x0, y0=y0, z0=z0)

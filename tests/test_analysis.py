@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qgame import (
+    AnalysisThresholds,
     Trajectory,
     classify_transients,
     count_inflections,
@@ -36,6 +37,32 @@ def sigmoid(t, mid, rate=1.0):
 
 def empty_traj() -> Trajectory:
     return make_traj(np.empty(0), np.empty((0, 2)), x=np.empty((0, 2)), z=np.empty((0, 2)))
+
+
+# --- thresholds ---
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("winner_threshold", 0.49),
+        ("winner_threshold", 1.0),
+        ("winner_threshold", 5.0),
+        ("z_tol", 0.0),
+        ("z_tol", 0.5),
+        ("rise_tol", -0.01),
+        ("die_tol", -1.0),
+        ("mono_slack", -1e-12),
+    ]
+    + [(name, v) for name in ("winner_threshold", "z_tol", "rise_tol", "die_tol", "mono_slack")
+       for v in (float("nan"), float("inf"))],
+)
+def test_thresholds_reject_out_of_range(name, value):
+    with pytest.raises(ValueError, match=name):
+        AnalysisThresholds(**{name: value})
+
+
+def test_thresholds_accept_range_edges():
+    AnalysisThresholds(winner_threshold=0.5, z_tol=0.499, rise_tol=0.0, die_tol=0.0, mono_slack=0.0)
 
 
 # --- fixation ---

@@ -1,15 +1,25 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qgame
-from qgame.cli import main, read_trajectory_csv, write_trajectory_csv
+from qgame.cli import main, read_trajectory_csv, write_plotdata, write_trajectory_csv
 
 DATA = qgame.case_study_path().parent.parent / "data"
+SRC = Path(qgame.__file__).resolve().parent.parent
 SCHEMA = None
+
+
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's qgame."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def report_schema():
@@ -61,22 +71,46 @@ def test_trajectory_round_trip_is_exact(short_run, case_study):
     assert parsed.strategy_labels == traj.strategy_labels
 
 
-def test_csv_cells_are_17_significant_digits(short_run, case_study):
-    traj = qgame.run_scenario(case_study, qgame.IntegratorConfig(step=0.01, t_end=2.0))
-    lines = (short_run / "trajectory.csv").read_text().splitlines()
-    rows = np.column_stack([traj.t, traj.x, traj.z, traj.y, traj.utility])
-    assert len(lines) == len(rows) + 1
-    for line, row in zip(lines[1:], rows):
-        assert line == ",".join(format(v, ".17g") for v in row)
+PANELS = ["utility.csv", "x.csv", "y_tool_A.csv", "y_tool_S.csv", "y_tool_T.csv", "z.csv"]
+
+
+def columns(path):
+    """Header name -> tuple of that column's cells, as text."""
+    lines = path.read_text().splitlines()
     header = lines[0].split(",")
-    cells = [line.split(",") for line in lines[1:]]
-    panels = sorted((short_run / "plotdata").glob("*.csv"))
-    assert len(panels) == 6
-    for panel in panels:
-        panel_lines = panel.read_text().splitlines()
-        for pj, name in enumerate(panel_lines[0].split(",")):
-            j = header.index(name)
-            assert [line.split(",")[pj] for line in panel_lines[1:]] == [c[j] for c in cells]
+    cells = list(zip(*(line.split(",") for line in lines[1:])))
+    assert len(cells) == len(header)
+    return dict(zip(header, cells))
+
+
+def assert_panels_slice_trajectory(out, names=PANELS):
+    """Every plotdata panel starts with t, and each of its columns equals
+    the trajectory.csv column of the same name, cell for cell."""
+    traj = columns(out / "trajectory.csv")
+    assert sorted(p.name for p in (out / "plotdata").iterdir()) == names
+    covered = set()
+    for name in names:
+        panel = columns(out / "plotdata" / name)
+        assert next(iter(panel)) == "t"
+        for col, cells in panel.items():
+            assert cells == traj[col]
+        covered |= set(panel)
+    assert covered == set(traj)
+
+
+def test_csv_cells_are_17_significant_digits(short_run, case_study, tmp_path):
+    rk45 = tmp_path / "rk45"
+    assert main(["simulate", str(qgame.case_study_path()), "-o", str(rk45),
+                 "--t-end", "2.0", "--method", "rk45"]) == 0
+    for out, method in ((short_run, "rk4"), (rk45, "rk45")):
+        cfg = qgame.IntegratorConfig(method=method, step=0.01, t_end=2.0)
+        traj = qgame.run_scenario(case_study, cfg)
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        rows = np.column_stack([traj.t, traj.x, traj.z, traj.y, traj.utility])
+        assert len(lines) == len(rows) + 1
+        for line, row in zip(lines[1:], rows):
+            assert line == ",".join(format(v, ".17g") for v in row)
+        assert_panels_slice_trajectory(out)
 
 
 def test_report_conforms_to_schema(short_run):
@@ -113,6 +147,21 @@ def test_full_run_report_names_winners(tmp_path):
     import jsonschema
 
     jsonschema.validate(report, report_schema())
+    # 5001 rows take many of write_plotdata's read blocks
+    assert (out / "trajectory.csv").stat().st_size > 4 * (1 << 16)
+    assert_panels_slice_trajectory(out)
+
+
+def test_plotdata_without_strategy_codes_has_one_y_panel(tmp_path):
+    scores = qgame.ZScoreMatrix(np.array([[1.0, -1.0, 0.5], [0.0, 2.0, -1.0]]))
+    state = qgame.GameState(
+        x=np.array([0.5, 0.5]), y=np.full(3, 1 / 3), z=np.array([0.6, 0.4])
+    )
+    traj = qgame.integrate(state, scores, qgame.IntegratorConfig(step=0.1, t_end=1.0))
+    assert traj.strategy_labels == ("s0", "s1", "s2")
+    write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    write_plotdata(tmp_path / "trajectory.csv", tmp_path / "plotdata")
+    assert_panels_slice_trajectory(tmp_path, ["utility.csv", "x.csv", "y.csv", "z.csv"])
 
 
 def test_flag_verb_prints_counts(capsys):
@@ -126,6 +175,18 @@ def test_flag_verb_stricter_threshold(capsys):
     assert main(["flag", str(DATA / "loadings.csv"), "--p", "0.01"]) == 0
     out = capsys.readouterr().out
     assert "counts: Q1=7 Q2=3 Q3=3 Q4=4 Q5=2" in out
+
+
+def test_flag_rejects_duplicate_stakeholder(tmp_path):
+    dup = tmp_path / "loadings.csv"
+    lines = (DATA / "loadings.csv").read_text().splitlines()
+    first = next(ln for ln in lines if ln.startswith("STK1,"))
+    dup.write_text("\n".join(lines + [first]) + "\n")
+    proc = run_python("-m", "qgame", "flag", str(dup))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "STK1" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_sample_y0_deterministic_files(tmp_path):
@@ -152,11 +213,7 @@ def test_sample_y0_short_row_exits_1_without_traceback(tmp_path):
     lines = (DATA / "symmetric_distribution.csv").read_text().splitlines()
     lines[-1] = lines[-1].rsplit(",", 1)[0]
     bad.write_text("\n".join(lines) + "\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "qgame", "sample-y0", str(bad)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "qgame", "sample-y0", str(bad))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
@@ -178,6 +235,14 @@ def test_analyze_rejects_rows_narrower_than_header(short_run, tmp_path, capsys):
     narrow.write_text("\n".join([lines[0]] + [ln.rsplit(",", 1)[0] for ln in lines[1:]]) + "\n")
     assert main(["analyze", str(narrow), "-o", str(tmp_path)]) == 1
     assert "header" in capsys.readouterr().err
+
+
+def test_analyze_rejects_negative_die_tol(short_run, tmp_path, capsys):
+    args = ["analyze", str(short_run / "trajectory.csv"), "-o", str(tmp_path)]
+    assert main(args + ["--die-tol", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "die_tol" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_missing_trajectory_exits_2():
@@ -202,13 +267,19 @@ def test_method_and_step_overrides(tmp_path):
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qgame", "flag", str(DATA / "loadings.csv")],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "qgame", "flag", str(DATA / "loadings.csv"))
     assert proc.returncode == 0
     assert "Q1=7" in proc.stdout
+
+
+def test_loading_a_scenario_does_not_import_scipy():
+    code = (
+        "import sys, qgame, qgame.cli\n"
+        "qgame.load_scenario(qgame.case_study_path())\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_round_trip_writer_reader(tmp_path, case_study):

@@ -3,7 +3,11 @@ import pytest
 
 from qgame import (
     GameState,
+    InitialConditions,
     IntegratorConfig,
+    LoadingMatrix,
+    PayoffMatrix,
+    StatementDistribution,
     ZScoreMatrix,
     integrate,
     replicator_field,
@@ -212,6 +216,8 @@ def test_config_validation():
         IntegratorConfig(step=-0.1)
     with pytest.raises(ValueError):
         IntegratorConfig(sample_stride=0)
+    with pytest.raises(ValueError, match="conv_window"):
+        IntegratorConfig(conv_window=0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -221,6 +227,27 @@ def test_config_validation():
 def test_config_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match=name):
         IntegratorConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "cls, arrays, extra",
+    [
+        (GameState, {"x": [0.5, 0.5], "y": [1.0], "z": [0.5, 0.5]}, {}),
+        (PayoffMatrix, {"values": [[1.0, -1.0]], "sign_freqs": [0.5]}, {}),
+        (ZScoreMatrix, {"scores": [[1.0, -1.0]]}, {}),
+        (LoadingMatrix, {"loadings": [[0.5, -0.5]]}, {"stakeholder_ids": ("S1",), "factor_count": 2}),
+        (InitialConditions, {"x0": [0.5, 0.5], "y0": [1.0], "z0": [0.5, 0.5]}, {}),
+        (StatementDistribution, {"means": [0.0, 1.0], "sigmas": [1.0, 2.0]}, {"codes": ("a", "b")}),
+    ],
+)
+def test_frozen_types_copy_the_callers_arrays(cls, arrays, extra):
+    given = {name: np.array(v, dtype=float) for name, v in arrays.items()}
+    obj = cls(**given, **extra)
+    for name, arr in given.items():
+        arr.flat[0] = 0.25  # raises if the caller's array was made read-only
+        stored = getattr(obj, name)
+        assert not stored.flags.writeable
+        assert stored.flat[0] == np.ravel(arrays[name])[0]
 
 
 # --- case-study asymptotics (shared session fixtures) ---

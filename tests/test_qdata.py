@@ -8,11 +8,13 @@ from qgame import (
     derive_x0,
     derive_z0,
     flag_stakeholders,
+    load_loadings,
     load_share_table,
     load_zscores,
 )
 from qgame.errors import (
     DimensionMismatch,
+    DuplicateStakeholder,
     DuplicateStrategy,
     MissingStrategy,
     NoFlaggedStakeholders,
@@ -90,6 +92,16 @@ def test_flagging_rejects_bad_inputs(loadings):
         LoadingMatrix(np.zeros((20, 4)), tuple(LOADINGS), 5)
     with pytest.raises(ValueError):
         LoadingMatrix(np.array([[np.nan, 0.1, 0.1, 0.1, 0.1]]), ("STK1",))
+
+
+def test_load_loadings_rejects_duplicate_stakeholder(tmp_path):
+    src = qgame.case_study_path().parent.parent / "data" / "loadings.csv"
+    lines = src.read_text().splitlines()
+    dup = tmp_path / "loadings.csv"
+    dup.write_text("\n".join(lines + [lines[-1]]) + "\n")
+    sid = lines[-1].split(",")[0]
+    with pytest.raises(DuplicateStakeholder, match=f"{dup}.*{sid}"):
+        load_loadings(dup)
 
 
 # --- x0 ---

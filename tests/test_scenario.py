@@ -156,6 +156,13 @@ def test_non_finite_numbers_are_rejected(sandbox, literal, key, field):
         qgame.load_scenario(p)
 
 
+def test_analysis_out_of_range_is_a_validation_error(sandbox):
+    scen_dir, base = sandbox
+    base["analysis"] = {"winner_threshold": 5}
+    with pytest.raises(ValidationError, match="analysis: winner_threshold"):
+        qgame.load_scenario(write_scenario(scen_dir, base))
+
+
 def test_derived_z0_uses_positive_fractions(sandbox):
     scen_dir, base = sandbox
     base["z0"] = "derive-from-loadings"
