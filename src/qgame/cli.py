@@ -199,6 +199,7 @@ def cmd_analyze(args) -> int:
         z_tol=args.z_tol,
         rise_tol=args.rise_tol,
         die_tol=args.die_tol,
+        mono_slack=args.mono_slack,
     )
     report = an.analyze(traj, thresholds)
     out_dir = Path(args.output) if args.output else Path(args.trajectory).parent
@@ -247,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z-tol", type=float, default=0.01)
     p.add_argument("--rise-tol", type=float, default=0.01)
     p.add_argument("--die-tol", type=float, default=1e-4)
+    p.add_argument("--mono-slack", type=float, default=0.01)
     p.set_defaults(func=cmd_analyze)
     return parser
 

@@ -125,20 +125,27 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-def replicator_field(A: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bimatrix replicator field for a fixed payoff matrix A (B = A')."""
+def replicator_field(
+    A: np.ndarray, x: np.ndarray, y: np.ndarray, out: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bimatrix replicator field for a fixed payoff matrix A (B = A').
+
+    With `out`, a pair of arrays (dx, dy), the field is written into them.
+    """
     Ay = A @ y
     ATx = A.T @ x
-    return x * (Ay - x @ Ay), y * (ATx - y @ ATx)
+    dx, dy = out or (None, None)
+    return np.multiply(x, Ay - x @ Ay, out=dx), np.multiply(y, ATx - y @ ATx, out=dy)
 
 
 def _rhs(v: np.ndarray, scores: np.ndarray, n: int) -> np.ndarray:
     x = v[:n]
     z = v[n:2 * n]
     y = v[2 * n:]
-    dx, dy = replicator_field(payoff_values(scores, z), x, y)
-    dz = z * (1.0 - z) * (2.0 * (scores @ y))
-    return np.concatenate([dx, dz, dy])
+    d = np.empty_like(v)
+    replicator_field(payoff_values(scores, z), x, y, out=(d[:n], d[2 * n:]))
+    np.multiply(z * (1.0 - z), 2.0 * (scores @ y), out=d[n:2 * n])
+    return d
 
 
 def vector_field(state: GameState, scores: ZScoreMatrix) -> StateDerivative:
@@ -189,34 +196,62 @@ def _dp_step(v, h, scores, n):
     return v5, v5 - v4
 
 
-def _guard(v, n, cfg, drift):
+def _fault(v, k, n, t, cfg, what):
+    """InvalidState naming the time, the block and the entry of v[k]."""
+    block, i = ("x", k) if k < n else ("z", k - n) if k < 2 * n else ("y", k - 2 * n)
+    hint = (
+        "reduce --step or use --method rk45"
+        if cfg.method == "rk4"
+        else "tighten abs_tol and rel_tol"
+    )
+    return InvalidState(f"at t={t:.6g}: {block}[{i}] = {v[k]:.3e} {what}; {hint}")
+
+
+def _non_finite(v, start, stop, n, t, cfg):
+    """The fault for a non-finite entry of v[start:stop], or, if every
+    entry is finite, for the largest one, whose block sum overflowed."""
+    bad = ~np.isfinite(v[start:stop])
+    if bad.any():
+        return _fault(v, start + int(bad.argmax()), n, t, cfg, "is not finite")
+    return _fault(v, start + int(v[start:stop].argmax()), n, t, cfg, "overflows its block sum")
+
+
+def _guard(v, n, cfg, drift, t):
     """Clamp tiny negatives, renormalize drifting simplices, reject blowups.
 
     Updates drift[0]/drift[1] with the worst |sum - 1| observed for x / y
-    before renormalization. Exact zeros are preserved.
+    before renormalization. Exact zeros are preserved. A failure names
+    the time t, the block and the entry.
     """
-    if not np.all(np.isfinite(v)):
-        raise InvalidState("integration produced non-finite values")
-    neg = v < 0.0
-    if np.any(neg):
-        if v[neg].min() < -cfg.clamp_eps:
-            raise InvalidState(
-                f"negative entry {v[neg].min():.3e} beyond clamp_eps={cfg.clamp_eps:.1e}"
-            )
-        v[neg] = 0.0
     z = v[n:2 * n]
-    over = z > 1.0
-    if np.any(over):
-        if z[over].max() > 1.0 + cfg.clamp_eps:
-            raise InvalidState("z escaped [0, 1] beyond clamp_eps")
-        z[over] = 1.0
-    for lo, hi, slot in ((0, n, 0), (2 * n, len(v), 1)):
-        s = v[lo:hi].sum()
+    v_min = v.min()  # NaN if any entry is NaN
+    z_max = z.max()
+    if not (math.isfinite(v_min) and math.isfinite(z_max)):
+        raise _non_finite(v, 0, len(v), n, t, cfg)
+    if v_min < 0.0:
+        if v_min < -cfg.clamp_eps:
+            raise _fault(
+                v, int(v.argmin()), n, t, cfg,
+                f"is negative beyond clamp_eps={cfg.clamp_eps:.1e}",
+            )
+        v[v < 0.0] = 0.0
+    if z_max > 1.0:
+        if z_max > 1.0 + cfg.clamp_eps:
+            raise _fault(
+                v, n + int(z.argmax()), n, t, cfg,
+                f"exceeds 1 beyond clamp_eps={cfg.clamp_eps:.1e}",
+            )
+        z[z > 1.0] = 1.0
+    for start, stop, slot in ((0, n, 0), (2 * n, len(v), 1)):
+        # a +inf in x or y passes the min check but not its block sum
+        s = float(v[start:stop].sum())
+        if not math.isfinite(s):
+            raise _non_finite(v, start, stop, n, t, cfg)
         err = abs(s - 1.0)
         if err > drift[slot]:
             drift[slot] = err
         if err > cfg.renorm_tol:
-            v[lo:hi] /= s
+            v[start:stop] /= s
     return v
 
 
@@ -267,7 +302,7 @@ def integrate(
             # sub-steps when t_end is a multiple of the step
             t_next = min((accepted + 1) * h, cfg.t_end)
             v = _rk4_step(v, t_next - t, S, n)
-            v = _guard(v, n, cfg, drift)
+            v = _guard(v, n, cfg, drift, t_next)
             t = t_next
             accepted += 1
         else:
@@ -279,7 +314,7 @@ def integrate(
                 scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(v), np.abs(v_new))
                 err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
             if np.isfinite(err_norm) and err_norm <= 1.0:
-                v = _guard(v_new, n, cfg, drift)
+                v = _guard(v_new, n, cfg, drift, t + h_try)
                 t += h_try
                 accepted += 1
                 grow = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2)

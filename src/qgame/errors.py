@@ -34,7 +34,7 @@ class DuplicateStakeholder(QGameError, ValueError):
 
 
 class InvalidNumber(QGameError, ValueError):
-    """A table cell is not a finite number."""
+    """A table cell is not a finite number, or lies outside its range."""
 
 
 class ScoreOutOfRange(QGameError, ValueError):

@@ -230,8 +230,24 @@ def load_loadings(path: str | Path) -> LoadingMatrix:
         if row[0] in ids:
             raise DuplicateStakeholder(f"{path}: duplicate row for stakeholder {row[0]!r}")
         ids.append(row[0])
-        values.append([float(v) for v in row[1:]])
+        values.append(
+            [_loading(path, row[0], col, cell) for col, cell in zip(header[1:], row[1:])]
+        )
     return LoadingMatrix(np.array(values), tuple(ids), n_factors)
+
+
+def _loading(path: str | Path, stakeholder: str, column: str, cell: str) -> float:
+    """One loading cell as a float in [-1, 1]; a fault names the cell."""
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not -1.0 <= value <= 1.0:  # also NaN and non-numeric cells
+        raise InvalidNumber(
+            f"{path}: stakeholder {stakeholder!r}, column {column}: "
+            f"{cell!r} is not a loading in [-1, 1]"
+        )
+    return value
 
 
 def _read_code_table(

@@ -6,7 +6,9 @@ maximum. Draws use a counter-based Philox stream keyed by the seed, with
 normals obtained by inverse CDF from one uniform each, so sequence k
 consumes exactly the uniforms at flat positions [k*m, (k+1)*m) of the
 stream. The result is bit-for-bit reproducible for a fixed seed and
-independent of any batching or scheduling.
+independent of any batching or scheduling: `sample_y0` walks the stream
+in blocks of `BLOCK_ROWS` sequences, so its memory does not grow with
+`n_sequences`, and its shares equal those of one block of all rows.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,7 @@ from .qdata import _read_code_table
 from .strategy_space import StrategySpace, build_strategy_space
 
 TIE_RULES = ("first-index", "random-uniform")
+BLOCK_ROWS = 4096  # sequences drawn per block: 4096 x 36 float64 is about 1.2 MB
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,9 @@ def _stream(seed: int, lane: int) -> np.random.Generator:
 def _winners(draws: np.ndarray, tie_rule: str, tie_rng: np.random.Generator) -> np.ndarray:
     """Index of the strict per-row maximum; tied rows resolved per tie_rule."""
     winners = np.argmax(draws, axis=1)
-    row_max = draws[np.arange(len(draws)), winners]
-    tied = np.count_nonzero(draws == row_max[:, None], axis=1) > 1
-    if tie_rule == "random-uniform" and np.any(tied):
+    if tie_rule == "random-uniform":
+        row_max = draws[np.arange(len(draws)), winners]
+        tied = np.count_nonzero(draws == row_max[:, None], axis=1) > 1
         for row in np.flatnonzero(tied):
             candidates = np.flatnonzero(draws[row] == row_max[row])
             winners[row] = candidates[tie_rng.integers(len(candidates))]
@@ -84,6 +87,10 @@ def sample_y0(dist: StatementDistribution, config: SamplerConfig | None = None) 
     returns, for each strategy, the fraction of rows it wins. Ties have
     probability zero for nondegenerate sigmas; the tie rule only matters
     for hand-built degenerate inputs.
+
+    Rows are drawn in blocks of `BLOCK_ROWS` from one stream and tie
+    draws come from a second stream in row order, so the result does not
+    depend on the block size.
     """
     # imported here: scipy.special costs every process that never samples
     # about 0.3 s and 26 MB
@@ -91,11 +98,18 @@ def sample_y0(dist: StatementDistribution, config: SamplerConfig | None = None) 
 
     cfg = config or SamplerConfig()
     m = len(dist)
-    u = _stream(cfg.seed, 0).random((cfg.n_sequences, m))
-    np.clip(u, 2.0**-53, None, out=u)
-    draws = dist.means + dist.sigmas * ndtri(u)
-    winners = _winners(draws, cfg.tie_rule, _stream(cfg.seed, 1))
-    counts = np.bincount(winners, minlength=m)
+    rng, tie_rng = _stream(cfg.seed, 0), _stream(cfg.seed, 1)
+    counts = np.zeros(m, dtype=np.int64)
+    block = np.empty((min(cfg.n_sequences, BLOCK_ROWS), m))
+    for start in range(0, cfg.n_sequences, BLOCK_ROWS):
+        draws = block[: min(BLOCK_ROWS, cfg.n_sequences - start)]
+        rng.random(out=draws)
+        np.clip(draws, 2.0**-53, None, out=draws)
+        # the IEEE operations of means + sigmas * ndtri(u), in place
+        ndtri(draws, out=draws)
+        draws *= dist.sigmas
+        draws += dist.means
+        counts += np.bincount(_winners(draws, cfg.tie_rule, tie_rng), minlength=m)
     return counts / cfg.n_sequences
 
 

@@ -189,6 +189,17 @@ def test_flag_rejects_duplicate_stakeholder(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_flag_bad_loading_exits_1_naming_the_cell(tmp_path):
+    bad = tmp_path / "loadings.csv"
+    text = (DATA / "loadings.csv").read_text()
+    bad.write_text(text.replace("STK1,0.84,", "STK1,abc,", 1))
+    proc = run_python("-m", "qgame", "flag", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert str(bad) in proc.stderr and "'STK1'" in proc.stderr and "Q1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sample_y0_deterministic_files(tmp_path):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sample-y0", str(DATA / "symmetric_distribution.csv"),
@@ -243,6 +254,32 @@ def test_analyze_rejects_negative_die_tol(short_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "die_tol" in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_analyze_rejects_negative_mono_slack(short_run, tmp_path, capsys):
+    args = ["analyze", str(short_run / "trajectory.csv"), "-o", str(tmp_path)]
+    assert main(args + ["--mono-slack", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mono_slack" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_analyze_mono_slack_reaches_the_thresholds(short_run, tmp_path):
+    traj = read_trajectory_csv(short_run / "trajectory.csv")
+    expected = qgame.analyze(traj, qgame.AnalysisThresholds(mono_slack=0.001))
+    assert expected != qgame.analyze(traj)  # the value changes this report
+    args = ["analyze", str(short_run / "trajectory.csv"), "-o", str(tmp_path)]
+    assert main(args + ["--mono-slack", "0.001"]) == 0
+    assert json.loads((tmp_path / "report.json").read_text()) == expected
+
+
+def test_simulate_step_too_large_names_time_block_and_hint(tmp_path):
+    proc = run_python("-m", "qgame", "simulate", str(qgame.case_study_path()),
+                      "--step", "0.5", "-o", str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: at t=")
+    assert "y[" in proc.stderr and "--method rk45" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_trajectory_exits_2():

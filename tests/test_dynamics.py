@@ -13,7 +13,7 @@ from qgame import (
     replicator_field,
     vector_field,
 )
-from qgame.dynamics import _DP_B4, _DP_B5, _DP_A, _DP_C
+from qgame.dynamics import _DP_B4, _DP_B5, _DP_A, _DP_C, _guard
 from qgame.errors import InvalidState, StepSizeUnderflow
 
 from table_fixtures import CANONICAL_ORDER, PSI_AT_Y0_RAW, Y0, Z0
@@ -177,6 +177,51 @@ def test_sample_times_strictly_increase(case_trajectory):
     assert case_trajectory.t[0] == 0.0
     assert case_trajectory.t[-1] == 50.0
     assert len(case_trajectory) == 5001
+
+
+# --- the simplex guard (n = 2: v = x0 x1 | z0 z1 | y0 y1) ---
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "v, fault",
+    [
+        ([NAN, 1.0, 0.5, 0.5, 0.5, 0.5], "x[0] = nan is not finite"),
+        ([INF, 0.0, 0.5, 0.5, 0.5, 0.5], "x[0] = inf is not finite"),
+        ([0.5, 0.5, 0.5, 0.5, 0.5, INF], "y[1] = inf is not finite"),
+        ([0.5, 0.5, INF, 0.5, 0.5, 0.5], "z[0] = inf is not finite"),
+        ([0.5, 0.5, 0.5, 0.5, -INF, 1.0], "y[0] = -inf is not finite"),
+        ([0.5, 0.5, 0.5, NAN, 0.5, 0.5], "z[1] = nan is not finite"),
+        ([1.1, -0.1, 0.5, 0.5, 0.5, 0.5], "x[1] = -1.000e-01 is negative beyond clamp_eps"),
+        ([0.5, 0.5, 1.5, 0.5, 0.5, 0.5], "z[0] = 1.500e+00 exceeds 1 beyond clamp_eps"),
+        ([0.5, 0.5, 0.5, 0.5, 1e308, 1e308], "y[0] = 1.000e+308 overflows its block sum"),
+    ],
+)
+def test_guard_fault_names_time_block_and_entry(v, fault):
+    with pytest.raises(InvalidState) as info, np.errstate(over="ignore"):
+        _guard(np.array(v), 2, IntegratorConfig(), [0.0, 0.0], 2.5)
+    msg = str(info.value)
+    assert msg.startswith("at t=2.5: ") and fault in msg
+    assert msg.endswith("reduce --step or use --method rk45")
+
+
+def test_guard_hint_under_rk45():
+    with pytest.raises(InvalidState, match="y\\[0\\].*tighten abs_tol and rel_tol$"):
+        _guard(np.array([0.5, 0.5, 0.5, 0.5, -1.0, 2.0]), 2,
+               IntegratorConfig(method="rk45"), [0.0, 0.0], 1.0)
+
+
+def test_guard_clamps_within_clamp_eps_and_renormalizes():
+    drift = [0.0, 0.0]
+    v = np.array([1.2, -1e-13, 0.3, 1.0 + 1e-13, 0.0, 1.0 + 1e-13])
+    out = _guard(v, 2, IntegratorConfig(), drift, 0.1)
+    # x: clamped to [1.2, 0], drift 0.2 > renorm_tol, so renormalized
+    # z: clamped to 1; y: drift 1e-13 < renorm_tol, left as it is, zero kept
+    assert out.tolist() == [1.0, 0.0, 0.3, 1.0, 0.0, 1.0 + 1e-13]
+    assert drift[0] == pytest.approx(0.2) and drift[1] == pytest.approx(1e-13, rel=1e-3)
+    assert _guard(out, 2, IntegratorConfig(), drift, 0.2) is out
+    assert drift[0] == pytest.approx(0.2)  # the worst drift is kept
 
 
 def test_sample_stride(scores):

@@ -16,6 +16,7 @@ from qgame.errors import (
     DimensionMismatch,
     DuplicateStakeholder,
     DuplicateStrategy,
+    InvalidNumber,
     MissingStrategy,
     NoFlaggedStakeholders,
     QGameError,
@@ -102,6 +103,20 @@ def test_load_loadings_rejects_duplicate_stakeholder(tmp_path):
     sid = lines[-1].split(",")[0]
     with pytest.raises(DuplicateStakeholder, match=f"{dup}.*{sid}"):
         load_loadings(dup)
+
+
+@pytest.mark.parametrize("cell", ["abc", "1.5", "-1.01", "nan", "inf", "-inf", ""])
+def test_load_loadings_bad_cell_names_path_stakeholder_and_column(tmp_path, cell):
+    src = qgame.case_study_path().parent.parent / "data" / "loadings.csv"
+    lines = src.read_text().splitlines()
+    i = next(k for k, ln in enumerate(lines) if ln.startswith("STK3,"))
+    cells = lines[i].split(",")
+    cells[4] = cell  # column Q4
+    lines[i] = ",".join(cells)
+    bad = tmp_path / "loadings.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidNumber, match=f"{bad}: stakeholder 'STK3', column Q4: '{cell}'"):
+        load_loadings(bad)
 
 
 # --- x0 ---

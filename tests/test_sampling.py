@@ -1,12 +1,84 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from qgame import SamplerConfig, StatementDistribution, repeat_stability, sample_y0
-from qgame.sampling import _winners
+from qgame import sampling
+from qgame.sampling import BLOCK_ROWS, _stream, _winners
 
 
 def symmetric(space) -> StatementDistribution:
     return StatementDistribution(np.zeros(36), np.ones(36), space.codes)
+
+
+def skewed(space) -> StatementDistribution:
+    """Distinct means and sigmas, so every strategy wins some rows."""
+    rng = np.random.default_rng(2024)
+    return StatementDistribution(
+        rng.normal(0.0, 0.3, 36), rng.uniform(0.5, 1.5, 36), space.codes
+    )
+
+
+def one_block_reference(dist: StatementDistribution, cfg: SamplerConfig) -> np.ndarray:
+    """The sampler as one n_sequences x m block of draws, the form it had
+    before it was blocked; kept here as the reference for the blocked one."""
+    m = len(dist)
+    u = _stream(cfg.seed, 0).random((cfg.n_sequences, m))
+    np.clip(u, 2.0**-53, None, out=u)
+    draws = dist.means + dist.sigmas * ndtri(u)
+    tie_rng = _stream(cfg.seed, 1)
+    winners = np.argmax(draws, axis=1)
+    row_max = draws[np.arange(len(draws)), winners]
+    tied = np.count_nonzero(draws == row_max[:, None], axis=1) > 1
+    if cfg.tie_rule == "random-uniform":
+        for row in np.flatnonzero(tied):
+            candidates = np.flatnonzero(draws[row] == row_max[row])
+            winners[row] = candidates[tie_rng.integers(len(candidates))]
+    return np.bincount(winners, minlength=m) / cfg.n_sequences
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 30000])
+def test_blocked_sampler_equals_one_block(space, n):
+    dist = skewed(space)
+    for seed in range(10):
+        cfg = SamplerConfig(n_sequences=n, seed=seed)
+        assert np.array_equal(sample_y0(dist, cfg), one_block_reference(dist, cfg))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_shares_do_not_depend_on_the_block_size(space, monkeypatch, block):
+    dist = skewed(space)
+    cfg = SamplerConfig(n_sequences=2500, seed=11)
+    expected = sample_y0(dist, cfg)
+    monkeypatch.setattr(sampling, "BLOCK_ROWS", block)
+    assert np.array_equal(sample_y0(dist, cfg), expected)
+
+
+def test_random_uniform_ties_across_block_boundaries(space):
+    # at 1e20 one ulp is 16384, so every draw rounds to its mean and
+    # every row is a 36-way tie resolved by the tie stream, in row order
+    dist = StatementDistribution(np.full(36, 1e20), np.ones(36), space.codes)
+    for seed in (0, 1, 2):
+        cfg = SamplerConfig(
+            n_sequences=2 * BLOCK_ROWS + 3, seed=seed, tie_rule="random-uniform"
+        )
+        shares = sample_y0(dist, cfg)
+        assert np.count_nonzero(shares) == 36
+        assert np.array_equal(shares, one_block_reference(dist, cfg))
+
+
+def test_sampler_memory_does_not_grow_with_n_sequences(space):
+    dist = skewed(space)
+    sample_y0(dist, SamplerConfig(n_sequences=10))  # scipy imported outside the trace
+    tracemalloc.start()
+    try:
+        sample_y0(dist, SamplerConfig(n_sequences=300000, seed=4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_output_is_on_the_simplex(space):
