@@ -13,7 +13,6 @@ from .analysis import (
     UtilityDiagnostics,
     analyze,
     classify_transients,
-    count_inflections,
     detect_fixation,
     render_summary,
     utility_diagnostics,
@@ -21,21 +20,14 @@ from .analysis import (
 from .dynamics import (
     GameState,
     IntegratorConfig,
-    StateDerivative,
     Trajectory,
     integrate,
     replicator_field,
     vector_field,
 )
-from .payoff import (
-    PayoffMatrix,
-    build_payoff_matrix,
-    expected_total_utility,
-    factor_utilities,
-)
+from .payoff import expected_total_utility
 from .qdata import (
     FlagAssignment,
-    InitialConditions,
     LoadingMatrix,
     ZScoreMatrix,
     assignment_fractions,
@@ -50,7 +42,6 @@ from .sampling import (
     SamplerConfig,
     StatementDistribution,
     load_distribution,
-    repeat_stability,
     sample_y0,
 )
 from .scenario import (

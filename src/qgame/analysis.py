@@ -15,7 +15,7 @@ time rescaling):
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -90,8 +90,8 @@ class TransientProfile:
 class UtilityDiagnostics:
     initial: float
     terminal: float
-    minimum: float
-    maximum: float
+    min: float
+    max: float
     monotone_after: float  # earliest time after which the series never decreases
 
 
@@ -207,87 +207,10 @@ def utility_diagnostics(traj: Trajectory, slack: float = 1e-9) -> UtilityDiagnos
     return UtilityDiagnostics(
         initial=float(u[0]),
         terminal=float(u[-1]),
-        minimum=float(u.min()),
-        maximum=float(u.max()),
+        min=float(u.min()),
+        max=float(u.max()),
         monotone_after=monotone_after,
     )
-
-
-def count_inflections(t: np.ndarray, series: np.ndarray, rel_tol: float = 1e-3) -> int:
-    """Sign changes of the (divided) second difference of a sampled curve.
-
-    Second differences are ignored when they fall below rel_tol times the
-    largest magnitude or below the rounding noise the divided-difference
-    stencil can amplify from the sample values, so flat stretches and
-    saturation plateaus do not register spurious curvature flips. A
-    sigmoid yields exactly 1, a straight line 0.
-    """
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(series, dtype=float)
-    if len(v) < 3:
-        return 0
-    dt1 = t[1:-1] - t[:-2]
-    dt2 = t[2:] - t[1:-1]
-    d2 = 2.0 * ((v[2:] - v[1:-1]) / dt2 - (v[1:-1] - v[:-2]) / dt1) / (dt1 + dt2)
-    # rounding in v propagates to d2 as ~ eps*|v| / (dt1*dt2); anything of
-    # that size carries no curvature information
-    eps = np.finfo(float).eps
-    noise = 64.0 * eps * np.abs(v).max() * (1.0 / dt1 + 1.0 / dt2) / (dt1 + dt2)
-    cap = np.abs(d2).max()
-    if cap == 0.0:
-        return 0
-    keep = np.abs(d2) >= np.maximum(rel_tol * cap, noise)
-    signs = np.sign(d2[keep])
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
-
-
-def build_report(
-    fixation: FixationReport,
-    transients: TransientProfile,
-    diagnostics: UtilityDiagnostics,
-) -> dict:
-    """JSON-ready dict combining the three analysis products."""
-
-    def winner_dict(w: Winner | None):
-        if w is None:
-            return None
-        return {
-            "label": w.label,
-            "index": w.index,
-            "share": w.share,
-            "t_crossing": w.t_crossing,
-        }
-
-    return {
-        "fixation": {
-            "winner_x": winner_dict(fixation.winner_x),
-            "winner_y": winner_dict(fixation.winner_y),
-            "z_limits": list(fixation.z_limits),
-            "converged": fixation.converged,
-            "t_convergence": fixation.t_convergence,
-        },
-        "transients": {
-            "per_strategy": {
-                r.label: {
-                    "classification": r.classification,
-                    "initial": r.initial,
-                    "terminal": r.terminal,
-                    "peak_value": r.peak_value,
-                    "peak_time": r.peak_time,
-                }
-                for r in transients.per_strategy
-            },
-            "grow_then_die": list(transients.grow_then_die),
-            "winner": transients.winner,
-        },
-        "utility": {
-            "initial": diagnostics.initial,
-            "terminal": diagnostics.terminal,
-            "min": diagnostics.minimum,
-            "max": diagnostics.maximum,
-            "monotone_after": diagnostics.monotone_after,
-        },
-    }
 
 
 def analyze(traj: Trajectory, thresholds: AnalysisThresholds | None = None) -> dict:
@@ -295,8 +218,18 @@ def analyze(traj: Trajectory, thresholds: AnalysisThresholds | None = None) -> d
     th = thresholds or AnalysisThresholds()
     fixation = detect_fixation(traj, th.winner_threshold, th.z_tol)
     transients = classify_transients(traj, th.rise_tol, th.die_tol, th.mono_slack)
-    diagnostics = utility_diagnostics(traj)
-    return build_report(fixation, transients, diagnostics)
+    report = {
+        "fixation": asdict(fixation),
+        "transients": asdict(transients),
+        "utility": asdict(utility_diagnostics(traj)),
+    }
+    # asdict keeps tuples; the JSON-ready report holds lists
+    report["fixation"]["z_limits"] = list(fixation.z_limits)
+    report["transients"]["grow_then_die"] = list(transients.grow_then_die)
+    report["transients"]["per_strategy"] = {
+        r.pop("label"): r for r in report["transients"]["per_strategy"]
+    }
+    return report
 
 
 def render_summary(report: dict) -> str:

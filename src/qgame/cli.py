@@ -64,8 +64,7 @@ def _parse_header(path: Path, line: str) -> tuple[list[str], list[int], list[int
 
 
 def read_trajectory_csv(path: Path) -> Trajectory:
-    """Rebuild a trajectory from its CSV export (factor utilities are not
-    stored in the file and come back as zeros)."""
+    """Rebuild a trajectory from its CSV export."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh if ln.strip()]
     if len(lines) < 2:
@@ -82,7 +81,6 @@ def read_trajectory_csv(path: Path) -> Trajectory:
         z=data[:, z_cols],
         y=data[:, y_cols],
         utility=data[:, -1],
-        factor_utility=np.zeros((len(data), len(x_cols))),
         factor_labels=tuple(header[i][2:] for i in x_cols),
         strategy_labels=tuple(header[i][2:] for i in y_cols),
     )

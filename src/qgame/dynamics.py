@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidState, StepSizeUnderflow
-from .payoff import payoff_values, sign_gains
+from .errors import InvalidState, StepBudgetExceeded, StepSizeUnderflow, require_int
+from .payoff import expected_total_utility, payoff_values
 from .qdata import ZScoreMatrix
 
 STATE_SUM_TOL = 1e-9   # allowed drift of simplex sums in a valid state
 MIN_STEP = 1e-12       # hard floor for the adaptive step size
+MAX_STEPS = 10**6      # step budget: rk4 steps, or rk45 attempts, per integration
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,6 @@ class GameState:
 
 
 @dataclass(frozen=True)
-class StateDerivative:
-    dx: np.ndarray
-    dy: np.ndarray
-    dz: np.ndarray
-
-
-@dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rk4"          # "rk4" (fixed step) or "rk45" (adaptive)
     step: float = 0.01           # fixed step / initial adaptive step
@@ -91,10 +85,8 @@ class IntegratorConfig:
             raise ValueError("step and t_end must be positive")
         if min(self.abs_tol, self.rel_tol, self.renorm_tol, self.clamp_eps) <= 0:
             raise ValueError("tolerances must be positive")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be at least 1")
-        if self.conv_window < 1:
-            raise ValueError("conv_window must be at least 1")
+        require_int("sample_stride", self.sample_stride, 1)
+        require_int("conv_window", self.conv_window, 1)
 
 
 @dataclass
@@ -106,7 +98,6 @@ class Trajectory:
     y: np.ndarray                  # (k, n_strategies)
     z: np.ndarray                  # (k, n_factors)
     utility: np.ndarray            # (k,) expected total utility x' A(z) y
-    factor_utility: np.ndarray     # (k, n_factors) scores @ y per sample
     factor_labels: tuple[str, ...] = ()
     strategy_labels: tuple[str, ...] = ()
     max_x_drift: float = 0.0       # largest |sum(x) - 1| seen before renormalization
@@ -148,8 +139,10 @@ def _rhs(v: np.ndarray, scores: np.ndarray, n: int) -> np.ndarray:
     return d
 
 
-def vector_field(state: GameState, scores: ZScoreMatrix) -> StateDerivative:
-    """Time derivative of a valid state under the coupled system."""
+def vector_field(
+    state: GameState, scores: ZScoreMatrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time derivative (dx, dy, dz) of a valid state under the coupled system."""
     state.validate()
     n, m = scores.scores.shape
     if state.x.shape != (n,) or state.y.shape != (m,) or state.z.shape != (n,):
@@ -159,7 +152,7 @@ def vector_field(state: GameState, scores: ZScoreMatrix) -> StateDerivative:
         )
     v = np.concatenate([state.x, state.z, state.y])
     d = _rhs(v, scores.scores, n)
-    return StateDerivative(dx=d[:n], dz=d[n:2 * n], dy=d[2 * n:])
+    return d[:n], d[2 * n:], d[n:2 * n]
 
 
 def _rk4_step(v, h, scores, n):
@@ -273,6 +266,10 @@ def integrate(
         Trajectory sampled at t=0, every `sample_stride`-th accepted step,
         and t_end. With `stop_on_convergence` the run ends early once the
         field stays below `conv_tol` for `conv_window` consecutive samples.
+
+    Raises StepBudgetExceeded, before the first step, when rk4 would take
+    more than MAX_STEPS steps, and, at the time reached, when rk45 has
+    attempted more than MAX_STEPS steps, accepted and rejected together.
     """
     cfg = config or IntegratorConfig()
     state0.validate()
@@ -280,6 +277,14 @@ def integrate(
     n, m = S.shape
     if state0.x.shape != (n,) or state0.y.shape != (m,) or state0.z.shape != (n,):
         raise InvalidState("initial state does not match the score matrix shape")
+    # for an integer budget, t_end / step > MAX_STEPS is the same test as
+    # ceil(t_end / step) > MAX_STEPS, and it holds when the quotient is inf
+    if cfg.method == "rk4" and cfg.t_end / cfg.step > MAX_STEPS:
+        raise StepBudgetExceeded(
+            f"rk4 needs {cfg.t_end / cfg.step:.3g} steps of {cfg.step:g} to reach "
+            f"t_end={cfg.t_end:g}, over MAX_STEPS={MAX_STEPS}; increase --step or "
+            "reduce --t-end"
+        )
     factor_labels = factor_labels or tuple(f"Q{i + 1}" for i in range(n))
     strategy_labels = strategy_labels or scores.strategy_labels
 
@@ -290,6 +295,7 @@ def integrate(
     vs = [v.copy()]
     quiet = 0
     accepted = 0
+    attempts = 0  # rk45 steps tried, accepted and rejected
     h = cfg.step
 
     def record(tq, vq):
@@ -306,6 +312,13 @@ def integrate(
             t = t_next
             accepted += 1
         else:
+            if attempts == MAX_STEPS:
+                raise StepBudgetExceeded(
+                    f"at t={t:.6g}: {attempts} rk45 step attempts ({accepted} accepted) "
+                    f"used up MAX_STEPS={MAX_STEPS} before t_end={cfg.t_end:g}; "
+                    "loosen abs_tol and rel_tol or reduce --t-end"
+                )
+            attempts += 1
             h_try = min(h, cfg.t_end - t)
             # overflow inside a trial step is not an error: it shows up as a
             # non-finite err_norm and the step gets rejected and shrunk
@@ -346,16 +359,12 @@ def integrate(
     x = v_arr[:, :n]
     z = v_arr[:, n:2 * n]
     y = v_arr[:, 2 * n:]
-    gains = sign_gains(z)
-    factor_utility = y @ S.T
-    utility = np.einsum("ki,ki->k", x * gains, factor_utility)
     return Trajectory(
         t=t_arr,
         x=x,
         y=y,
         z=z,
-        utility=utility,
-        factor_utility=factor_utility,
+        utility=expected_total_utility(S, x, y, z),
         factor_labels=tuple(factor_labels),
         strategy_labels=tuple(strategy_labels),
         max_x_drift=drift[0],

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-setting check."""
+
+import numbers
 
 
 class QGameError(Exception):
@@ -49,8 +51,21 @@ class StepSizeUnderflow(QGameError, RuntimeError):
     """The adaptive integrator pushed the step size below the hard floor."""
 
 
+class StepBudgetExceeded(QGameError, RuntimeError):
+    """An integration needs more steps than the integrator's step budget."""
+
+
 class EmptyTrajectory(QGameError, ValueError):
     """Analysis was asked to run on a trajectory with no samples."""
+
+
+class InvalidSetting(QGameError, ValueError):
+    """A setting has the wrong type or lies outside its range; `field` names it."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        self.reason = message
+        super().__init__(f"{field}: {message}")
 
 
 class ScenarioError(QGameError, ValueError):
@@ -61,9 +76,15 @@ class ParseError(ScenarioError):
     """Scenario file is not valid JSON or not a JSON object."""
 
 
-class ValidationError(ScenarioError):
+class ValidationError(ScenarioError, InvalidSetting):
     """Scenario content failed validation; `field` names the offending entry."""
 
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
+
+def require_int(field: str, value, low: int, high: int | None = None) -> None:
+    """Raise InvalidSetting unless value is an integer (not a bool) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidSetting(field, f"expected an integer, got {value!r}")
+    if value < low:
+        raise InvalidSetting(field, f"must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise InvalidSetting(field, f"must be at most {high}, got {value}")

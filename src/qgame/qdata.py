@@ -23,6 +23,7 @@ from .errors import (
     MissingStrategy,
     NoFlaggedStakeholders,
     ScoreOutOfRange,
+    require_int,
 )
 from .strategy_space import StrategySpace, build_strategy_space, parse_code
 
@@ -87,11 +88,6 @@ class ZScoreMatrix:
             return self.space.codes
         return tuple(f"s{j}" for j in range(self.scores.shape[1]))
 
-    def score(self, factor: int, code: str) -> float:
-        if self.space is None:
-            raise DimensionMismatch("matrix has no strategy space attached")
-        return float(self.scores[factor, parse_code(code).index])
-
 
 @dataclass(frozen=True)
 class FlagAssignment:
@@ -114,25 +110,6 @@ class FlagAssignment:
         return out
 
 
-@dataclass(frozen=True)
-class InitialConditions:
-    x0: np.ndarray  # factor shares, on the simplex
-    y0: np.ndarray  # strategy shares, on the simplex
-    z0: np.ndarray  # positive-sign frequencies, in [0, 1]
-
-    def __post_init__(self):
-        for name in ("x0", "y0", "z0"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for name in ("x0", "y0"):
-            vec = getattr(self, name)
-            if np.any(vec < 0) or abs(vec.sum() - 1.0) > 1e-12:
-                raise ValueError(f"{name} must be nonnegative and sum to 1")
-        if np.any(self.z0 < 0) or np.any(self.z0 > 1):
-            raise ValueError("z0 entries must lie in [0, 1]")
-
-
 def flag_stakeholders(
     loadings: LoadingMatrix, n_statements: int, p_threshold: float = 0.05
 ) -> FlagAssignment:
@@ -143,8 +120,7 @@ def flag_stakeholders(
     the remaining factors. If several qualify the largest |loading|
     wins. Stakeholders with no qualifying factor stay unassigned.
     """
-    if n_statements < 2:
-        raise ValueError("n_statements must be at least 2")
+    require_int("n_statements", n_statements, 2)
     if p_threshold not in Z_CRITICAL:
         raise ValueError(f"p_threshold must be one of {sorted(Z_CRITICAL)}")
     threshold = Z_CRITICAL[p_threshold] / np.sqrt(n_statements)

@@ -16,11 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import require_int
 from .qdata import _read_code_table
 from .strategy_space import StrategySpace, build_strategy_space
 
 TIE_RULES = ("first-index", "random-uniform")
 BLOCK_ROWS = 4096  # sequences drawn per block: 4096 x 36 float64 is about 1.2 MB
+MAX_SEQUENCES = 10**7  # about 13 s of sampling at 1.3 us per row
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,8 @@ class SamplerConfig:
     tie_rule: str = "first-index"
 
     def __post_init__(self):
-        if self.n_sequences < 1:
-            raise ValueError("n_sequences must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        require_int("n_sequences", self.n_sequences, 1, MAX_SEQUENCES)
+        require_int("seed", self.seed, 0, 2**64 - 1)
         if self.tie_rule not in TIE_RULES:
             raise ValueError(f"tie_rule must be one of {TIE_RULES}")
 
@@ -111,34 +111,6 @@ def sample_y0(dist: StatementDistribution, config: SamplerConfig | None = None) 
         draws += dist.means
         counts += np.bincount(_winners(draws, cfg.tie_rule, tie_rng), minlength=m)
     return counts / cfg.n_sequences
-
-
-def repeat_stability(
-    dist: StatementDistribution,
-    config: SamplerConfig,
-    repeats: int,
-    seeds: list[int] | None = None,
-) -> float:
-    """Largest pairwise L1 distance across repeated sampling runs.
-
-    Run r uses seed (config.seed + r) mod 2**64 unless explicit seeds are
-    given; passing identical seeds therefore yields distance 0.
-    """
-    if repeats < 2:
-        raise ValueError("repeats must be at least 2")
-    if seeds is None:
-        seeds = [int((config.seed + r) % 2**64) for r in range(repeats)]
-    elif len(seeds) != repeats:
-        raise ValueError("one seed per repeat is required")
-    runs = [
-        sample_y0(dist, SamplerConfig(config.n_sequences, s, config.tie_rule))
-        for s in seeds
-    ]
-    worst = 0.0
-    for a in range(repeats):
-        for b in range(a + 1, repeats):
-            worst = max(worst, float(np.abs(runs[a] - runs[b]).sum()))
-    return worst
 
 
 def load_distribution(

@@ -17,9 +17,8 @@ import numpy as np
 
 from .analysis import AnalysisThresholds
 from .dynamics import GameState, IntegratorConfig, Trajectory, integrate
-from .errors import ParseError, ValidationError
+from .errors import InvalidSetting, ParseError, ValidationError
 from .qdata import (
-    InitialConditions,
     LoadingMatrix,
     ZScoreMatrix,
     derive_x0,
@@ -50,7 +49,7 @@ _TOP_KEYS = {
 @dataclass(frozen=True)
 class ResolvedScenario:
     scores: ZScoreMatrix
-    initial: InitialConditions
+    initial: GameState
     integrator: IntegratorConfig
     analysis: AnalysisThresholds
     loadings: LoadingMatrix | None
@@ -83,6 +82,14 @@ def _simplex_vector(value, field: str, length: int) -> np.ndarray:
     if abs(vec.sum() - 1.0) > EXPLICIT_SUM_TOL:
         raise ValidationError(field, f"entries must sum to 1 (got {vec.sum():.6g})")
     return vec / vec.sum()
+
+
+def _setting_error(block: str, exc: Exception) -> ValidationError:
+    """A failure to build the settings of `block`, naming `block.key` when
+    the failing setting is known."""
+    if isinstance(exc, InvalidSetting):
+        return ValidationError(f"{block}.{exc.field}", exc.reason)
+    return ValidationError(block, str(exc))
 
 
 def _require_finite(value, field: str) -> None:
@@ -147,11 +154,11 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
         try:
             flags = flag_stakeholders(
                 need_loadings("x0"),
-                int(flagging.get("n_statements", m)),
+                flagging.get("n_statements", m),
                 float(flagging.get("p_threshold", 0.05)),
             )
         except (TypeError, ValueError) as exc:
-            raise ValidationError("flagging", str(exc)) from exc
+            raise _setting_error("flagging", exc) from exc
         x0 = derive_x0(flags, n)
     elif isinstance(x0_spec, list):
         x0 = _simplex_vector(x0_spec, "x0", n)
@@ -189,14 +196,13 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
             _resolve_path(base, y0_spec["distribution"], "y0.distribution"), scores.space
         )
         try:
-            seed = sampler_seed if sampler_seed is not None else int(y0_spec.get("seed", 0))
             sampler = SamplerConfig(
-                n_sequences=int(y0_spec.get("n_sequences", 30000)),
-                seed=seed,
+                n_sequences=y0_spec.get("n_sequences", 30000),
+                seed=sampler_seed if sampler_seed is not None else y0_spec.get("seed", 0),
                 tie_rule=y0_spec.get("tie_rule", "first-index"),
             )
         except (TypeError, ValueError) as exc:
-            raise ValidationError("y0", str(exc)) from exc
+            raise _setting_error("y0", exc) from exc
         y0 = sample_y0(dist, sampler)
     else:
         raise ValidationError("y0", "expected a vector or a table/sample object")
@@ -207,7 +213,7 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     try:
         integrator = IntegratorConfig(**integrator_spec)
     except (TypeError, ValueError) as exc:
-        raise ValidationError("integrator", str(exc)) from exc
+        raise _setting_error("integrator", exc) from exc
 
     analysis_spec = raw.get("analysis", {})
     if not isinstance(analysis_spec, dict) or set(analysis_spec) - _ANALYSIS_KEYS:
@@ -220,8 +226,9 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     except ValueError as exc:
         raise ValidationError("analysis", str(exc)) from exc
 
+    initial = GameState(x=x0, y=y0, z=z0)
     try:
-        initial = InitialConditions(x0=x0, y0=y0, z0=z0)
+        initial.validate()
     except ValueError as exc:
         raise ValidationError("initial conditions", str(exc)) from exc
     return ResolvedScenario(
@@ -238,10 +245,7 @@ def run_scenario(
     scenario: ResolvedScenario, config: IntegratorConfig | None = None
 ) -> Trajectory:
     """Integrate a resolved scenario (optionally overriding the integrator)."""
-    state0 = GameState(
-        x=scenario.initial.x0, y=scenario.initial.y0, z=scenario.initial.z0
-    )
-    return integrate(state0, scenario.scores, config or scenario.integrator)
+    return integrate(scenario.initial, scenario.scores, config or scenario.integrator)
 
 
 def case_study_path() -> Path:

@@ -80,12 +80,6 @@ class StrategySpace:
     def codes(self) -> tuple[str, ...]:
         return tuple(s.code for s in self.strategies)
 
-    def tool_block(self, tool: str) -> list[StrategyCode]:
-        """All strategies whose Tool level equals `tool`, in canonical order."""
-        if tool not in TOOL_LEVELS:
-            raise UnknownLevel(f"{tool!r} is not a Tool level {TOOL_LEVELS}")
-        return [s for s in self.strategies if s.tool == tool]
-
 
 def build_strategy_space() -> StrategySpace:
     """Return the 36 strategies of the 2x2x3x3 space in canonical order."""

@@ -14,6 +14,9 @@ import qgame
 from qgame import GameState, IntegratorConfig, ZScoreMatrix, integrate
 from qgame.analysis import MONOTONE_WINNER
 from qgame.cli import main
+from qgame.payoff import payoff_values
+
+from measures import count_inflections
 
 
 @contextmanager
@@ -75,7 +78,7 @@ def test_criterion_4_y_fixation_sigmoidal(case_run):
         assert profile.winner == "D.R.A.PP"
         by_label = {r.label: r.classification for r in profile.per_strategy}
         assert by_label["D.R.A.PP"] == MONOTONE_WINNER
-        assert qgame.count_inflections(traj.t, traj.y[:, j]) == 1
+        assert count_inflections(traj.t, traj.y[:, j]) == 1
 
 
 def test_criterion_5_utility_endpoints(case_run):
@@ -119,9 +122,9 @@ def test_criterion_8_invariant_suite(scores, case_run):
                 y=rng.dirichlet(np.ones(36)),
                 z=rng.uniform(0, 1, 5),
             )
-            d = qgame.vector_field(s, scores)
-            assert abs(d.dx.sum()) < 1e-13
-            assert abs(d.dy.sum()) < 1e-13
+            dx, dy, _ = qgame.vector_field(s, scores)
+            assert abs(dx.sum()) < 1e-13
+            assert abs(dy.sum()) < 1e-13
         traj, _ = case_run
         assert traj.max_x_drift <= 1e-6
         assert traj.max_y_drift <= 1e-6
@@ -151,22 +154,27 @@ def test_criterion_8_invariant_suite(scores, case_run):
             pin = rng.integers(5)
             z[pin] = float(rng.integers(2))
             s = GameState(x=rng.dirichlet(np.ones(5)), y=rng.dirichlet(np.ones(36)), z=z)
-            assert qgame.vector_field(s, scores).dz[pin] == 0.0
+            _, _, dz = qgame.vector_field(s, scores)
+            assert dz[pin] == 0.0
 
         # payoff sign flip under z -> 1 - z
         for _ in range(100):
             z = rng.uniform(0, 1, 5)
-            a = qgame.build_payoff_matrix(scores, z).values
-            b = qgame.build_payoff_matrix(scores, 1 - z).values
+            a = payoff_values(scores.scores, z)
+            b = payoff_values(scores.scores, 1 - z)
             assert np.allclose(a, -b, atol=1e-12)
 
-        # linearity of the factor utilities in the strategy mix
+        # linearity of the factor utilities in the strategy mix: the
+        # utilities of the five pure factor states at z = 1
+        def factor_utilities(y):
+            return qgame.expected_total_utility(scores.scores, np.eye(5), y, np.ones(5))
+
         for _ in range(100):
             y1 = rng.dirichlet(np.ones(36))
             y2 = rng.dirichlet(np.ones(36))
             alpha = rng.uniform()
-            lhs = qgame.factor_utilities(scores, alpha * y1 + (1 - alpha) * y2)
-            rhs = alpha * qgame.factor_utilities(scores, y1) + (1 - alpha) * qgame.factor_utilities(scores, y2)
+            lhs = factor_utilities(alpha * y1 + (1 - alpha) * y2)
+            rhs = alpha * factor_utilities(y1) + (1 - alpha) * factor_utilities(y2)
             assert np.allclose(lhs, rhs, atol=1e-12)
 
 

@@ -5,12 +5,13 @@ from qgame import (
     AnalysisThresholds,
     Trajectory,
     classify_transients,
-    count_inflections,
     detect_fixation,
     utility_diagnostics,
 )
 from qgame.analysis import GROW_THEN_DIE, MONOTONE_WINNER, NEVER_GROWS, OTHER
 from qgame.errors import EmptyTrajectory
+
+from measures import count_inflections
 
 
 def make_traj(t, y, x=None, z=None, utility=None, labels=None) -> Trajectory:
@@ -25,7 +26,6 @@ def make_traj(t, y, x=None, z=None, utility=None, labels=None) -> Trajectory:
         y=y,
         z=z,
         utility=np.asarray(utility, dtype=float) if utility is not None else np.zeros(k),
-        factor_utility=np.zeros((k, x.shape[1])),
         factor_labels=tuple(f"Q{i+1}" for i in range(x.shape[1])),
         strategy_labels=tuple(labels or (f"s{j}" for j in range(m))),
     )
@@ -115,7 +115,6 @@ def test_fixation_invariant_under_subsampling(case_trajectory):
         y=sub.y[::50],
         z=sub.z[::50],
         utility=sub.utility[::50],
-        factor_utility=sub.factor_utility[::50],
         factor_labels=sub.factor_labels,
         strategy_labels=sub.strategy_labels,
     )
@@ -201,7 +200,7 @@ def test_utility_diagnostics_summary():
     y = np.tile([1.0, 0.0], (6, 1))
     d = utility_diagnostics(make_traj(t, y, utility=u))
     assert d.initial == -0.5 and d.terminal == 5.0
-    assert d.minimum == -0.7 and d.maximum == 5.0
+    assert d.min == -0.7 and d.max == 5.0
     assert d.monotone_after == 1.0  # decreasing step ends at t=1
 
 
@@ -216,7 +215,7 @@ def test_constant_utility_is_flat():
     t = np.linspace(0, 5, 6)
     y = np.tile([1.0, 0.0], (6, 1))
     d = utility_diagnostics(make_traj(t, y, utility=np.zeros(6)))
-    assert d.initial == d.terminal == d.minimum == d.maximum == 0.0
+    assert d.initial == d.terminal == d.min == d.max == 0.0
     assert d.monotone_after == 0.0
 
 

@@ -15,11 +15,14 @@ SRC = Path(qgame.__file__).resolve().parent.parent
 SCHEMA = None
 
 
-def run_python(*args):
-    """A fresh interpreter that imports this checkout's qgame."""
+def run_python(*args, timeout=None):
+    """A fresh interpreter that imports this checkout's qgame; it is killed,
+    and the test fails, if it runs longer than `timeout` seconds."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 def report_schema():
@@ -279,6 +282,25 @@ def test_simulate_step_too_large_names_time_block_and_hint(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: at t=")
     assert "y[" in proc.stderr and "--method rk45" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_simulate_over_step_budget_exits_1_without_traceback(tmp_path):
+    proc = run_python("-m", "qgame", "simulate", str(qgame.case_study_path()),
+                      "--step", "1e-300", "-o", str(tmp_path / "out"), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: rk4 needs")
+    assert "MAX_STEPS=1000000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_sample_y0_over_sequence_limit_exits_1():
+    # the config rejects the count before a single row is drawn
+    proc = run_python("-m", "qgame", "sample-y0", str(DATA / "symmetric_distribution.csv"),
+                      "--n-sequences", "10000000000", timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: n_sequences: must be at most 10000000,")
     assert "Traceback" not in proc.stderr
 
 

@@ -3,18 +3,17 @@ import pytest
 
 from qgame import (
     GameState,
-    InitialConditions,
     IntegratorConfig,
     LoadingMatrix,
-    PayoffMatrix,
     StatementDistribution,
     ZScoreMatrix,
     integrate,
     replicator_field,
     vector_field,
 )
+from qgame import dynamics
 from qgame.dynamics import _DP_B4, _DP_B5, _DP_A, _DP_C, _guard
-from qgame.errors import InvalidState, StepSizeUnderflow
+from qgame.errors import InvalidState, StepBudgetExceeded, StepSizeUnderflow
 
 from table_fixtures import CANONICAL_ORDER, PSI_AT_Y0_RAW, Y0, Z0
 
@@ -62,11 +61,11 @@ def test_neutral_sign_frequencies_freeze_x_and_y(scores):
             y=rng.dirichlet(np.ones(36)),
             z=np.full(5, 0.5),
         )
-        d = vector_field(s, scores)
-        assert np.array_equal(d.dx, np.zeros(5))
-        assert np.array_equal(d.dy, np.zeros(36))
+        dx, dy, dz = vector_field(s, scores)
+        assert np.array_equal(dx, np.zeros(5))
+        assert np.array_equal(dy, np.zeros(36))
         expected_dz = 0.5 * 0.5 * 2.0 * (scores.scores @ s.y)
-        assert d.dz == pytest.approx(expected_dz, abs=1e-12)
+        assert dz == pytest.approx(expected_dz, abs=1e-12)
 
 
 def test_vertices_are_rest_points(scores):
@@ -76,26 +75,26 @@ def test_vertices_are_rest_points(scores):
         x[rng.integers(5)] = 1.0
         y = np.zeros(36)
         y[rng.integers(36)] = 1.0
-        d = vector_field(GameState(x=x, y=y, z=rng.uniform(0, 1, 5)), scores)
-        assert np.array_equal(d.dx, np.zeros(5))
-        assert np.array_equal(d.dy, np.zeros(36))
+        dx, dy, _ = vector_field(GameState(x=x, y=y, z=rng.uniform(0, 1, 5)), scores)
+        assert np.array_equal(dx, np.zeros(5))
+        assert np.array_equal(dy, np.zeros(36))
 
 
 def test_initial_sign_frequency_drift_signs(scores):
     # at the case-study start every factor utility is positive, so every
     # z coordinate initially drifts upward (frozen oracle values)
-    d = vector_field(case_start(), scores)
+    _, _, dz = vector_field(case_start(), scores)
     assert all(v > 0 for v in PSI_AT_Y0_RAW)
-    assert np.all(d.dz > 0)
-    assert np.sign(d.dz[2]) == np.sign(PSI_AT_Y0_RAW[2])
+    assert np.all(dz > 0)
+    assert np.sign(dz[2]) == np.sign(PSI_AT_Y0_RAW[2])
 
 
 def test_simplex_tangency(scores):
     rng = np.random.default_rng(3)
     for _ in range(100):
-        d = vector_field(random_state(rng), scores)
-        assert abs(d.dx.sum()) < 1e-13
-        assert abs(d.dy.sum()) < 1e-13
+        dx, dy, _ = vector_field(random_state(rng), scores)
+        assert abs(dx.sum()) < 1e-13
+        assert abs(dy.sum()) < 1e-13
 
 
 def test_z_boundary_coordinates_are_fixed(scores):
@@ -104,9 +103,9 @@ def test_z_boundary_coordinates_are_fixed(scores):
         z = rng.uniform(0, 1, 5)
         z[rng.integers(5)] = float(rng.integers(2))  # pin one coordinate to 0 or 1
         s = GameState(x=rng.dirichlet(np.ones(5)), y=rng.dirichlet(np.ones(36)), z=z)
-        d = vector_field(s, scores)
+        _, _, dz = vector_field(s, scores)
         pinned = (z == 0.0) | (z == 1.0)
-        assert np.array_equal(d.dz[pinned], np.zeros(pinned.sum()))
+        assert np.array_equal(dz[pinned], np.zeros(pinned.sum()))
 
 
 def test_constant_shift_leaves_field_unchanged():
@@ -247,6 +246,31 @@ def test_adaptive_step_underflow():
         integrate(s0, stiff, cfg)
 
 
+def test_rk4_over_step_budget_fails_before_the_first_step(scores, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(dynamics, "_rk4_step", no_step)
+    cfg = IntegratorConfig(step=1e-5, t_end=50.0)  # 5e6 steps
+    with pytest.raises(StepBudgetExceeded, match="MAX_STEPS=1000000"):
+        integrate(case_start(), scores, cfg)
+    with pytest.raises(StepBudgetExceeded, match="inf steps"):
+        integrate(case_start(), scores, IntegratorConfig(step=1e-300, t_end=1e300))
+
+
+def test_rk4_at_the_step_budget_runs(scores, monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
+    traj = integrate(case_start(), scores, IntegratorConfig(step=0.01, t_end=1.0))
+    assert traj.meta["accepted_steps"] == 100
+
+
+def test_rk45_over_step_budget_names_time_and_count(scores, monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+    cfg = IntegratorConfig(method="rk45", step=0.01, t_end=50.0)
+    with pytest.raises(StepBudgetExceeded, match=r"^at t=\S+: 10 rk45 step attempts"):
+        integrate(case_start(), scores, cfg)
+
+
 def test_early_stop_on_convergence(scores):
     cfg = IntegratorConfig(step=0.01, t_end=500.0, stop_on_convergence=True)
     traj = integrate(case_start(), scores, cfg)
@@ -263,6 +287,10 @@ def test_config_validation():
         IntegratorConfig(sample_stride=0)
     with pytest.raises(ValueError, match="conv_window"):
         IntegratorConfig(conv_window=0)
+    for name in ("sample_stride", "conv_window"):
+        for value in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"{name}: expected an integer"):
+                IntegratorConfig(**{name: value})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -277,12 +305,24 @@ def test_config_rejects_non_finite(name, value):
 @pytest.mark.parametrize(
     "cls, arrays, extra",
     [
-        (GameState, {"x": [0.5, 0.5], "y": [1.0], "z": [0.5, 0.5]}, {}),
-        (PayoffMatrix, {"values": [[1.0, -1.0]], "sign_freqs": [0.5]}, {}),
-        (ZScoreMatrix, {"scores": [[1.0, -1.0]]}, {}),
-        (LoadingMatrix, {"loadings": [[0.5, -0.5]]}, {"stakeholder_ids": ("S1",), "factor_count": 2}),
-        (InitialConditions, {"x0": [0.5, 0.5], "y0": [1.0], "z0": [0.5, 0.5]}, {}),
-        (StatementDistribution, {"means": [0.0, 1.0], "sigmas": [1.0, 2.0]}, {"codes": ("a", "b")}),
+        pytest.param(
+            GameState, {"x": [0.5, 0.5], "y": [1.0], "z": [0.5, 0.5]}, {},
+            id="GameState-arrays0-extra0",
+        ),
+        pytest.param(
+            ZScoreMatrix, {"scores": [[1.0, -1.0]]}, {},
+            id="ZScoreMatrix-arrays2-extra2",
+        ),
+        pytest.param(
+            LoadingMatrix, {"loadings": [[0.5, -0.5]]},
+            {"stakeholder_ids": ("S1",), "factor_count": 2},
+            id="LoadingMatrix-arrays3-extra3",
+        ),
+        pytest.param(
+            StatementDistribution, {"means": [0.0, 1.0], "sigmas": [1.0, 2.0]},
+            {"codes": ("a", "b")},
+            id="StatementDistribution-arrays5-extra5",
+        ),
     ],
 )
 def test_frozen_types_copy_the_callers_arrays(cls, arrays, extra):

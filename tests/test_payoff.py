@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from qgame import (
-    ZScoreMatrix,
-    build_payoff_matrix,
-    expected_total_utility,
-    factor_utilities,
-)
-from qgame.errors import DimensionMismatch
+from qgame import expected_total_utility
+from qgame.payoff import payoff_values
 
 from table_fixtures import (
     CANONICAL_ORDER,
@@ -28,6 +23,13 @@ def unit_mass(index: int, m: int = 36) -> np.ndarray:
 def y0_normalized() -> np.ndarray:
     y = np.array([Y0[c] for c in CANONICAL_ORDER])
     return y / y.sum()
+
+
+def factor_utilities(scores, y: np.ndarray) -> np.ndarray:
+    """Per-factor utilities scores @ y, as the expected total utilities of
+    the n pure factor states (rows of the identity) at z = 1."""
+    n = scores.n_factors
+    return expected_total_utility(scores.scores, np.eye(n), y, np.ones(n))
 
 
 # --- factor utilities ---
@@ -66,38 +68,29 @@ def test_linearity_property(scores):
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def test_factor_utilities_rejects_bad_shape(scores):
-    with pytest.raises(DimensionMismatch):
-        factor_utilities(scores, np.full(35, 1 / 35))
-    with pytest.raises(DimensionMismatch):
-        factor_utilities(scores, np.full(36, 1 / 18))  # sums to 2
-
-
 # --- payoff matrix ---
 
 def test_neutral_sign_frequencies_zero_the_matrix(scores):
-    payoff = build_payoff_matrix(scores, np.full(5, 0.5))
-    assert np.array_equal(payoff.values, np.zeros((5, 36)))
+    assert np.array_equal(payoff_values(scores.scores, np.full(5, 0.5)), np.zeros((5, 36)))
 
 
 def test_unit_sign_frequencies_reproduce_scores(scores):
-    payoff = build_payoff_matrix(scores, np.ones(5))
-    assert np.array_equal(payoff.values, scores.scores)
+    assert np.array_equal(payoff_values(scores.scores, np.ones(5)), scores.scores)
 
 
 def test_entry_at_bundled_sign_frequencies(scores):
-    payoff = build_payoff_matrix(scores, np.array(Z0))
+    payoff = payoff_values(scores.scores, np.array(Z0))
     j = CANONICAL_ORDER.index("D.R.A.PP")
-    assert payoff.values[0, j] == pytest.approx(5 * (2 * 0.39 - 1), abs=1e-12)
-    assert payoff.values[0, j] == pytest.approx(-1.1, abs=1e-12)
+    assert payoff[0, j] == pytest.approx(5 * (2 * 0.39 - 1), abs=1e-12)
+    assert payoff[0, j] == pytest.approx(-1.1, abs=1e-12)
 
 
 def test_sign_flip_identity(scores):
     rng = np.random.default_rng(5)
     for _ in range(100):
         z = rng.uniform(0, 1, 5)
-        a = build_payoff_matrix(scores, z).values
-        b = build_payoff_matrix(scores, 1 - z).values
+        a = payoff_values(scores.scores, z)
+        b = payoff_values(scores.scores, 1 - z)
         assert np.allclose(a, -b, atol=1e-12)
 
 
@@ -105,38 +98,28 @@ def test_entry_bound(scores):
     rng = np.random.default_rng(17)
     for _ in range(50):
         z = rng.uniform(0, 1, 5)
-        assert np.abs(build_payoff_matrix(scores, z).values).max() <= 5.0
-
-
-def test_payoff_matrix_rejects_out_of_range_z(scores):
-    with pytest.raises(ValueError):
-        build_payoff_matrix(scores, np.array([0.5, 0.5, 0.5, 0.5, 1.5]))
-    with pytest.raises(DimensionMismatch):
-        build_payoff_matrix(scores, np.full(4, 0.5))
+        assert np.abs(payoff_values(scores.scores, z)).max() <= 5.0
 
 
 # --- expected total utility ---
 
 def test_single_entry_pick(scores):
-    payoff = build_payoff_matrix(scores, np.ones(5))
     x = unit_mass(0, 5)
     y = unit_mass(CANONICAL_ORDER.index("D.R.A.PP"))
-    assert expected_total_utility(payoff, x, y) == 5.0
+    assert expected_total_utility(scores.scores, x, y, np.ones(5)) == 5.0
 
 
 def test_zero_matrix_gives_zero(scores):
-    payoff = build_payoff_matrix(scores, np.full(5, 0.5))
     rng = np.random.default_rng(23)
     for _ in range(10):
         x = rng.dirichlet(np.ones(5))
         y = rng.dirichlet(np.ones(36))
-        assert expected_total_utility(payoff, x, y) == 0.0
+        assert expected_total_utility(scores.scores, x, y, np.full(5, 0.5)) == 0.0
 
 
 def test_start_of_case_study_is_negative(scores):
     x0 = np.array([7, 3, 3, 4, 2]) / 19
-    payoff = build_payoff_matrix(scores, np.array(Z0))
-    u = expected_total_utility(payoff, x0, y0_normalized())
+    u = expected_total_utility(scores.scores, x0, y0_normalized(), np.array(Z0))
     assert u == pytest.approx(UTILITY_AT_START, abs=1e-12)
     assert u < 0
 
@@ -144,13 +127,26 @@ def test_start_of_case_study_is_negative(scores):
 def test_utility_bound(scores):
     rng = np.random.default_rng(29)
     for _ in range(100):
-        payoff = build_payoff_matrix(scores, rng.uniform(0, 1, 5))
+        z = rng.uniform(0, 1, 5)
         x = rng.dirichlet(np.ones(5))
         y = rng.dirichlet(np.ones(36))
-        assert abs(expected_total_utility(payoff, x, y)) <= 5.0
+        assert abs(expected_total_utility(scores.scores, x, y, z)) <= 5.0
 
 
 def test_small_matrix_works_without_space():
-    scores = ZScoreMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
-    payoff = build_payoff_matrix(scores, np.array([1.0, 1.0]))
-    assert expected_total_utility(payoff, [1, 0], [1, 0]) == 2.0
+    scores = np.array([[2.0, 0.0], [0.0, 1.0]])
+    first = np.array([1.0, 0.0])
+    assert expected_total_utility(scores, first, first, np.ones(2)) == 2.0
+
+
+def test_stack_of_states_matches_each_state(scores):
+    rng = np.random.default_rng(31)
+    x = rng.dirichlet(np.ones(5), size=7)
+    y = rng.dirichlet(np.ones(36), size=7)
+    z = rng.uniform(0, 1, (7, 5))
+    series = expected_total_utility(scores.scores, x, y, z)
+    assert series.shape == (7,)
+    for k in range(7):
+        one = expected_total_utility(scores.scores, x[k], y[k], z[k])
+        assert one == pytest.approx(series[k], abs=1e-14)
+        assert one == pytest.approx(x[k] @ payoff_values(scores.scores, z[k]) @ y[k], abs=1e-12)

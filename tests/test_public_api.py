@@ -1,0 +1,68 @@
+"""Every name the package exports is used by the package itself or
+documented in README's Library section, so no public name exists only
+because a test imports it."""
+
+import ast
+import re
+from pathlib import Path
+
+import qgame
+
+PACKAGE = Path(qgame.__file__).resolve().parent
+README = PACKAGE.parent.parent / "README.md"
+
+
+def exported_names() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def names_used_in_package() -> set[str]:
+    """Names and attributes referenced in the package's modules, skipping
+    the body of each name's own definition and every import line."""
+    used: set[str] = set()
+
+    def visit(node: ast.AST, inside: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id not in inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return used
+
+
+def readme_library_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"^## Library\n(.*?)(?=^## )", text, re.S | re.M)
+    assert match, "README has no Library section"
+    return match.group(1)
+
+
+def test_every_export_is_used_or_documented():
+    used = names_used_in_package()
+    library = readme_library_section()
+    orphans = [
+        name
+        for name in exported_names()
+        if name not in used
+        and not re.search(rf"\b{re.escape(name)}\b", library)
+    ]
+    assert orphans == [], f"exported but neither used in src/qgame nor in README: {orphans}"
+
+
+def test_the_guard_sees_the_exports():
+    names = exported_names()
+    assert "integrate" in names and "vector_field" in names
+    assert "integrate" in names_used_in_package()

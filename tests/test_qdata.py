@@ -11,6 +11,7 @@ from qgame import (
     load_loadings,
     load_share_table,
     load_zscores,
+    parse_code,
 )
 from qgame.errors import (
     DimensionMismatch,
@@ -89,6 +90,9 @@ def test_flagging_rejects_bad_inputs(loadings):
         flag_stakeholders(loadings, 36, 0.10)
     with pytest.raises(ValueError):
         flag_stakeholders(loadings, 1, 0.05)
+    for count in (36.9, 36.0, True):
+        with pytest.raises(ValueError, match="n_statements: expected an integer"):
+            flag_stakeholders(loadings, count, 0.05)
     with pytest.raises(DimensionMismatch):
         LoadingMatrix(np.zeros((20, 4)), tuple(LOADINGS), 5)
     with pytest.raises(ValueError):
@@ -196,9 +200,9 @@ def test_load_zscores_matches_transcription(scores):
 
 
 def test_load_zscores_spot_values(scores):
-    assert scores.score(0, "D.R.A.PP") == 5
-    assert scores.score(2, "I.C.T.Pu") == 5
-    assert scores.score(4, "I.R.A.PP") == -5
+    assert scores.scores[0, parse_code("D.R.A.PP").index] == 5
+    assert scores.scores[2, parse_code("I.C.T.Pu").index] == 5
+    assert scores.scores[4, parse_code("I.R.A.PP").index] == -5
 
 
 def test_load_zscores_row_order_independent(tmp_path, scores):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from qgame import SamplerConfig, StatementDistribution, repeat_stability, sample_y0
+from qgame import SamplerConfig, StatementDistribution, sample_y0
 from qgame import sampling
 from qgame.sampling import BLOCK_ROWS, _stream, _winners
+
+from measures import repeat_stability
 
 
 def symmetric(space) -> StatementDistribution:
@@ -141,6 +143,13 @@ def test_tie_rule_random_uniform_hits_all_candidates():
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(n_sequences=0)
+    # the config only: no sample of this size is drawn
+    assert SamplerConfig(n_sequences=sampling.MAX_SEQUENCES).n_sequences == 10**7
+    with pytest.raises(ValueError, match=f"n_sequences: must be at most {10**7}"):
+        SamplerConfig(n_sequences=sampling.MAX_SEQUENCES + 1)
+    for kwargs in ({"n_sequences": 2.7}, {"n_sequences": True}, {"seed": 1.9}, {"seed": False}):
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))}: expected an integer"):
+            SamplerConfig(**kwargs)
     with pytest.raises(ValueError):
         SamplerConfig(seed=-1)
     with pytest.raises(ValueError):

@@ -31,10 +31,10 @@ def write_scenario(scen_dir, spec) -> str:
 
 
 def test_bundled_case_study_resolves(case_study):
-    assert case_study.initial.x0 == pytest.approx(np.array([7, 3, 3, 4, 2]) / 19, abs=1e-15)
-    assert np.array_equal(case_study.initial.z0, Z0)
+    assert case_study.initial.x == pytest.approx(np.array([7, 3, 3, 4, 2]) / 19, abs=1e-15)
+    assert np.array_equal(case_study.initial.z, Z0)
     y_raw = np.array([Y0[c] for c in CANONICAL_ORDER])
-    assert case_study.initial.y0 == pytest.approx(y_raw / y_raw.sum(), abs=1e-15)
+    assert case_study.initial.y == pytest.approx(y_raw / y_raw.sum(), abs=1e-15)
     assert case_study.integrator.method == "rk4"
     assert case_study.integrator.step == 0.01
     assert case_study.integrator.t_end == 50.0
@@ -46,8 +46,8 @@ def test_explicit_vectors_accepted(sandbox):
     base["x0"] = [0.2, 0.2, 0.2, 0.2, 0.2]
     base["z0"] = [0.0, 0.25, 0.5, 0.75, 1.0]
     resolved = qgame.load_scenario(write_scenario(scen_dir, base))
-    assert np.array_equal(resolved.initial.x0, [0.2] * 5)
-    assert np.array_equal(resolved.initial.z0, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.array_equal(resolved.initial.x, [0.2] * 5)
+    assert np.array_equal(resolved.initial.z, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_explicit_x0_must_be_on_simplex(sandbox):
@@ -156,6 +156,29 @@ def test_non_finite_numbers_are_rejected(sandbox, literal, key, field):
         qgame.load_scenario(p)
 
 
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("y0", "n_sequences", 2.7),
+        ("y0", "n_sequences", True),
+        ("y0", "seed", 1.9),
+        ("flagging", "n_statements", 36.9),
+        ("integrator", "sample_stride", 2.5),
+        ("integrator", "sample_stride", True),
+        ("integrator", "conv_window", 2.5),
+    ],
+)
+def test_integer_fields_reject_floats_and_bools(sandbox, block, key, value):
+    scen_dir, base = sandbox
+    if block == "y0":
+        base["y0"] = {"mode": "sample", "distribution": "../data/symmetric_distribution.csv",
+                      "n_sequences": 100, "seed": 1}
+    base.setdefault(block, {})[key] = value
+    with pytest.raises(ValidationError, match="expected an integer") as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == f"{block}.{key}"
+
+
 def test_analysis_out_of_range_is_a_validation_error(sandbox):
     scen_dir, base = sandbox
     base["analysis"] = {"winner_threshold": 5}
@@ -167,7 +190,7 @@ def test_derived_z0_uses_positive_fractions(sandbox):
     scen_dir, base = sandbox
     base["z0"] = "derive-from-loadings"
     resolved = qgame.load_scenario(write_scenario(scen_dir, base))
-    assert resolved.initial.z0 == pytest.approx([0.70, 0.60, 0.70, 0.50, 0.50])
+    assert resolved.initial.z == pytest.approx([0.70, 0.60, 0.70, 0.50, 0.50])
 
 
 def test_derive_without_loadings_fails(sandbox):
@@ -188,8 +211,8 @@ def test_sampled_y0_is_deterministic(sandbox):
     path = write_scenario(scen_dir, base)
     a = qgame.load_scenario(path)
     b = qgame.load_scenario(path)
-    assert np.array_equal(a.initial.y0, b.initial.y0)
-    assert a.initial.y0.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(a.initial.y, b.initial.y)
+    assert a.initial.y.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sampler_seed_override_changes_result(sandbox):
@@ -203,13 +226,13 @@ def test_sampler_seed_override_changes_result(sandbox):
     path = write_scenario(scen_dir, base)
     a = qgame.load_scenario(path)
     c = qgame.load_scenario(path, sampler_seed=7)
-    assert not np.array_equal(a.initial.y0, c.initial.y0)
+    assert not np.array_equal(a.initial.y, c.initial.y)
 
 
 def test_table_y0_normalizes_truncated_shares(sandbox):
     scen_dir, base = sandbox
     resolved = qgame.load_scenario(write_scenario(scen_dir, base))
-    assert resolved.initial.y0.sum() == pytest.approx(1.0, abs=1e-12)
+    assert resolved.initial.y.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_scenario_uses_strategy_labels(case_study):

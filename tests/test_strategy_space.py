@@ -36,7 +36,7 @@ def test_tool_blocks_of_twelve(space):
     for block, tool in ((0, "T"), (1, "S"), (2, "A")):
         for i in range(block * 12, (block + 1) * 12):
             assert space[i].tool == tool
-        assert len(space.tool_block(tool)) == 12
+        assert len([s for s in space if s.tool == tool]) == 12
 
 
 def test_parse_round_trip_bijection(space):
