@@ -6,8 +6,9 @@ significant digits so re-parsing a trajectory reproduces it exactly.
 `simulate` formats each value once, into trajectory.csv; the plotdata/
 panels are column slices of that file's text, cell for cell.
 
-Exit status: 0 on success, 2 when an input file is missing, 1 on any
-other validation or runtime failure.
+Each verb takes only the flags it reads. Exit status: 0 on success, 2
+when an input file is missing or a flag is not one the verb takes, 1 on
+any other validation or runtime failure.
 """
 
 import argparse
@@ -87,8 +88,7 @@ def read_trajectory_csv(path: Path) -> Trajectory:
 
 
 def write_plotdata(trajectory_csv: Path, plot_dir: Path) -> None:
-    """Per-figure CSV panels: x, z, utility, and y split by Tool level
-    (one y panel when the y labels are not strategy codes).
+    """Per-figure CSV panels: x, z, utility, and y split by Tool level.
 
     Each panel is a column slice of `trajectory_csv`, copied cell for
     cell, so no value is formatted twice. The file is read in blocks of
@@ -98,13 +98,9 @@ def write_plotdata(trajectory_csv: Path, plot_dir: Path) -> None:
     with open(trajectory_csv, encoding="utf-8") as src, ExitStack() as stack:
         header, x_cols, z_cols, y_cols = _parse_header(trajectory_csv, src.readline())
         panels = {"x": x_cols, "z": z_cols, "utility": [len(header) - 1]}
-        try:
-            tools = [parse_code(header[j][2:]).tool for j in y_cols]
-        except QGameError:
-            panels["y"] = y_cols
-        else:
-            for tool in TOOL_LEVELS:
-                panels[f"y_tool_{tool}"] = [j for j, lv in zip(y_cols, tools) if lv == tool]
+        tools = [parse_code(header[j][2:]).tool for j in y_cols]
+        for tool in TOOL_LEVELS:
+            panels[f"y_tool_{tool}"] = [j for j, lv in zip(y_cols, tools) if lv == tool]
         outs = []
         for name, cols in panels.items():
             cols = [0] + cols
@@ -127,17 +123,12 @@ def write_plotdata(trajectory_csv: Path, plot_dir: Path) -> None:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario, sampler_seed=args.seed)
-    integrator = scenario.integrator
-    overrides = {}
-    if args.t_end is not None:
-        overrides["t_end"] = args.t_end
-    if args.step is not None:
-        overrides["step"] = args.step
-    if args.method is not None:
-        overrides["method"] = args.method
-    if overrides:
-        integrator = dataclasses.replace(integrator, **overrides)
-    traj = run_scenario(scenario, integrator)
+    overrides = {
+        key: value
+        for key in ("t_end", "step", "method")
+        if (value := getattr(args, key)) is not None
+    }
+    traj = run_scenario(scenario, dataclasses.replace(scenario.integrator, **overrides))
     report = an.analyze(traj, scenario.analysis)
 
     out_dir = Path(args.output or "out")
@@ -172,11 +163,7 @@ def cmd_flag(args) -> int:
 
 def cmd_sample_y0(args) -> int:
     dist = load_distribution(args.distribution)
-    cfg = SamplerConfig(
-        n_sequences=args.n_sequences,
-        seed=args.seed if args.seed is not None else 0,
-        tie_rule=args.tie_rule,
-    )
+    cfg = SamplerConfig(n_sequences=args.n_sequences, seed=args.seed, tie_rule=args.tie_rule)
     shares = sample_y0(dist, cfg)
     lines = ["strategy,share"] + [
         f"{code},{v:.17g}" for code, v in zip(dist.codes, shares)
@@ -193,11 +180,7 @@ def cmd_sample_y0(args) -> int:
 def cmd_analyze(args) -> int:
     traj = read_trajectory_csv(Path(args.trajectory))
     thresholds = an.AnalysisThresholds(
-        winner_threshold=args.winner_threshold,
-        z_tol=args.z_tol,
-        rise_tol=args.rise_tol,
-        die_tol=args.die_tol,
-        mono_slack=args.mono_slack,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(an.AnalysisThresholds)}
     )
     report = an.analyze(traj, thresholds)
     out_dir = Path(args.output) if args.output else Path(args.trajectory).parent
@@ -215,38 +198,36 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qgame",
         description="Coupled replicator-dynamics simulator over factor-scored strategy games.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, help="sampler seed override")
-    common.add_argument("--t-end", type=float, dest="t_end", help="integration horizon override")
-    common.add_argument("--step", type=float, help="integration step override")
-    common.add_argument("--method", choices=("rk4", "rk45"), help="integrator override")
-    common.add_argument("-o", "--output", help="output directory (or file for sample-y0)")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="run a scenario end to end")
+    p = sub.add_parser("simulate", help="run a scenario end to end")
     p.add_argument("scenario", help="scenario JSON file")
+    p.add_argument("--seed", type=int, help="seed of a sampled y0 (y0 in sample mode only)")
+    p.add_argument("--t-end", type=float, dest="t_end", help="integration horizon override")
+    p.add_argument("--step", type=float, help="integration step override")
+    p.add_argument("--method", choices=("rk4", "rk45"), help="integrator override")
+    p.add_argument("-o", "--output", help="output directory (default: out)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("flag", parents=[common], help="flag stakeholders on factors")
+    p = sub.add_parser("flag", help="flag stakeholders on factors")
     p.add_argument("loadings", help="loading matrix CSV")
     p.add_argument("--n-statements", type=int, default=36)
     p.add_argument("--p", type=float, default=0.05, choices=(0.05, 0.01))
     p.set_defaults(func=cmd_flag)
 
-    p = sub.add_parser("sample-y0", parents=[common], help="Monte Carlo initial shares")
+    p = sub.add_parser("sample-y0", help="Monte Carlo initial shares")
     p.add_argument("distribution", help="per-strategy (mean, sigma) CSV")
-    p.add_argument("--n-sequences", type=int, default=30000)
-    p.add_argument("--tie-rule", choices=TIE_RULES, default="first-index")
+    p.add_argument("--seed", type=int, default=SamplerConfig.seed)
+    p.add_argument("--n-sequences", type=int, default=SamplerConfig.n_sequences)
+    p.add_argument("--tie-rule", choices=TIE_RULES, default=SamplerConfig.tie_rule)
+    p.add_argument("-o", "--output", help="output file (default: stdout)")
     p.set_defaults(func=cmd_sample_y0)
 
-    p = sub.add_parser("analyze", parents=[common], help="re-analyze a trajectory CSV")
+    p = sub.add_parser("analyze", help="re-analyze a trajectory CSV")
     p.add_argument("trajectory", help="trajectory.csv from a previous run")
-    p.add_argument("--winner-threshold", type=float, default=0.99)
-    p.add_argument("--z-tol", type=float, default=0.01)
-    p.add_argument("--rise-tol", type=float, default=0.01)
-    p.add_argument("--die-tol", type=float, default=1e-4)
-    p.add_argument("--mono-slack", type=float, default=0.01)
+    for f in dataclasses.fields(an.AnalysisThresholds):
+        p.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
+    p.add_argument("-o", "--output", help="output directory (default: the trajectory's)")
     p.set_defaults(func=cmd_analyze)
     return parser
 

@@ -21,13 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidState, StepBudgetExceeded, StepSizeUnderflow, require_int
+from .errors import InvalidState, StepBudgetExceeded, StepSizeUnderflow
 from .payoff import expected_total_utility, payoff_values
 from .qdata import ZScoreMatrix
 
 STATE_SUM_TOL = 1e-9   # allowed drift of simplex sums in a valid state
 MIN_STEP = 1e-12       # hard floor for the adaptive step size
 MAX_STEPS = 10**6      # step budget: rk4 steps, or rk45 attempts, per integration
+RENORM_TOL = 1e-9      # renormalize x, y when |sum - 1| exceeds this
+CLAMP_EPS = 1e-12      # entries in [-CLAMP_EPS, 0) are clamped to 0
 
 
 @dataclass(frozen=True)
@@ -68,25 +70,17 @@ class IntegratorConfig:
     t_end: float = 50.0
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    renorm_tol: float = 1e-9     # renormalize x, y when |sum - 1| exceeds this
-    clamp_eps: float = 1e-12     # entries in [-clamp_eps, 0) are clamped to 0
-    sample_stride: int = 1       # record every k-th accepted step
-    stop_on_convergence: bool = False
-    conv_tol: float = 1e-10      # max-norm of the field counted as converged
-    conv_window: int = 10        # consecutive quiet samples required to stop
 
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
-        for name in ("step", "t_end", "abs_tol", "rel_tol", "renorm_tol", "clamp_eps", "conv_tol"):
+        for name in ("step", "t_end", "abs_tol", "rel_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.step <= 0 or self.t_end <= 0:
             raise ValueError("step and t_end must be positive")
-        if min(self.abs_tol, self.rel_tol, self.renorm_tol, self.clamp_eps) <= 0:
+        if min(self.abs_tol, self.rel_tol) <= 0:
             raise ValueError("tolerances must be positive")
-        require_int("sample_stride", self.sample_stride, 1)
-        require_int("conv_window", self.conv_window, 1)
 
 
 @dataclass
@@ -139,17 +133,21 @@ def _rhs(v: np.ndarray, scores: np.ndarray, n: int) -> np.ndarray:
     return d
 
 
+def _check_shapes(state: GameState, n: int, m: int) -> None:
+    if state.x.shape != (n,) or state.y.shape != (m,) or state.z.shape != (n,):
+        raise InvalidState(
+            f"state shapes x{state.x.shape}, y{state.y.shape}, z{state.z.shape} do not "
+            f"match the {n}x{m} score matrix"
+        )
+
+
 def vector_field(
     state: GameState, scores: ZScoreMatrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time derivative (dx, dy, dz) of a valid state under the coupled system."""
     state.validate()
     n, m = scores.scores.shape
-    if state.x.shape != (n,) or state.y.shape != (m,) or state.z.shape != (n,):
-        raise InvalidState(
-            f"state shapes {state.x.shape}/{state.y.shape}/{state.z.shape} do not "
-            f"match the {n}x{m} score matrix"
-        )
+    _check_shapes(state, n, m)
     v = np.concatenate([state.x, state.z, state.y])
     d = _rhs(v, scores.scores, n)
     return d[:n], d[2 * n:], d[n:2 * n]
@@ -222,17 +220,17 @@ def _guard(v, n, cfg, drift, t):
     if not (math.isfinite(v_min) and math.isfinite(z_max)):
         raise _non_finite(v, 0, len(v), n, t, cfg)
     if v_min < 0.0:
-        if v_min < -cfg.clamp_eps:
+        if v_min < -CLAMP_EPS:
             raise _fault(
                 v, int(v.argmin()), n, t, cfg,
-                f"is negative beyond clamp_eps={cfg.clamp_eps:.1e}",
+                f"is negative beyond clamp_eps={CLAMP_EPS:.1e}",
             )
         v[v < 0.0] = 0.0
     if z_max > 1.0:
-        if z_max > 1.0 + cfg.clamp_eps:
+        if z_max > 1.0 + CLAMP_EPS:
             raise _fault(
                 v, n + int(z.argmax()), n, t, cfg,
-                f"exceeds 1 beyond clamp_eps={cfg.clamp_eps:.1e}",
+                f"exceeds 1 beyond clamp_eps={CLAMP_EPS:.1e}",
             )
         z[z > 1.0] = 1.0
     for start, stop, slot in ((0, n, 0), (2 * n, len(v), 1)):
@@ -243,17 +241,13 @@ def _guard(v, n, cfg, drift, t):
         err = abs(s - 1.0)
         if err > drift[slot]:
             drift[slot] = err
-        if err > cfg.renorm_tol:
+        if err > RENORM_TOL:
             v[start:stop] /= s
     return v
 
 
 def integrate(
-    state0: GameState,
-    scores: ZScoreMatrix,
-    config: IntegratorConfig | None = None,
-    factor_labels: tuple[str, ...] | None = None,
-    strategy_labels: tuple[str, ...] | None = None,
+    state0: GameState, scores: ZScoreMatrix, config: IntegratorConfig | None = None
 ) -> Trajectory:
     """Integrate the coupled system from state0 to config.t_end.
 
@@ -263,9 +257,8 @@ def integrate(
         config: integrator settings; defaults to fixed-step RK4.
 
     Returns:
-        Trajectory sampled at t=0, every `sample_stride`-th accepted step,
-        and t_end. With `stop_on_convergence` the run ends early once the
-        field stays below `conv_tol` for `conv_window` consecutive samples.
+        Trajectory sampled at t=0 and after every accepted step, the last
+        at t_end; factors are labelled Q1..Qn, strategies by the scores.
 
     Raises StepBudgetExceeded, before the first step, when rk4 would take
     more than MAX_STEPS steps, and, at the time reached, when rk45 has
@@ -275,8 +268,7 @@ def integrate(
     state0.validate()
     S = scores.scores
     n, m = S.shape
-    if state0.x.shape != (n,) or state0.y.shape != (m,) or state0.z.shape != (n,):
-        raise InvalidState("initial state does not match the score matrix shape")
+    _check_shapes(state0, n, m)
     # for an integer budget, t_end / step > MAX_STEPS is the same test as
     # ceil(t_end / step) > MAX_STEPS, and it holds when the quotient is inf
     if cfg.method == "rk4" and cfg.t_end / cfg.step > MAX_STEPS:
@@ -285,22 +277,16 @@ def integrate(
             f"t_end={cfg.t_end:g}, over MAX_STEPS={MAX_STEPS}; increase --step or "
             "reduce --t-end"
         )
-    factor_labels = factor_labels or tuple(f"Q{i + 1}" for i in range(n))
-    strategy_labels = strategy_labels or scores.strategy_labels
 
+    # every step builds a fresh v, so the samples need no copies
     v = np.concatenate([state0.x, state0.z, state0.y])
     t = 0.0
     drift = [0.0, 0.0]
     ts = [0.0]
-    vs = [v.copy()]
-    quiet = 0
+    vs = [v]
     accepted = 0
     attempts = 0  # rk45 steps tried, accepted and rejected
     h = cfg.step
-
-    def record(tq, vq):
-        ts.append(tq)
-        vs.append(vq.copy())
 
     while t < cfg.t_end - 1e-14:
         if cfg.method == "rk4":
@@ -344,29 +330,21 @@ def integrate(
                         f"adaptive step fell to {h:.3e} at t={t:.6g}"
                     )
                 continue
-        if accepted % cfg.sample_stride == 0 or t >= cfg.t_end - 1e-14:
-            record(t, v)
-            if cfg.stop_on_convergence:
-                if np.max(np.abs(_rhs(v, S, n))) < cfg.conv_tol:
-                    quiet += 1
-                    if quiet >= cfg.conv_window:
-                        break
-                else:
-                    quiet = 0
+        ts.append(t)
+        vs.append(v)
 
-    t_arr = np.array(ts)
     v_arr = np.array(vs)
     x = v_arr[:, :n]
     z = v_arr[:, n:2 * n]
     y = v_arr[:, 2 * n:]
     return Trajectory(
-        t=t_arr,
+        t=np.array(ts),
         x=x,
         y=y,
         z=z,
         utility=expected_total_utility(S, x, y, z),
-        factor_labels=tuple(factor_labels),
-        strategy_labels=tuple(strategy_labels),
+        factor_labels=tuple(f"Q{i + 1}" for i in range(n)),
+        strategy_labels=tuple(scores.strategy_labels),
         max_x_drift=drift[0],
         max_y_drift=drift[1],
         method=cfg.method,

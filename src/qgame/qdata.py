@@ -20,6 +20,7 @@ from .errors import (
     DuplicateStakeholder,
     DuplicateStrategy,
     InvalidNumber,
+    InvalidSetting,
     MissingStrategy,
     NoFlaggedStakeholders,
     ScoreOutOfRange,
@@ -121,8 +122,11 @@ def flag_stakeholders(
     wins. Stakeholders with no qualifying factor stay unassigned.
     """
     require_int("n_statements", n_statements, 2)
-    if p_threshold not in Z_CRITICAL:
-        raise ValueError(f"p_threshold must be one of {sorted(Z_CRITICAL)}")
+    # a tuple test compares with ==, so a list is rejected here, not a TypeError
+    if p_threshold not in tuple(Z_CRITICAL):
+        raise InvalidSetting(
+            "p_threshold", f"must be one of {sorted(Z_CRITICAL)}, got {p_threshold!r}"
+        )
     threshold = Z_CRITICAL[p_threshold] / np.sqrt(n_statements)
 
     factors: list[int | None] = []

@@ -9,7 +9,7 @@ vectors are renormalized after validation.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -34,12 +34,12 @@ SCHEMA_VERSION = 1
 EXPLICIT_SUM_TOL = 1e-6   # explicit vectors must be this close to the simplex
 TABLE_SUM_TOL = 0.05      # table-sourced shares may carry printing truncation
 
-_INTEGRATOR_KEYS = {
-    "method", "step", "t_end", "abs_tol", "rel_tol", "renorm_tol",
-    "clamp_eps", "sample_stride", "stop_on_convergence", "conv_tol",
-    "conv_window",
+_INTEGRATOR_KEYS = {f.name for f in fields(IntegratorConfig)}
+_ANALYSIS_KEYS = {f.name for f in fields(AnalysisThresholds)}
+_Y0_KEYS = {
+    "table": {"mode", "path"},
+    "sample": {"mode", "distribution"} | {f.name for f in fields(SamplerConfig)},
 }
-_ANALYSIS_KEYS = {"winner_threshold", "z_tol", "rise_tol", "die_tol", "mono_slack"}
 _TOP_KEYS = {
     "schema_version", "zscores", "loadings", "x0", "z0", "y0",
     "flagging", "integrator", "analysis",
@@ -109,7 +109,8 @@ def _require_finite(value, field: str) -> None:
 def load_scenario(path: str | Path, sampler_seed: int | None = None) -> ResolvedScenario:
     """Load, validate, and resolve a scenario file into ready-to-run inputs.
 
-    `sampler_seed` overrides the seed of a sampled y0 block (CLI --seed).
+    `sampler_seed` overrides the seed of a sampled y0 block (CLI --seed);
+    giving it for a y0 that is not sampled is a ValidationError.
     """
     path = Path(path)
     if not path.exists():
@@ -152,11 +153,7 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     x0_spec = raw.get("x0")
     if x0_spec == "derive-from-loadings":
         try:
-            flags = flag_stakeholders(
-                need_loadings("x0"),
-                flagging.get("n_statements", m),
-                float(flagging.get("p_threshold", 0.05)),
-            )
+            flags = flag_stakeholders(need_loadings("x0"), **{"n_statements": m, **flagging})
         except (TypeError, ValueError) as exc:
             raise _setting_error("flagging", exc) from exc
         x0 = derive_x0(flags, n)
@@ -178,9 +175,19 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
 
     # y0
     y0_spec = raw.get("y0")
+    mode = y0_spec.get("mode") if isinstance(y0_spec, dict) else None
+    if sampler_seed is not None and mode != "sample":
+        raise ValidationError("y0", "a sampler seed (--seed) needs y0 in sample mode")
+    if mode in ("table", "sample"):
+        unknown = set(y0_spec) - _Y0_KEYS[mode]
+        if unknown:
+            raise ValidationError(
+                "y0", f"unknown {mode}-mode key {sorted(unknown)[0]!r}; "
+                f"allowed keys: {sorted(_Y0_KEYS[mode])}"
+            )
     if isinstance(y0_spec, list):
         y0 = _simplex_vector(y0_spec, "y0", m)
-    elif isinstance(y0_spec, dict) and y0_spec.get("mode") == "table":
+    elif mode == "table":
         if "path" not in y0_spec:
             raise ValidationError("y0.path", "table mode requires a path")
         y0 = load_share_table(_resolve_path(base, y0_spec["path"], "y0.path"), scores.space)
@@ -189,18 +196,17 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
         if abs(y0.sum() - 1.0) > TABLE_SUM_TOL:
             raise ValidationError("y0", f"table shares must be near the simplex (sum {y0.sum():.6g})")
         y0 = y0 / y0.sum()
-    elif isinstance(y0_spec, dict) and y0_spec.get("mode") == "sample":
+    elif mode == "sample":
         if "distribution" not in y0_spec:
             raise ValidationError("y0.distribution", "sample mode requires a distribution path")
         dist = load_distribution(
             _resolve_path(base, y0_spec["distribution"], "y0.distribution"), scores.space
         )
+        settings = {k: v for k, v in y0_spec.items() if k not in ("mode", "distribution")}
+        if sampler_seed is not None:
+            settings["seed"] = sampler_seed
         try:
-            sampler = SamplerConfig(
-                n_sequences=y0_spec.get("n_sequences", 30000),
-                seed=sampler_seed if sampler_seed is not None else y0_spec.get("seed", 0),
-                tie_rule=y0_spec.get("tie_rule", "first-index"),
-            )
+            sampler = SamplerConfig(**settings)
         except (TypeError, ValueError) as exc:
             raise _setting_error("y0", exc) from exc
         y0 = sample_y0(dist, sampler)

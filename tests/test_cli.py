@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import qgame
-from qgame.cli import main, read_trajectory_csv, write_plotdata, write_trajectory_csv
+from qgame.cli import build_parser, main, read_trajectory_csv, write_trajectory_csv
 
 DATA = qgame.case_study_path().parent.parent / "data"
 SRC = Path(qgame.__file__).resolve().parent.parent
@@ -155,18 +156,6 @@ def test_full_run_report_names_winners(tmp_path):
     assert_panels_slice_trajectory(out)
 
 
-def test_plotdata_without_strategy_codes_has_one_y_panel(tmp_path):
-    scores = qgame.ZScoreMatrix(np.array([[1.0, -1.0, 0.5], [0.0, 2.0, -1.0]]))
-    state = qgame.GameState(
-        x=np.array([0.5, 0.5]), y=np.full(3, 1 / 3), z=np.array([0.6, 0.4])
-    )
-    traj = qgame.integrate(state, scores, qgame.IntegratorConfig(step=0.1, t_end=1.0))
-    assert traj.strategy_labels == ("s0", "s1", "s2")
-    write_trajectory_csv(traj, tmp_path / "trajectory.csv")
-    write_plotdata(tmp_path / "trajectory.csv", tmp_path / "plotdata")
-    assert_panels_slice_trajectory(tmp_path, ["utility.csv", "x.csv", "y.csv", "z.csv"])
-
-
 def test_flag_verb_prints_counts(capsys):
     assert main(["flag", str(DATA / "loadings.csv")]) == 0
     out = capsys.readouterr().out
@@ -231,6 +220,48 @@ def test_sample_y0_short_row_exits_1_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+VERB_OPTIONS = {
+    "simulate": {"--seed", "--t-end", "--step", "--method", "-o", "--output"},
+    "flag": {"--n-statements", "--p"},
+    "sample-y0": {"--seed", "--n-sequences", "--tie-rule", "-o", "--output"},
+    "analyze": {"--winner-threshold", "--z-tol", "--rise-tol", "--die-tol", "--mono-slack",
+                "-o", "--output"},
+}
+
+
+def test_each_verb_declares_only_the_flags_it_reads():
+    parser = build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in verbs.choices.items()
+    }
+    assert options == VERB_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "t.csv", "--step", "5"],
+        ["flag", "loadings.csv", "-o", "nowhere", "--step", "7"],
+        ["sample-y0", "dist.csv", "--t-end", "4", "--method", "rk45"],
+    ],
+)
+def test_flags_a_verb_does_not_read_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_simulate_seed_without_sampled_y0_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", str(qgame.case_study_path()), "--t-end", "0.1",
+                 "--seed", "5", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: y0: ")
+    assert not out.exists()
 
 
 def test_missing_scenario_exits_2(capsys):

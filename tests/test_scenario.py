@@ -114,6 +114,29 @@ def test_unknown_integrator_key(sandbox):
         qgame.load_scenario(write_scenario(scen_dir, base))
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["renorm_tol", "clamp_eps", "sample_stride", "stop_on_convergence", "conv_tol",
+     "conv_window"],
+)
+def test_removed_integrator_keys_are_unknown(sandbox, key):
+    """"stop_on_convergence": "false" once turned early stopping on."""
+    scen_dir, base = sandbox
+    base["integrator"] = {"method": "rk4", key: "false"}
+    with pytest.raises(ValidationError, match="allowed keys") as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == "integrator"
+
+
+@pytest.mark.parametrize("value", ["0.05", True, 0.1])
+def test_p_threshold_must_be_0_05_or_0_01(sandbox, value):
+    scen_dir, base = sandbox
+    base["flagging"] = {"n_statements": 36, "p_threshold": value}
+    with pytest.raises(ValidationError, match="must be one of") as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == "flagging.p_threshold"
+
+
 def test_wrong_types_are_validation_errors(sandbox):
     scen_dir, base = sandbox
     base["integrator"] = {"step": "small"}
@@ -163,9 +186,6 @@ def test_non_finite_numbers_are_rejected(sandbox, literal, key, field):
         ("y0", "n_sequences", True),
         ("y0", "seed", 1.9),
         ("flagging", "n_statements", 36.9),
-        ("integrator", "sample_stride", 2.5),
-        ("integrator", "sample_stride", True),
-        ("integrator", "conv_window", 2.5),
     ],
 )
 def test_integer_fields_reject_floats_and_bools(sandbox, block, key, value):
@@ -227,6 +247,31 @@ def test_sampler_seed_override_changes_result(sandbox):
     a = qgame.load_scenario(path)
     c = qgame.load_scenario(path, sampler_seed=7)
     assert not np.array_equal(a.initial.y, c.initial.y)
+
+
+@pytest.mark.parametrize("y0", [None, [1 / 36] * 36], ids=["table", "vector"])
+def test_sampler_seed_needs_sampled_y0(sandbox, y0):
+    scen_dir, base = sandbox
+    if y0 is not None:
+        base["y0"] = y0
+    with pytest.raises(ValidationError, match="sample mode") as info:
+        qgame.load_scenario(write_scenario(scen_dir, base), sampler_seed=5)
+    assert info.value.field == "y0"
+
+
+@pytest.mark.parametrize(
+    "mode, key",
+    [("sample", "n_sequence"), ("sample", "path"), ("table", "seed"), ("table", "n_sequences")],
+)
+def test_y0_rejects_unknown_keys(sandbox, mode, key):
+    scen_dir, base = sandbox
+    if mode == "sample":
+        base["y0"] = {"mode": "sample", "distribution": "../data/symmetric_distribution.csv",
+                      "n_sequences": 100}
+    base["y0"][key] = 10
+    with pytest.raises(ValidationError, match=f"unknown {mode}-mode key '{key}'") as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == "y0"
 
 
 def test_table_y0_normalizes_truncated_shares(sandbox):
