@@ -6,17 +6,7 @@ ships the data of a twenty-stakeholder immersive-tourism case study as a
 ready-to-run scenario.
 """
 
-from .analysis import (
-    AnalysisThresholds,
-    FixationReport,
-    TransientProfile,
-    UtilityDiagnostics,
-    analyze,
-    classify_transients,
-    detect_fixation,
-    render_summary,
-    utility_diagnostics,
-)
+from .analysis import AnalysisThresholds, analyze, render_summary
 from .dynamics import (
     GameState,
     IntegratorConfig,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidState, StepBudgetExceeded, StepSizeUnderflow
+from .errors import InvalidState, StepBudgetExceeded, StepSizeUnderflow, require_real
 from .payoff import expected_total_utility, payoff_values
 from .qdata import ZScoreMatrix
 
@@ -75,8 +75,7 @@ class IntegratorConfig:
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
         for name in ("step", "t_end", "abs_tol", "rel_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            require_real(name, getattr(self, name))
         if self.step <= 0 or self.t_end <= 0:
             raise ValueError("step and t_end must be positive")
         if min(self.abs_tol, self.rel_tol) <= 0:
@@ -85,17 +84,20 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Time-ordered samples of the integrated system plus derived series."""
+    """Time-ordered samples of the integrated system plus derived series.
+
+    `integrate` fills `meta` with `accepted_steps` and with `max_x_drift`
+    and `max_y_drift`, the largest |sum - 1| of x and y seen before
+    renormalization.
+    """
 
     t: np.ndarray                  # (k,)
     x: np.ndarray                  # (k, n_factors)
     y: np.ndarray                  # (k, n_strategies)
     z: np.ndarray                  # (k, n_factors)
     utility: np.ndarray            # (k,) expected total utility x' A(z) y
-    factor_labels: tuple[str, ...] = ()
-    strategy_labels: tuple[str, ...] = ()
-    max_x_drift: float = 0.0       # largest |sum(x) - 1| seen before renormalization
-    max_y_drift: float = 0.0
+    factor_labels: tuple[str, ...]
+    strategy_labels: tuple[str, ...]
     method: str = "rk4"
     meta: dict = field(default_factory=dict)
 
@@ -345,8 +347,6 @@ def integrate(
         utility=expected_total_utility(S, x, y, z),
         factor_labels=tuple(f"Q{i + 1}" for i in range(n)),
         strategy_labels=tuple(scores.strategy_labels),
-        max_x_drift=drift[0],
-        max_y_drift=drift[1],
         method=cfg.method,
-        meta={"accepted_steps": accepted},
+        meta={"accepted_steps": accepted, "max_x_drift": drift[0], "max_y_drift": drift[1]},
     )

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the integer-setting check."""
+"""Exception types shared across the package, and the integer and real
+setting checks."""
 
+import math
 import numbers
 
 
@@ -88,3 +90,11 @@ def require_int(field: str, value, low: int, high: int | None = None) -> None:
         raise InvalidSetting(field, f"must be at least {low}, got {value}")
     if high is not None and value > high:
         raise InvalidSetting(field, f"must be at most {high}, got {value}")
+
+
+def require_real(field: str, value) -> None:
+    """Raise InvalidSetting unless value is a finite real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidSetting(field, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise InvalidSetting(field, f"must be finite, got {value!r}")

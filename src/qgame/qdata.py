@@ -33,6 +33,7 @@ SCORE_MIN, SCORE_MAX = -5, 5
 
 # two-sided normal critical values for the supported significance levels
 Z_CRITICAL = {0.05: 1.96, 0.01: 2.58}
+P_THRESHOLD = 0.05  # default significance level of flagging
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,11 @@ class FlagAssignment:
         return out
 
 
-def flag_stakeholders(
-    loadings: LoadingMatrix, n_statements: int, p_threshold: float = 0.05
-) -> FlagAssignment:
-    """Assign each stakeholder to at most one factor.
+def flagging_threshold(n_statements: int, p_threshold: float = P_THRESHOLD) -> float:
+    """The |loading| a significant loading exceeds, z_crit/sqrt(n_statements).
 
-    A factor qualifies when |loading| exceeds z_crit/sqrt(n_statements)
-    and its squared loading exceeds the sum of the squared loadings on
-    the remaining factors. If several qualify the largest |loading|
-    wins. Stakeholders with no qualifying factor stay unassigned.
+    Raises InvalidSetting naming `n_statements` or `p_threshold` when
+    either is out of its domain.
     """
     require_int("n_statements", n_statements, 2)
     # a tuple test compares with ==, so a list is rejected here, not a TypeError
@@ -127,7 +124,20 @@ def flag_stakeholders(
         raise InvalidSetting(
             "p_threshold", f"must be one of {sorted(Z_CRITICAL)}, got {p_threshold!r}"
         )
-    threshold = Z_CRITICAL[p_threshold] / np.sqrt(n_statements)
+    return Z_CRITICAL[p_threshold] / np.sqrt(n_statements)
+
+
+def flag_stakeholders(
+    loadings: LoadingMatrix, n_statements: int, p_threshold: float = P_THRESHOLD
+) -> FlagAssignment:
+    """Assign each stakeholder to at most one factor.
+
+    A factor qualifies when |loading| exceeds `flagging_threshold` and
+    its squared loading exceeds the sum of the squared loadings on the
+    remaining factors. If several qualify the largest |loading| wins.
+    Stakeholders with no qualifying factor stay unassigned.
+    """
+    threshold = flagging_threshold(n_statements, p_threshold)
 
     factors: list[int | None] = []
     signs: list[int | None] = []

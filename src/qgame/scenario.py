@@ -17,13 +17,14 @@ import numpy as np
 
 from .analysis import AnalysisThresholds
 from .dynamics import GameState, IntegratorConfig, Trajectory, integrate
-from .errors import InvalidSetting, ParseError, ValidationError
+from .errors import InvalidSetting, ParseError, ValidationError, require_real
 from .qdata import (
     LoadingMatrix,
     ZScoreMatrix,
     derive_x0,
     derive_z0,
     flag_stakeholders,
+    flagging_threshold,
     load_loadings,
     load_share_table,
     load_zscores,
@@ -65,11 +66,13 @@ def _resolve_path(base: Path, value: str, field: str) -> Path:
     return p
 
 
-def _explicit_vector(value, field: str, length: int) -> np.ndarray:
-    try:
-        vec = np.asarray([float(v) for v in value], dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(field, "expected a list of numbers") from None
+def _explicit_vector(value: list, field: str, length: int) -> np.ndarray:
+    for i, v in enumerate(value):
+        try:
+            require_real(f"{field}[{i}]", v)
+        except InvalidSetting as exc:
+            raise ValidationError(exc.field, exc.reason) from None
+    vec = np.asarray(value, dtype=float)
     if vec.shape != (length,):
         raise ValidationError(field, f"expected {length} entries, got {vec.shape}")
     return vec
@@ -148,15 +151,16 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     flagging = raw.get("flagging", {})
     if not isinstance(flagging, dict) or set(flagging) - {"n_statements", "p_threshold"}:
         raise ValidationError("flagging", "expected n_statements/p_threshold settings")
+    flagging = {"n_statements": m, **flagging}
+    try:
+        flagging_threshold(**flagging)
+    except InvalidSetting as exc:
+        raise _setting_error("flagging", exc) from exc
 
     # x0
     x0_spec = raw.get("x0")
     if x0_spec == "derive-from-loadings":
-        try:
-            flags = flag_stakeholders(need_loadings("x0"), **{"n_statements": m, **flagging})
-        except (TypeError, ValueError) as exc:
-            raise _setting_error("flagging", exc) from exc
-        x0 = derive_x0(flags, n)
+        x0 = derive_x0(flag_stakeholders(need_loadings("x0"), **flagging), n)
     elif isinstance(x0_spec, list):
         x0 = _simplex_vector(x0_spec, "x0", n)
     else:
@@ -224,13 +228,10 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     analysis_spec = raw.get("analysis", {})
     if not isinstance(analysis_spec, dict) or set(analysis_spec) - _ANALYSIS_KEYS:
         raise ValidationError("analysis", f"allowed keys: {sorted(_ANALYSIS_KEYS)}")
-    for key, value in analysis_spec.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"analysis.{key}", "expected a number")
     try:
         thresholds = AnalysisThresholds(**analysis_spec)
     except ValueError as exc:
-        raise ValidationError("analysis", str(exc)) from exc
+        raise _setting_error("analysis", exc) from exc
 
     initial = GameState(x=x0, y=y0, z=z0)
     try:

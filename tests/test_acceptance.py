@@ -74,9 +74,9 @@ def test_criterion_4_y_fixation_sigmoidal(case_run):
         traj, _ = case_run
         j = traj.strategy_labels.index("D.R.A.PP")
         assert traj.y[-1, j] > 0.99
-        profile = qgame.classify_transients(traj)
-        assert profile.winner == "D.R.A.PP"
-        by_label = {r.label: r.classification for r in profile.per_strategy}
+        profile = qgame.analyze(traj)["transients"]
+        assert profile["winner"] == "D.R.A.PP"
+        by_label = {label: r["classification"] for label, r in profile["per_strategy"].items()}
         assert by_label["D.R.A.PP"] == MONOTONE_WINNER
         assert count_inflections(traj.t, traj.y[:, j]) == 1
 
@@ -91,8 +91,8 @@ def test_criterion_5_utility_endpoints(case_run):
 def test_criterion_6_two_phase_selection(case_run):
     with criterion(6, "a nonempty set of strategies grows then dies"):
         traj, _ = case_run
-        profile = qgame.classify_transients(traj)
-        assert len(profile.grow_then_die) > 0
+        profile = qgame.analyze(traj)["transients"]
+        assert len(profile["grow_then_die"]) > 0
 
 
 def test_criterion_7_numerical_robustness(
@@ -126,8 +126,8 @@ def test_criterion_8_invariant_suite(scores, case_run):
             assert abs(dx.sum()) < 1e-13
             assert abs(dy.sum()) < 1e-13
         traj, _ = case_run
-        assert traj.max_x_drift <= 1e-6
-        assert traj.max_y_drift <= 1e-6
+        assert traj.meta["max_x_drift"] <= 1e-6
+        assert traj.meta["max_y_drift"] <= 1e-6
 
         # face invariance: zeroed coordinates stay exactly zero to t = 50
         cfg = IntegratorConfig(step=0.05, t_end=50.0)

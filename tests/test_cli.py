@@ -124,6 +124,33 @@ def test_report_conforms_to_schema(short_run):
     jsonschema.validate(report, report_schema())
 
 
+def keys_in_schema_order(value, schema, path="report") -> int:
+    """Assert that every object in `value` lists its keys in the order of
+    its schema's `required`; returns how many objects were checked."""
+    if not isinstance(value, dict):
+        return 0
+    if "$ref" in schema:
+        schema = report_schema()["$defs"][schema["$ref"].rsplit("/", 1)[1]]
+    schema = next((s for s in schema.get("oneOf", ()) if s.get("type") == "object"), schema)
+    if "required" in schema:
+        assert list(value) == schema["required"], path
+        children = [(key, schema["properties"][key]) for key in value]
+    else:
+        children = [(key, schema["additionalProperties"]) for key in value]
+    return ("required" in schema) + sum(
+        keys_in_schema_order(value[key], sub, f"{path}.{key}") for key, sub in children
+    )
+
+
+@pytest.mark.parametrize("trajectory", ["case_trajectory", "case_trajectory_rk45"])
+def test_report_keys_follow_the_schema_order(trajectory, case_study, request):
+    """report.json's byte layout is the key order of the schema's `required`."""
+    report = qgame.analyze(request.getfixturevalue(trajectory), case_study.analysis)
+    written = json.loads(json.dumps(report, indent=2))
+    # the report, fixation, two winners, transients, 36 strategies, utility
+    assert keys_in_schema_order(written, report_schema()) == 42
+
+
 def test_plotdata_panels_have_expected_columns(short_run):
     x_header = (short_run / "plotdata" / "x.csv").read_text().splitlines()[0]
     assert x_header == "t," + ",".join(f"x_Q{i}" for i in range(1, 6))

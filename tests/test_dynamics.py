@@ -13,7 +13,7 @@ from qgame import (
 )
 from qgame import dynamics
 from qgame.dynamics import _DP_B4, _DP_B5, _DP_A, _DP_C, _guard
-from qgame.errors import InvalidState, StepBudgetExceeded, StepSizeUnderflow
+from qgame.errors import InvalidSetting, InvalidState, StepBudgetExceeded, StepSizeUnderflow
 
 from table_fixtures import CANONICAL_ORDER, PSI_AT_Y0_RAW, Y0, Z0
 
@@ -290,6 +290,13 @@ def test_config_rejects_non_finite(name, value):
         IntegratorConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [True, "0.1", None])
+@pytest.mark.parametrize("name", ["step", "t_end", "abs_tol", "rel_tol"])
+def test_config_rejects_non_numbers(name, value):
+    with pytest.raises(InvalidSetting, match=f"{name}: expected a number"):
+        IntegratorConfig(**{name: value})
+
+
 @pytest.mark.parametrize(
     "cls, arrays, extra",
     [
@@ -347,8 +354,8 @@ def test_case_study_utility_endpoints(case_trajectory):
 
 
 def test_simplex_drift_stays_tiny(case_trajectory):
-    assert case_trajectory.max_x_drift <= 1e-6
-    assert case_trajectory.max_y_drift <= 1e-6
+    assert case_trajectory.meta["max_x_drift"] <= 1e-6
+    assert case_trajectory.meta["max_y_drift"] <= 1e-6
 
 
 def test_step_halving_agreement(case_trajectory, case_trajectory_half_step):

@@ -199,6 +199,41 @@ def test_integer_fields_reject_floats_and_bools(sandbox, block, key, value):
     assert info.value.field == f"{block}.{key}"
 
 
+@pytest.mark.parametrize("key", ["step", "t_end", "abs_tol"])
+def test_float_fields_reject_bools(sandbox, key):
+    """"step": true once ran rk4 with step 1."""
+    scen_dir, base = sandbox
+    base["integrator"] = {"method": "rk4", key: True}
+    with pytest.raises(ValidationError, match="expected a number") as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == f"integrator.{key}"
+
+
+@pytest.mark.parametrize(
+    "flagging, field",
+    [({"p_threshold": "abc"}, "p_threshold"), ({"n_statements": -4}, "n_statements")],
+)
+def test_flagging_is_checked_under_explicit_x0(sandbox, flagging, field):
+    scen_dir, base = sandbox
+    base["x0"] = [0.2] * 5
+    base["flagging"] = flagging
+    with pytest.raises(ValidationError) as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == f"flagging.{field}"
+
+
+@pytest.mark.parametrize("key, length", [("x0", 5), ("y0", 36), ("z0", 5)])
+@pytest.mark.parametrize("head", [[0.0, True], [0.8, "0.2"]], ids=["bool", "string"])
+def test_explicit_vectors_hold_json_numbers(sandbox, key, length, head):
+    """Each vector is valid once coerced with float(): true once loaded as 1
+    and "0.2" as 0.2."""
+    scen_dir, base = sandbox
+    base[key] = head + [0.0] * (length - 2)
+    with pytest.raises(ValidationError, match="expected a number") as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == f"{key}[1]"
+
+
 def test_analysis_out_of_range_is_a_validation_error(sandbox):
     scen_dir, base = sandbox
     base["analysis"] = {"winner_threshold": 5}
