@@ -6,9 +6,13 @@ significant digits so re-parsing a trajectory reproduces it exactly.
 `simulate` formats each value once, into trajectory.csv; the plotdata/
 panels are column slices of that file's text, cell for cell.
 
+`simulate` uses a second process: it formats the rows of trajectory.csv
+while the first one integrates, so the run is faster only where two
+cores are free.
+
 Each verb takes only the flags it reads. Exit status: 0 on success, 2
 when an input file is missing or a flag is not one the verb takes, 1 on
-any other validation or runtime failure.
+any other validation, runtime or output failure.
 """
 
 import argparse
@@ -32,11 +36,89 @@ from .strategy_space import TOOL_LEVELS, parse_code
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_FOUND = 2
+WRITER_EXIT_S = 10  # wait for the writer process to exit before killing it
 
 
-def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
+def _format_rows(conn, parent_end) -> None:
+    """Body of the writer process that `simulate` starts.
+
+    Formats each block of samples as it arrives and keeps the row text
+    without its last cell. Then, given the path, the header and the
+    utility column, appends the utility cells and writes the file. Replies
+    None once the file is written, or the errno and message of the OSError
+    that stopped it. Ends without writing when the parent's end closes.
+    """
+    import signal  # here, like multiprocessing: the CLI's import does not load it
+
+    parent_end.close()  # a forked copy, which would keep the pipe open
+    # Ctrl-C reaches the parent too, which ends this process by closing the pipe
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    prefixes = []
+    while True:
+        try:
+            msg = conn.recv()
+        except EOFError:
+            return
+        if msg[0] == "rows":
+            t, v = msg[1:]
+            fmt = "%.17g," * (1 + v.shape[1])
+            prefixes.extend(fmt % tuple(row) for row in np.column_stack([t, v]).tolist())
+            continue
+        path, header, utility = msg[1:]
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(header + "\n")
+                cells = zip(prefixes, utility.tolist(), strict=True)
+                fh.writelines(p + "%.17g\n" % u for p, u in cells)
+        except OSError as exc:
+            conn.send((exc.errno, exc.strerror))
+        else:
+            conn.send(None)
+        return
+
+
+class _TrajectoryWriter:
+    """The writer process and its pipe; `add_samples` is `integrate`'s
+    `on_samples`. The process is started from `context`, the
+    multiprocessing context of the caller's choice, and ended on close."""
+
+    def __init__(self, context):
+        self._conn, child_end = context.Pipe()
+        self._proc = context.Process(
+            target=_format_rows, args=(child_end, self._conn), daemon=True
+        )
+        self._proc.start()
+        child_end.close()
+
+    def add_samples(self, t: np.ndarray, v: np.ndarray) -> None:
+        self._conn.send(("rows", t, v))
+
+    def write(self, path: Path, header: str, utility: np.ndarray) -> None:
+        self._conn.send(("write", path, header, utility))
+        try:
+            failure = self._conn.recv()
+        except EOFError:
+            raise QGameError(f"{path}: the writer process ended without writing it") from None
+        if failure is not None:
+            raise OSError(*failure, str(path))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._conn.close()
+        self._proc.join(WRITER_EXIT_S)
+        if self._proc.exitcode is None:
+            self._proc.kill()
+            self._proc.join()
+
+
+def write_trajectory_csv(traj: Trajectory, path: Path, writer: _TrajectoryWriter) -> None:
     """One header line, then one row per sample with every value at 17
-    significant digits."""
+    significant digits. `writer` has formatted every row but the utility
+    cells from the samples `integrate` passed it; this hands it the
+    header and the utility column and returns once it has written the file.
+    """
     header = (
         ["t"]
         + [f"x_{q}" for q in traj.factor_labels]
@@ -44,11 +126,12 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
         + [f"y_{s}" for s in traj.strategy_labels]
         + ["utility"]
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(
-            fh, np.column_stack([traj.t, traj.x, traj.z, traj.y, traj.utility]),
-            fmt="%.17g", delimiter=",", header=",".join(header), comments="",
-        )
+    writer.write(path, ",".join(header), traj.utility)
+
+
+def _report_json(report: dict) -> str:
+    """report.json's text; a NaN or infinity in the report is an error."""
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def _parse_header(path: Path, line: str) -> tuple[list[str], list[int], list[int], list[int]]:
@@ -75,6 +158,13 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     if data.shape[1] != len(header):
         raise QGameError(
             f"{path}: rows have {data.shape[1]} values, the header names {len(header)}"
+        )
+    bad = ~np.isfinite(data)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise QGameError(
+            f"{path}: row {row + 1} after the header, column {header[col]}: "
+            f"{data[row, col]} is not a finite number"
         )
     return Trajectory(
         t=data[:, 0],
@@ -122,21 +212,30 @@ def write_plotdata(trajectory_csv: Path, plot_dir: Path) -> None:
 
 
 def cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario, sampler_seed=args.seed)
-    overrides = {
-        key: value
-        for key in ("t_end", "step", "method")
-        if (value := getattr(args, key)) is not None
-    }
-    traj = run_scenario(scenario, dataclasses.replace(scenario.integrator, **overrides))
-    report = an.analyze(traj, scenario.analysis)
+    # imported here, so that `import qgame` does not load it
+    import multiprocessing
 
-    out_dir = Path(args.output or "out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out_dir / "trajectory.csv")
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
+    # fork, not forkserver (Python 3.14's default on Linux) or spawn: the
+    # child is a copy of this process and starts at once, importing
+    # nothing. Spawn only where there is no fork, as on Windows.
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    with _TrajectoryWriter(context) as writer:
+        scenario = load_scenario(args.scenario, sampler_seed=args.seed)
+        overrides = {
+            key: value
+            for key in ("t_end", "step", "method")
+            if (value := getattr(args, key)) is not None
+        }
+        config = dataclasses.replace(scenario.integrator, **overrides)
+        traj = run_scenario(scenario, config, on_samples=writer.add_samples)
+        report = an.analyze(traj, scenario.analysis)
+        report_text = _report_json(report)
+
+        out_dir = Path(args.output or "out")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_trajectory_csv(traj, out_dir / "trajectory.csv", writer)
+    (out_dir / "report.json").write_text(report_text, encoding="utf-8")
     write_plotdata(out_dir / "trajectory.csv", out_dir / "plotdata")
 
     print(f"simulated {len(traj)} samples to t={traj.t[-1]:g} ({traj.method})")
@@ -183,11 +282,10 @@ def cmd_analyze(args) -> int:
         **{f.name: getattr(args, f.name) for f in dataclasses.fields(an.AnalysisThresholds)}
     )
     report = an.analyze(traj, thresholds)
+    report_text = _report_json(report)
     out_dir = Path(args.output) if args.output else Path(args.trajectory).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
+    (out_dir / "report.json").write_text(report_text, encoding="utf-8")
     print(an.render_summary(report))
     print(f"report written to {out_dir / 'report.json'}")
     return EXIT_OK
@@ -239,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_FOUND
-    except (QGameError, ValueError) as exc:
+    except (QGameError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

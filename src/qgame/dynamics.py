@@ -17,6 +17,7 @@ threshold. Coordinates that start at exactly zero stay exactly zero.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,8 @@ MIN_STEP = 1e-12       # hard floor for the adaptive step size
 MAX_STEPS = 10**6      # step budget: rk4 steps, or rk45 attempts, per integration
 RENORM_TOL = 1e-9      # renormalize x, y when |sum - 1| exceeds this
 CLAMP_EPS = 1e-12      # entries in [-CLAMP_EPS, 0) are clamped to 0
+T_EPS = 1e-14          # a run ends once t is within T_EPS of t_end
+BLOCK = 256            # samples per on_samples call
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,8 @@ class IntegratorConfig:
 class Trajectory:
     """Time-ordered samples of the integrated system plus derived series.
 
-    `integrate` fills `meta` with `accepted_steps` and with `max_x_drift`
+    From `integrate`, x, z and y are column views of one (k, 2n + m)
+    sample buffer, and `meta` holds `accepted_steps` and `max_x_drift`
     and `max_y_drift`, the largest |sum - 1| of x and y seen before
     renormalization.
     """
@@ -248,8 +252,22 @@ def _guard(v, n, cfg, drift, t):
     return v
 
 
+def _rk4_steps(cfg: IntegratorConfig) -> int:
+    """Steps the rk4 loop of `integrate` takes: the first k with
+    min(k * step, t_end) >= t_end - T_EPS. That time rises with k, so the
+    search starts just below the quotient and moves up at most a few steps.
+    """
+    k = max(0, math.ceil((cfg.t_end - T_EPS) / cfg.step) - 2)
+    while min(k * cfg.step, cfg.t_end) < cfg.t_end - T_EPS:
+        k += 1
+    return k
+
+
 def integrate(
-    state0: GameState, scores: ZScoreMatrix, config: IntegratorConfig | None = None
+    state0: GameState,
+    scores: ZScoreMatrix,
+    config: IntegratorConfig | None = None,
+    on_samples: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> Trajectory:
     """Integrate the coupled system from state0 to config.t_end.
 
@@ -257,6 +275,10 @@ def integrate(
         state0: valid initial state (t is taken as 0).
         scores: score matrix defining the payoffs; shapes set the system size.
         config: integrator settings; defaults to fixed-step RK4.
+        on_samples: called as on_samples(t, v) with every BLOCK new samples,
+            and once more with the rest when the run ends; t is (k,) and v
+            is (k, 2n + m), holding x, z and y in that column order. Both are
+            views of the trajectory's own arrays, final when passed.
 
     Returns:
         Trajectory sampled at t=0 and after every accepted step, the last
@@ -280,17 +302,22 @@ def integrate(
             "reduce --t-end"
         )
 
-    # every step builds a fresh v, so the samples need no copies
     v = np.concatenate([state0.x, state0.z, state0.y])
-    t = 0.0
+    # one buffer for all samples: rk4 knows its row count before the first
+    # step, rk45 starts with one block and doubles when full
+    rows = 1 + _rk4_steps(cfg) if cfg.method == "rk4" else BLOCK
+    ts = np.empty(rows)
+    vs = np.empty((rows, len(v)))
+    ts[0] = t = 0.0
+    vs[0] = v
+    k = 1  # samples stored
+    sent = 0  # samples passed to on_samples
     drift = [0.0, 0.0]
-    ts = [0.0]
-    vs = [v]
     accepted = 0
     attempts = 0  # rk45 steps tried, accepted and rejected
     h = cfg.step
 
-    while t < cfg.t_end - 1e-14:
+    while t < cfg.t_end - T_EPS:
         if cfg.method == "rk4":
             # counter-based time avoids accumulation drift and spurious
             # sub-steps when t_end is a multiple of the step
@@ -332,15 +359,24 @@ def integrate(
                         f"adaptive step fell to {h:.3e} at t={t:.6g}"
                     )
                 continue
-        ts.append(t)
-        vs.append(v)
+        if k == len(ts):
+            ts = np.concatenate([ts, np.empty_like(ts)])
+            vs = np.concatenate([vs, np.empty_like(vs)])
+        ts[k] = t
+        vs[k] = v
+        k += 1
+        if on_samples is not None and k - sent == BLOCK:
+            on_samples(ts[sent:k], vs[sent:k])
+            sent = k
+    if on_samples is not None and k > sent:
+        on_samples(ts[sent:k], vs[sent:k])
 
-    v_arr = np.array(vs)
-    x = v_arr[:, :n]
-    z = v_arr[:, n:2 * n]
-    y = v_arr[:, 2 * n:]
+    vs = vs[:k]
+    x = vs[:, :n]
+    z = vs[:, n:2 * n]
+    y = vs[:, 2 * n:]
     return Trajectory(
-        t=np.array(ts),
+        t=ts[:k],
         x=x,
         y=y,
         z=z,

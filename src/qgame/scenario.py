@@ -9,6 +9,7 @@ vectors are renormalized after validation.
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -249,10 +250,15 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
 
 
 def run_scenario(
-    scenario: ResolvedScenario, config: IntegratorConfig | None = None
+    scenario: ResolvedScenario,
+    config: IntegratorConfig | None = None,
+    on_samples: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> Trajectory:
-    """Integrate a resolved scenario (optionally overriding the integrator)."""
-    return integrate(scenario.initial, scenario.scores, config or scenario.integrator)
+    """Integrate a resolved scenario (optionally overriding the integrator);
+    `on_samples` is passed on to `integrate`."""
+    return integrate(
+        scenario.initial, scenario.scores, config or scenario.integrator, on_samples
+    )
 
 
 def case_study_path() -> Path:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import qgame
-from qgame.cli import build_parser, main, read_trajectory_csv, write_trajectory_csv
+from qgame.cli import build_parser, main, read_trajectory_csv
+from qgame.dynamics import BLOCK
 
 DATA = qgame.case_study_path().parent.parent / "data"
 SRC = Path(qgame.__file__).resolve().parent.parent
@@ -115,6 +116,47 @@ def test_csv_cells_are_17_significant_digits(short_run, case_study, tmp_path):
         for line, row in zip(lines[1:], rows):
             assert line == ",".join(format(v, ".17g") for v in row)
         assert_panels_slice_trajectory(out)
+
+
+TIGHT = {"method": "rk45", "abs_tol": 1e-13, "rel_tol": 1e-13}  # ~600 samples to t = 10
+
+
+@pytest.fixture(scope="module")
+def tight_rk45(tmp_path_factory, case_study):
+    """The case study under a tight-tolerance rk45, as a scenario file, and
+    the sample times of a run of it to t = 10; a run ending at times[k - 1]
+    has k samples."""
+    spec = json.loads(qgame.case_study_path().read_text())
+    for key in ("zscores", "loadings"):
+        spec[key] = str(DATA / Path(spec[key]).name)
+    spec["y0"]["path"] = str(DATA / Path(spec["y0"]["path"]).name)
+    spec["integrator"] = dict(TIGHT, t_end=10.0)
+    path = tmp_path_factory.mktemp("tight") / "tight.json"
+    path.write_text(json.dumps(spec))
+    times = qgame.run_scenario(case_study, qgame.IntegratorConfig(t_end=10.0, **TIGHT)).t
+    return path, times
+
+
+@pytest.mark.parametrize("samples", [2, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_csv_lines_across_block_boundaries(method, samples, tight_rk45, case_study, tmp_path):
+    """Rows formatted block by block in the writer process are the rows of
+    one in-process run, every cell at 17 significant digits."""
+    if method == "rk4":
+        scenario, t_end = qgame.case_study_path(), (samples - 1) * 0.01
+        cfg = qgame.IntegratorConfig(step=0.01, t_end=t_end)
+    else:
+        scenario, times = tight_rk45
+        t_end = float(times[samples - 1])
+        cfg = qgame.IntegratorConfig(t_end=t_end, **TIGHT)
+    assert main(["simulate", str(scenario), "-o", str(tmp_path), "--t-end", repr(t_end)]) == 0
+    traj = qgame.run_scenario(case_study, cfg)
+    assert len(traj) == samples
+    rows = np.column_stack([traj.t, traj.x, traj.z, traj.y, traj.utility])
+    lines = (tmp_path / "trajectory.csv").read_text().split("\n")
+    assert lines[-1] == "" and len(lines) == samples + 2
+    for line, row in zip(lines[1:-1], rows):
+        assert line == ",".join(format(v, ".17g") for v in row)
 
 
 def test_report_conforms_to_schema(short_run):
@@ -362,6 +404,81 @@ def test_sample_y0_over_sequence_limit_exits_1():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_analyze_rejects_non_finite_cells(short_run, tmp_path, capsys, cell):
+    lines = (short_run / "trajectory.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[3].split(",")
+    row[header.index("y_D.R.A.PP")] = cell
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
+    out = tmp_path / "report"
+    assert main(["analyze", str(bad), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: row 3 after the header, column y_D.R.A.PP: ")
+    assert "not a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "analyze"])
+def test_a_non_finite_report_is_not_written(short_run, tmp_path, monkeypatch, capsys, verb):
+    monkeypatch.setattr(qgame.analysis, "analyze", lambda *args: {"utility": float("nan")})
+    out = tmp_path / "out"
+    source = qgame.case_study_path() if verb == "simulate" else short_run / "trajectory.csv"
+    argv = [verb, str(source), "-o", str(out)] + (["--t-end", "0.1"] if verb == "simulate" else [])
+    assert main(argv) == 1
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_output_over_a_file_exits_1(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    proc = run_python("-m", "qgame", "simulate", str(qgame.case_study_path()),
+                      "--t-end", "0.1", "-o", str(taken), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: [Errno 17] File exists: ")
+    assert str(taken) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_simulate_write_failure_in_the_writer_process_exits_1(tmp_path):
+    out = tmp_path / "out"
+    (out / "trajectory.csv").mkdir(parents=True)
+    proc = run_python("-m", "qgame", "simulate", str(qgame.case_study_path()),
+                      "--t-end", "0.1", "-o", str(out), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: [Errno 21] Is a directory: ")
+    assert str(out / "trajectory.csv") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv"]
+
+
+def test_writer_process_started_by_spawn_writes_the_same_bytes(short_run, tmp_path):
+    """The start method used where a platform has no fork."""
+    import multiprocessing
+
+    from qgame.cli import _TrajectoryWriter, write_trajectory_csv
+
+    traj = read_trajectory_csv(short_run / "trajectory.csv")
+    with _TrajectoryWriter(multiprocessing.get_context("spawn")) as writer:
+        v = np.column_stack([traj.x, traj.z, traj.y])
+        for start in range(0, len(traj), BLOCK):
+            writer.add_samples(traj.t[start:start + BLOCK], v[start:start + BLOCK])
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv", writer)
+    assert (tmp_path / "trajectory.csv").read_bytes() == (short_run / "trajectory.csv").read_bytes()
+
+
+def test_failed_simulate_leaves_no_directory_and_no_process(tmp_path, capsys):
+    import multiprocessing
+
+    out = tmp_path / "out"
+    assert main(["simulate", str(qgame.case_study_path()), "--step", "0.5", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: at t=")
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
 def test_missing_trajectory_exits_2():
     assert main(["analyze", "/no/such/trajectory.csv"]) == 2
 
@@ -389,6 +506,15 @@ def test_console_entry_point_runs():
     assert "Q1=7" in proc.stdout
 
 
+def test_import_does_not_load_the_process_machinery():
+    code = (
+        "import sys, qgame, qgame.cli\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_loading_a_scenario_does_not_import_scipy():
     code = (
         "import sys, qgame, qgame.cli\n"
@@ -401,8 +527,8 @@ def test_loading_a_scenario_does_not_import_scipy():
 
 def test_round_trip_writer_reader(tmp_path, case_study):
     traj = qgame.run_scenario(case_study, qgame.IntegratorConfig(step=0.01, t_end=0.5))
-    p = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, p)
-    again = read_trajectory_csv(p)
+    assert main(["simulate", str(qgame.case_study_path()), "-o", str(tmp_path),
+                 "--t-end", "0.5"]) == 0
+    again = read_trajectory_csv(tmp_path / "trajectory.csv")
     assert np.array_equal(again.y, traj.y)
     assert np.array_equal(again.t, traj.t)

@@ -12,7 +12,7 @@ from qgame import (
     vector_field,
 )
 from qgame import dynamics
-from qgame.dynamics import _DP_B4, _DP_B5, _DP_A, _DP_C, _guard
+from qgame.dynamics import BLOCK, T_EPS, _DP_B4, _DP_B5, _DP_A, _DP_C, _guard, _rk4_steps
 from qgame.errors import InvalidSetting, InvalidState, StepBudgetExceeded, StepSizeUnderflow
 
 from table_fixtures import CANONICAL_ORDER, PSI_AT_Y0_RAW, Y0, Z0
@@ -176,6 +176,74 @@ def test_sample_times_strictly_increase(case_trajectory):
     assert case_trajectory.t[0] == 0.0
     assert case_trajectory.t[-1] == 50.0
     assert len(case_trajectory) == 5001
+
+
+# --- the sample buffer and its blocks ---
+
+TIGHT = dict(method="rk45", abs_tol=1e-13, rel_tol=1e-13)  # ~600 rk45 samples to t = 10
+
+
+@pytest.fixture(scope="module")
+def tight_rk45_times(scores):
+    """Sample times of a tight-tolerance rk45 run; ending a run at times[k - 1]
+    gives it k samples."""
+    return integrate(case_start(), scores, IntegratorConfig(t_end=10.0, **TIGHT)).t
+
+
+def block_run(scores, method, samples, rk45_times):
+    """A case-study run of `samples` samples and the copied (t, v) blocks
+    it passed to on_samples."""
+    if method == "rk4":
+        cfg = IntegratorConfig(step=0.01, t_end=(samples - 1) * 0.01)
+    else:
+        cfg = IntegratorConfig(t_end=float(rk45_times[samples - 1]), **TIGHT)
+    blocks = []
+    traj = integrate(
+        case_start(), scores, cfg, on_samples=lambda t, v: blocks.append((t.copy(), v.copy()))
+    )
+    assert len(traj) == samples
+    return traj, blocks
+
+
+@pytest.mark.parametrize("samples", [2, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_on_samples_blocks_concatenate_to_the_trajectory(
+    scores, method, samples, tight_rk45_times
+):
+    traj, blocks = block_run(scores, method, samples, tight_rk45_times)
+    sizes = [len(t) for t, _ in blocks]
+    assert sizes == [BLOCK] * (samples // BLOCK) + ([samples % BLOCK] if samples % BLOCK else [])
+    assert np.array_equal(np.concatenate([t for t, _ in blocks]), traj.t)
+    assert np.array_equal(
+        np.concatenate([v for _, v in blocks]), np.column_stack([traj.x, traj.z, traj.y])
+    )
+
+
+def loop_steps(step, t_end):
+    """Steps of the rk4 loop in `integrate`, counted by running its clock."""
+    t, steps = 0.0, 0
+    while t < t_end - T_EPS:
+        steps += 1
+        t = min(steps * step, t_end)
+    return steps
+
+
+def test_rk4_step_count_is_known_before_the_first_step():
+    rng = np.random.default_rng(8)
+    cases = [(0.01, 50.0), (0.1, 0.3), (0.3, 1.0), (0.7, 1000.0), (0.01, 1e-15),
+             (0.01, 0.01 + 5e-15), (1.0, 1e-14), (2.0, 1.0)]
+    cases += [(float(h), float(h * k * (1 + e)))
+              for h, k, e in zip(rng.uniform(1e-3, 1.0, 300), rng.integers(1, 3000, 300),
+                                 rng.choice([0.0, 1e-16, -1e-16, 1e-13, -1e-13], 300))]
+    for step, t_end in cases:
+        assert _rk4_steps(IntegratorConfig(step=step, t_end=t_end)) == loop_steps(step, t_end), (
+            step, t_end)
+
+
+def test_rk4_buffer_holds_exactly_its_samples(scores):
+    for step, t_end in ((0.1, 0.3), (0.3, 1.0), (0.01, 1e-15)):
+        traj = integrate(case_start(), scores, IntegratorConfig(step=step, t_end=t_end))
+        assert traj.x.base.shape == (len(traj), 46) == (1 + loop_steps(step, t_end), 46)
 
 
 # --- the simplex guard (n = 2: v = x0 x1 | z0 z1 | y0 y1) ---
