@@ -21,9 +21,11 @@ from .errors import (
     DuplicateStrategy,
     InvalidNumber,
     InvalidSetting,
+    MalformedCode,
     MissingStrategy,
     NoFlaggedStakeholders,
     ScoreOutOfRange,
+    UnknownLevel,
     require_int,
 )
 from .strategy_space import StrategySpace, build_strategy_space, parse_code
@@ -247,13 +249,17 @@ def _read_code_table(
     canonical order; k is `width`, or the header's column count minus one.
 
     Every canonical code must appear exactly once, every row must carry k
-    values, and every value must be a finite number.
+    values, and every value must be a finite number. A fault names the
+    path.
     """
     header, rows = _read_rows(path)
     k = len(header) - 1 if width is None else width
     by_index: dict[int, list[float]] = {}
     for row in rows:
-        code = parse_code(row[0])
+        try:
+            code = parse_code(row[0])
+        except (MalformedCode, UnknownLevel) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
         if len(row) != k + 1:
             raise DimensionMismatch(
                 f"{path}: row {code.code} has {len(row) - 1} values, expected {k}"

@@ -58,7 +58,9 @@ class ResolvedScenario:
     path: Path
 
 
-def _resolve_path(base: Path, value: str, field: str) -> Path:
+def _resolve_path(base: Path, value, field: str) -> Path:
+    if not isinstance(value, str):
+        raise ValidationError(field, f"expected a path string, got {value!r}")
     p = Path(value)
     if not p.is_absolute():
         p = base / p

@@ -220,7 +220,7 @@ def test_full_run_report_names_winners(tmp_path):
     import jsonschema
 
     jsonschema.validate(report, report_schema())
-    # 5001 rows take many of write_plotdata's read blocks
+    # 5001 rows take many of the writer process's 64 KB panel blocks
     assert (out / "trajectory.csv").stat().st_size > 4 * (1 << 16)
     assert_panels_slice_trajectory(out)
 
@@ -343,12 +343,63 @@ def test_invalid_scenario_exits_1(tmp_path, capsys):
     assert main(["simulate", str(bad)]) == 1
 
 
+def test_simulate_path_field_not_a_string_exits_1(tmp_path):
+    spec = json.loads(qgame.case_study_path().read_text())
+    spec["zscores"] = 5
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(spec))
+    proc = run_python("-m", "qgame", "simulate", str(scenario), "-o", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: zscores: expected a path string, got 5")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_rejects_rows_narrower_than_header(short_run, tmp_path, capsys):
     lines = (short_run / "trajectory.csv").read_text().splitlines()
     narrow = tmp_path / "narrow.csv"
     narrow.write_text("\n".join([lines[0]] + [ln.rsplit(",", 1)[0] for ln in lines[1:]]) + "\n")
     assert main(["analyze", str(narrow), "-o", str(tmp_path)]) == 1
     assert "header" in capsys.readouterr().err
+
+
+def by_columns(edit):
+    """A trajectory edit that takes and returns a list of columns, each a
+    tuple of its name and cells, as an edit of rows."""
+    return lambda rows: [list(row) for row in zip(*edit(list(zip(*rows))))]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (by_columns(lambda c: [c[0], c[-1]]), "header column 2 must be the first x_ column"),
+        (by_columns(lambda c: c[:11] + c[-1:]), "header column 12 must be the first y_ column"),
+        (by_columns(lambda c: c[:-1] + [("foo",) + c[-1][1:], c[-1]]),
+         "header column 48, 'foo', is out of place"),
+        (by_columns(lambda c: c[:-1] + [c[37], c[-1]]),
+         "header column 48, 'y_D.R.A.PP', repeats column 38"),
+        (by_columns(lambda c: c[:6] + [c[7], c[6]] + c[8:]),
+         "header column 7, 'z_Q2', is out of place"),
+        (by_columns(lambda c: c[:10] + c[11:]), "header column 11, 'y_D.R.T.Pu', is out of place"),
+        (by_columns(lambda c: c[1:2] + c[:1] + c[2:]), "header column 1, 'x_Q1', is out of place"),
+        (by_columns(lambda c: c[:-2] + [c[-1], c[-2]]),
+         "header column 47, 'utility', is out of place"),
+        (lambda r: [r[0], r[2], r[1]] + r[3:],
+         "row 2 after the header: t = 0.0 does not rise above the previous row's 0.01"),
+        (lambda r: r[:2] + r[1:],
+         "row 2 after the header: t = 0.0 does not rise above the previous row's 0.0"),
+    ],
+    ids=["t_utility", "no_y", "unknown_name", "repeated_name", "z_order", "z_missing",
+         "t_not_first", "utility_not_last", "t_backwards", "t_repeated"],
+)
+def test_analyze_checks_header_and_clock(short_run, tmp_path, capsys, edit, message):
+    rows = [line.split(",") for line in (short_run / "trajectory.csv").read_text().splitlines()]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(",".join(row) + "\n" for row in edit(rows[:6])))
+    out = tmp_path / "report"
+    assert main(["analyze", str(bad), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+    assert not out.exists()
 
 
 def test_analyze_rejects_negative_die_tol(short_run, tmp_path, capsys):
@@ -454,11 +505,41 @@ def test_simulate_write_failure_in_the_writer_process_exits_1(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv"]
 
 
+def test_simulate_panel_write_failure_exits_1(tmp_path):
+    out = tmp_path / "out"
+    (out / "plotdata" / "x.csv").mkdir(parents=True)
+    proc = run_python("-m", "qgame", "simulate", str(qgame.case_study_path()),
+                      "--t-end", "0.1", "-o", str(out), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: [Errno 21] Is a directory: ")
+    assert str(out / "plotdata" / "x.csv") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (out / "report.json").exists()
+
+
+def test_simulate_reads_no_output_back(tmp_path, monkeypatch):
+    """simulate writes every output from what it holds; this process opens
+    no file of its own for reading."""
+    import builtins
+
+    reads = []
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            reads.append(file)
+        return builtins.open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(qgame.cli, "open", recording_open, raising=False)
+    assert main(["simulate", str(qgame.case_study_path()), "-o", str(tmp_path),
+                 "--t-end", "0.5"]) == 0
+    assert reads == []
+
+
 def test_writer_process_started_by_spawn_writes_the_same_bytes(short_run, tmp_path):
     """The start method used where a platform has no fork."""
     import multiprocessing
 
-    from qgame.cli import _TrajectoryWriter, write_trajectory_csv
+    from qgame.cli import _TrajectoryWriter, write_plotdata, write_trajectory_csv
 
     traj = read_trajectory_csv(short_run / "trajectory.csv")
     with _TrajectoryWriter(multiprocessing.get_context("spawn")) as writer:
@@ -466,7 +547,12 @@ def test_writer_process_started_by_spawn_writes_the_same_bytes(short_run, tmp_pa
         for start in range(0, len(traj), BLOCK):
             writer.add_samples(traj.t[start:start + BLOCK], v[start:start + BLOCK])
         write_trajectory_csv(traj, tmp_path / "trajectory.csv", writer)
+        write_plotdata(traj, tmp_path / "plotdata", writer)
     assert (tmp_path / "trajectory.csv").read_bytes() == (short_run / "trajectory.csv").read_bytes()
+    assert sorted(p.name for p in (tmp_path / "plotdata").iterdir()) == PANELS
+    for name in PANELS:
+        panel = (tmp_path / "plotdata" / name).read_bytes()
+        assert panel == (short_run / "plotdata" / name).read_bytes(), name
 
 
 def test_failed_simulate_leaves_no_directory_and_no_process(tmp_path, capsys):

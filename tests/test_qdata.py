@@ -18,10 +18,12 @@ from qgame.errors import (
     DuplicateStakeholder,
     DuplicateStrategy,
     InvalidNumber,
+    MalformedCode,
     MissingStrategy,
     NoFlaggedStakeholders,
     QGameError,
     ScoreOutOfRange,
+    UnknownLevel,
 )
 
 from table_fixtures import (
@@ -306,3 +308,26 @@ def test_code_table_fault_names_path_and_code(tmp_path, loader, name, fault):
     assert not isinstance(err.value, MissingStrategy)
     assert str(p) in str(err.value)
     assert "D.R.A.PP" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "code, error", [("D.R.A", MalformedCode), ("D.R.X.PP", UnknownLevel)],
+    ids=["malformed", "unknown_level"],
+)
+@pytest.mark.parametrize(
+    "loader, name",
+    [
+        (qgame.load_zscores, "zscores.csv"),
+        (qgame.load_share_table, "y0.csv"),
+        (qgame.load_distribution, "symmetric_distribution.csv"),
+    ],
+    ids=["zscores", "share_table", "distribution"],
+)
+def test_code_table_bad_code_names_path(tmp_path, loader, name, code, error):
+    text = (qgame.case_study_path().parent.parent / "data" / name).read_text()
+    assert "\nD.R.A.PP," in text
+    p = tmp_path / name
+    p.write_text(text.replace("\nD.R.A.PP,", f"\n{code},", 1))
+    with pytest.raises(error) as err:
+        loader(p)
+    assert str(err.value).startswith(f"{p}: {code!r}: ")

@@ -234,6 +234,24 @@ def test_explicit_vectors_hold_json_numbers(sandbox, key, length, head):
     assert info.value.field == f"{key}[1]"
 
 
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("zscores", 5, "zscores"),
+        ("loadings", ["a"], "loadings"),
+        ("y0", {"mode": "table", "path": 7}, "y0.path"),
+        ("y0", {"mode": "sample", "distribution": None}, "y0.distribution"),
+    ],
+    ids=["zscores", "loadings", "y0.path", "y0.distribution"],
+)
+def test_path_fields_must_be_strings(sandbox, key, value, field):
+    scen_dir, base = sandbox
+    base[key] = value
+    with pytest.raises(ValidationError, match="expected a path string") as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == field
+
+
 def test_analysis_out_of_range_is_a_validation_error(sandbox):
     scen_dir, base = sandbox
     base["analysis"] = {"winner_threshold": 5}
