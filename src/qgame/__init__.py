@@ -42,13 +42,6 @@ from .scenario import (
     run_case_study,
     run_scenario,
 )
-from .strategy_space import (
-    CANONICAL_CODES,
-    Dimension,
-    StrategyCode,
-    StrategySpace,
-    build_strategy_space,
-    parse_code,
-)
+from .strategy_space import CANONICAL_CODES, STRATEGIES, StrategyCode, parse_code
 
 __version__ = "0.1.0"

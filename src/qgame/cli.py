@@ -33,7 +33,7 @@ from .errors import QGameError
 from .qdata import flag_stakeholders, load_loadings
 from .sampling import TIE_RULES, SamplerConfig, load_distribution, sample_y0
 from .scenario import load_scenario, run_scenario
-from .strategy_space import parse_code
+from .strategy_space import CANONICAL_CODES, parse_code
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -269,8 +269,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_flag(args) -> int:
-    loadings = load_loadings(args.loadings)
-    flags = flag_stakeholders(loadings, args.n_statements, args.p)
+    flags = flag_stakeholders(load_loadings(args.loadings), args.n_statements, args.p)
     print(f"flagging threshold: |loading| > {flags.threshold:.4f}")
     print("stakeholder,factor,sign")
     for sid, f, s in zip(flags.stakeholder_ids, flags.factors, flags.signs):
@@ -278,7 +277,7 @@ def cmd_flag(args) -> int:
             print(f"{sid},unassigned,")
         else:
             print(f"{sid},Q{f + 1},{'+' if s > 0 else '-'}")
-    counts = flags.counts(loadings.factor_count)
+    counts = flags.counts()
     print("counts: " + " ".join(f"Q{i + 1}={c}" for i, c in enumerate(counts)))
     print(f"unassigned: {len(flags.unassigned)} ({', '.join(flags.unassigned) or '-'})")
     return EXIT_OK
@@ -289,7 +288,7 @@ def cmd_sample_y0(args) -> int:
     cfg = SamplerConfig(n_sequences=args.n_sequences, seed=args.seed, tie_rule=args.tie_rule)
     shares = sample_y0(dist, cfg)
     lines = ["strategy,share"] + [
-        f"{code},{v:.17g}" for code, v in zip(dist.codes, shares)
+        f"{code},{v:.17g}" for code, v in zip(CANONICAL_CODES, shares)
     ]
     if args.output:
         Path(args.output).parent.mkdir(parents=True, exist_ok=True)

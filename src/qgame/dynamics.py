@@ -108,13 +108,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def state(self, i: int) -> GameState:
-        return GameState(x=self.x[i], y=self.y[i], z=self.z[i], t=float(self.t[i]))
-
-    @property
-    def terminal(self) -> GameState:
-        return self.state(len(self) - 1)
-
 
 def replicator_field(
     A: np.ndarray, x: np.ndarray, y: np.ndarray, out: tuple | None = None
@@ -382,7 +375,7 @@ def integrate(
         z=z,
         utility=expected_total_utility(S, x, y, z),
         factor_labels=tuple(f"Q{i + 1}" for i in range(n)),
-        strategy_labels=tuple(scores.strategy_labels),
+        strategy_labels=scores.strategy_labels,
         method=cfg.method,
         meta={"accepted_steps": accepted, "max_x_drift": drift[0], "max_y_drift": drift[1]},
     )

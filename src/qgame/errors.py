@@ -70,15 +70,11 @@ class InvalidSetting(QGameError, ValueError):
         super().__init__(f"{field}: {message}")
 
 
-class ScenarioError(QGameError, ValueError):
-    """Base class for scenario-file problems."""
-
-
-class ParseError(ScenarioError):
+class ParseError(QGameError, ValueError):
     """Scenario file is not valid JSON or not a JSON object."""
 
 
-class ValidationError(ScenarioError, InvalidSetting):
+class ValidationError(InvalidSetting):
     """Scenario content failed validation; `field` names the offending entry."""
 
 

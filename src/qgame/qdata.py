@@ -6,6 +6,10 @@ a factor when the loading is individually significant
 loading exceeds the sum of its squared loadings on all other factors).
 On the bundled twenty-stakeholder data this assigns 19 stakeholders,
 (7, 3, 3, 4, 2) per factor, and leaves one unassigned.
+
+The factor count is a fact of the tables, not a setting: it is the
+column count of the loadings (`loadings.shape[1]`, which a
+`FlagAssignment` carries on) and the row count of the scores.
 """
 
 import csv
@@ -28,9 +32,8 @@ from .errors import (
     UnknownLevel,
     require_int,
 )
-from .strategy_space import StrategySpace, build_strategy_space, parse_code
+from .strategy_space import CANONICAL_CODES, STRATEGIES, parse_code
 
-N_FACTORS = 5
 SCORE_MIN, SCORE_MAX = -5, 5
 
 # two-sided normal critical values for the supported significance levels
@@ -42,14 +45,13 @@ P_THRESHOLD = 0.05  # default significance level of flagging
 class LoadingMatrix:
     loadings: np.ndarray  # (n_stakeholders, n_factors), entries in [-1, 1]
     stakeholder_ids: tuple[str, ...]
-    factor_count: int = N_FACTORS
 
     def __post_init__(self):
         arr = np.array(self.loadings, dtype=float)
-        if arr.ndim != 2 or arr.shape != (len(self.stakeholder_ids), self.factor_count):
+        if arr.ndim != 2 or len(arr) != len(self.stakeholder_ids):
             raise DimensionMismatch(
                 f"loadings shape {arr.shape} does not match "
-                f"{len(self.stakeholder_ids)} stakeholders x {self.factor_count} factors"
+                f"{len(self.stakeholder_ids)} stakeholders"
             )
         if not np.all(np.abs(arr) <= 1.0):  # also rejects NaN
             raise ValueError("loadings must lie in [-1, 1]")
@@ -61,36 +63,27 @@ class LoadingMatrix:
 class ZScoreMatrix:
     """Factor-by-strategy payoff substrate; rows are factors.
 
-    When a strategy space is attached the column order follows its
-    canonical ordering and the loader enforces integer grid scores;
-    the type itself accepts any real-valued shape so reduced games can
-    reuse the same machinery.
+    `load_zscores` labels the columns with the canonical strategy codes
+    and enforces integer grid scores; the type itself accepts any
+    real-valued shape, labelled s0, s1, ... unless labels are given, so
+    reduced games can reuse the same machinery.
     """
 
     scores: np.ndarray  # (n_factors, n_strategies)
-    space: StrategySpace | None = None
+    strategy_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         arr = np.array(self.scores, dtype=float)
         if arr.ndim != 2:
             raise DimensionMismatch(f"scores must be 2-d, got shape {arr.shape}")
-        if self.space is not None and arr.shape[1] != len(self.space):
+        labels = tuple(self.strategy_labels) or tuple(f"s{j}" for j in range(arr.shape[1]))
+        if len(labels) != arr.shape[1]:
             raise DimensionMismatch(
-                f"scores shape {arr.shape} does not cover the "
-                f"{len(self.space)}-strategy space"
+                f"scores shape {arr.shape} does not match {len(labels)} strategy labels"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "scores", arr)
-
-    @property
-    def n_factors(self) -> int:
-        return self.scores.shape[0]
-
-    @property
-    def strategy_labels(self) -> tuple[str, ...]:
-        if self.space is not None:
-            return self.space.codes
-        return tuple(f"s{j}" for j in range(self.scores.shape[1]))
+        object.__setattr__(self, "strategy_labels", labels)
 
 
 @dataclass(frozen=True)
@@ -99,6 +92,7 @@ class FlagAssignment:
     factors: tuple[int | None, ...]  # factor index per stakeholder, None if unassigned
     signs: tuple[int | None, ...]    # sign of the flagged loading (+1 / -1)
     threshold: float
+    factor_count: int                # columns of the flagged loadings
 
     @property
     def unassigned(self) -> tuple[str, ...]:
@@ -106,8 +100,9 @@ class FlagAssignment:
             sid for sid, f in zip(self.stakeholder_ids, self.factors) if f is None
         )
 
-    def counts(self, n_factors: int = N_FACTORS) -> np.ndarray:
-        out = np.zeros(n_factors, dtype=int)
+    def counts(self) -> np.ndarray:
+        """Flagged stakeholders per factor."""
+        out = np.zeros(self.factor_count, dtype=int)
         for f in self.factors:
             if f is not None:
                 out[f] += 1
@@ -148,7 +143,7 @@ def flag_stakeholders(
         total = sq.sum()
         qualifying = [
             f
-            for f in range(loadings.factor_count)
+            for f in range(len(row))
             if abs(row[f]) > threshold and sq[f] > total - sq[f]
         ]
         if qualifying:
@@ -159,22 +154,23 @@ def flag_stakeholders(
             factors.append(None)
             signs.append(None)
     return FlagAssignment(
-        loadings.stakeholder_ids, tuple(factors), tuple(signs), float(threshold)
+        loadings.stakeholder_ids, tuple(factors), tuple(signs), float(threshold),
+        loadings.loadings.shape[1],
     )
 
 
-def assignment_fractions(flags: FlagAssignment, n_factors: int = N_FACTORS) -> np.ndarray:
+def assignment_fractions(flags: FlagAssignment) -> np.ndarray:
     """Per-factor flagged counts divided by the total stakeholder count.
 
     Unassigned stakeholders stay in the denominator, so the result sums
     to (assigned / total) and is below 1 whenever anybody is unassigned.
     """
-    return flags.counts(n_factors) / len(flags.stakeholder_ids)
+    return flags.counts() / len(flags.stakeholder_ids)
 
 
-def derive_x0(flags: FlagAssignment, n_factors: int = N_FACTORS) -> np.ndarray:
+def derive_x0(flags: FlagAssignment) -> np.ndarray:
     """Initial factor shares: assignment fractions renormalized to the simplex."""
-    fractions = assignment_fractions(flags, n_factors)
+    fractions = assignment_fractions(flags)
     mass = fractions.sum()
     if mass == 0.0:
         raise NoFlaggedStakeholders("no stakeholder was flagged on any factor")
@@ -225,7 +221,7 @@ def load_loadings(path: str | Path) -> LoadingMatrix:
         values.append(
             [_loading(path, row[0], col, cell) for col, cell in zip(header[1:], row[1:])]
         )
-    return LoadingMatrix(np.array(values), tuple(ids), n_factors)
+    return LoadingMatrix(np.array(values), tuple(ids))
 
 
 def _loading(path: str | Path, stakeholder: str, column: str, cell: str) -> float:
@@ -242,10 +238,8 @@ def _loading(path: str | Path, stakeholder: str, column: str, cell: str) -> floa
     return value
 
 
-def _read_code_table(
-    path: str | Path, space: StrategySpace, width: int | None = None
-) -> np.ndarray:
-    """Read rows `code,v1..vk` in any order into a (len(space), k) array in
+def _read_code_table(path: str | Path, width: int | None = None) -> np.ndarray:
+    """Read rows `code,v1..vk` in any order into a (36, k) array in
     canonical order; k is `width`, or the header's column count minus one.
 
     Every canonical code must appear exactly once, every row must carry k
@@ -273,31 +267,29 @@ def _read_code_table(
         if not all(map(math.isfinite, values)):
             raise InvalidNumber(f"{path}: row {code.code} has a non-finite value")
         by_index[code.index] = values
-    missing = [s.code for s in space if s.index not in by_index]
+    missing = [s.code for s in STRATEGIES if s.index not in by_index]
     if missing:
         raise MissingStrategy(f"{path}: missing strategies {missing}")
-    return np.array([by_index[i] for i in range(len(space))])
+    return np.array([by_index[s.index] for s in STRATEGIES])
 
 
-def load_zscores(path: str | Path, space: StrategySpace | None = None) -> ZScoreMatrix:
+def load_zscores(path: str | Path) -> ZScoreMatrix:
     """Read the per-strategy factor scores, reordering rows to canonical order.
 
     The source must provide exactly one row per canonical strategy code
     (trailing dots tolerated); scores are validated as integers in -5..5.
     """
-    space = space or build_strategy_space()
-    table = _read_code_table(path, space)
+    table = _read_code_table(path)
     bad = np.argwhere((table != np.round(table)) | (table < SCORE_MIN) | (table > SCORE_MAX))
     if len(bad):
         i, f = bad[0]
         raise ScoreOutOfRange(
-            f"{path}: score {table[i, f]} for {space[i].code} outside integers "
+            f"{path}: score {table[i, f]} for {CANONICAL_CODES[i]} outside integers "
             f"{SCORE_MIN}..{SCORE_MAX}"
         )
-    return ZScoreMatrix(table.T, space)  # factors x strategies
+    return ZScoreMatrix(table.T, CANONICAL_CODES)  # factors x strategies
 
 
-def load_share_table(path: str | Path, space: StrategySpace | None = None) -> np.ndarray:
+def load_share_table(path: str | Path) -> np.ndarray:
     """Read per-strategy shares (header: strategy,share) into canonical order."""
-    space = space or build_strategy_space()
-    return _read_code_table(path, space, width=1)[:, 0]
+    return _read_code_table(path, width=1)[:, 0]

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import require_int
 from .qdata import _read_code_table
-from .strategy_space import StrategySpace, build_strategy_space
 
 TIE_RULES = ("first-index", "random-uniform")
 BLOCK_ROWS = 4096  # sequences drawn per block: 4096 x 36 float64 is about 1.2 MB
@@ -27,9 +26,8 @@ MAX_SEQUENCES = 10**7  # about 13 s of sampling at 1.3 us per row
 
 @dataclass(frozen=True)
 class StatementDistribution:
-    means: np.ndarray
+    means: np.ndarray   # (n_strategies,), in canonical order from load_distribution
     sigmas: np.ndarray
-    codes: tuple[str, ...]
 
     def __post_init__(self):
         # own contiguous copies: sample_y0 broadcasts them over every draw
@@ -37,8 +35,6 @@ class StatementDistribution:
         sigmas = np.array(self.sigmas, dtype=float)
         if means.shape != sigmas.shape or means.ndim != 1:
             raise ValueError("means and sigmas must be 1-d arrays of equal length")
-        if len(self.codes) != len(means):
-            raise ValueError("one (mean, sigma) pair per strategy code is required")
         if np.any(sigmas <= 0):
             raise ValueError("every sigma must be strictly positive")
         means.setflags(write=False)
@@ -47,7 +43,7 @@ class StatementDistribution:
         object.__setattr__(self, "sigmas", sigmas)
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.means)
 
 
 @dataclass(frozen=True)
@@ -113,10 +109,7 @@ def sample_y0(dist: StatementDistribution, config: SamplerConfig | None = None) 
     return counts / cfg.n_sequences
 
 
-def load_distribution(
-    path: str | Path, space: StrategySpace | None = None
-) -> StatementDistribution:
+def load_distribution(path: str | Path) -> StatementDistribution:
     """Read per-strategy (mean, sigma) rows, reordered to canonical order."""
-    space = space or build_strategy_space()
-    means, sigmas = _read_code_table(path, space, width=2).T
-    return StatementDistribution(means, sigmas, space.codes)
+    means, sigmas = _read_code_table(path, width=2).T
+    return StatementDistribution(means, sigmas)

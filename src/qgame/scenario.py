@@ -54,8 +54,6 @@ class ResolvedScenario:
     initial: GameState
     integrator: IntegratorConfig
     analysis: AnalysisThresholds
-    loadings: LoadingMatrix | None
-    path: Path
 
 
 def _resolve_path(base: Path, value, field: str) -> Path:
@@ -66,6 +64,8 @@ def _resolve_path(base: Path, value, field: str) -> Path:
         p = base / p
     if not p.exists():
         raise FileNotFoundError(f"{field}: no such file: {p}")
+    if not p.is_file():
+        raise ValidationError(field, f"{value!r} does not name a file ({p})")
     return p
 
 
@@ -145,6 +145,11 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     loadings = None
     if "loadings" in raw:
         loadings = load_loadings(_resolve_path(base, raw["loadings"], "loadings"))
+        if loadings.loadings.shape[1] != n:
+            raise ValidationError(
+                "loadings", f"{loadings.loadings.shape[1]} factor columns, "
+                f"but the zscores have {n} factors"
+            )
 
     def need_loadings(field: str) -> LoadingMatrix:
         if loadings is None:
@@ -163,7 +168,7 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     # x0
     x0_spec = raw.get("x0")
     if x0_spec == "derive-from-loadings":
-        x0 = derive_x0(flag_stakeholders(need_loadings("x0"), **flagging), n)
+        x0 = derive_x0(flag_stakeholders(need_loadings("x0"), **flagging))
     elif isinstance(x0_spec, list):
         x0 = _simplex_vector(x0_spec, "x0", n)
     else:
@@ -197,7 +202,7 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     elif mode == "table":
         if "path" not in y0_spec:
             raise ValidationError("y0.path", "table mode requires a path")
-        y0 = load_share_table(_resolve_path(base, y0_spec["path"], "y0.path"), scores.space)
+        y0 = load_share_table(_resolve_path(base, y0_spec["path"], "y0.path"))
         if np.any(y0 < 0):
             raise ValidationError("y0", "table shares must be nonnegative")
         if abs(y0.sum() - 1.0) > TABLE_SUM_TOL:
@@ -206,9 +211,7 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     elif mode == "sample":
         if "distribution" not in y0_spec:
             raise ValidationError("y0.distribution", "sample mode requires a distribution path")
-        dist = load_distribution(
-            _resolve_path(base, y0_spec["distribution"], "y0.distribution"), scores.space
-        )
+        dist = load_distribution(_resolve_path(base, y0_spec["distribution"], "y0.distribution"))
         settings = {k: v for k, v in y0_spec.items() if k not in ("mode", "distribution")}
         if sampler_seed is not None:
             settings["seed"] = sampler_seed
@@ -242,12 +245,7 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     except ValueError as exc:
         raise ValidationError("initial conditions", str(exc)) from exc
     return ResolvedScenario(
-        scores=scores,
-        initial=initial,
-        integrator=integrator,
-        analysis=thresholds,
-        loadings=loadings,
-        path=path,
+        scores=scores, initial=initial, integrator=integrator, analysis=thresholds
     )
 
 

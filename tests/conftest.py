@@ -5,11 +5,6 @@ import qgame
 
 
 @pytest.fixture(scope="session")
-def space():
-    return qgame.build_strategy_space()
-
-
-@pytest.fixture(scope="session")
 def scores():
     return qgame.load_zscores(qgame.case_study_path().parent.parent / "data" / "zscores.csv")
 

@@ -355,6 +355,36 @@ def test_simulate_path_field_not_a_string_exits_1(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "factors, z0", [(4, None), (6, None), (4, "derive-from-loadings")],
+    ids=["4-factors", "6-factors", "4-factors-derived-z0"],
+)
+def test_simulate_loadings_factor_count_must_match_the_scores(tmp_path, capsys, factors, z0):
+    header, *rows = (
+        line.split(",")
+        for line in (DATA / "loadings.csv").read_text().splitlines()
+        if not line.startswith("#")
+    )
+    # drop Q5, or add a Q6 of zeros
+    table = [(header + ["Q6"])[:factors + 1]] + [(row + ["0.0"])[:factors + 1] for row in rows]
+    loadings = tmp_path / "loadings.csv"
+    loadings.write_text("".join(",".join(row) + "\n" for row in table))
+    spec = json.loads(qgame.case_study_path().read_text())
+    spec.update(zscores=str(DATA / "zscores.csv"), loadings=str(loadings))
+    spec["y0"]["path"] = str(DATA / "y0.csv")
+    if z0:
+        spec["z0"] = z0
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["simulate", str(scenario), "--t-end", "0.1", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: loadings: {factors} factor columns")
+    assert "zscores have 5 factors" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_analyze_rejects_rows_narrower_than_header(short_run, tmp_path, capsys):
     lines = (short_run / "trajectory.csv").read_text().splitlines()
     narrow = tmp_path / "narrow.csv"

@@ -378,12 +378,11 @@ def test_config_rejects_non_numbers(name, value):
         ),
         pytest.param(
             LoadingMatrix, {"loadings": [[0.5, -0.5]]},
-            {"stakeholder_ids": ("S1",), "factor_count": 2},
+            {"stakeholder_ids": ("S1",)},
             id="LoadingMatrix-arrays3-extra3",
         ),
         pytest.param(
-            StatementDistribution, {"means": [0.0, 1.0], "sigmas": [1.0, 2.0]},
-            {"codes": ("a", "b")},
+            StatementDistribution, {"means": [0.0, 1.0], "sigmas": [1.0, 2.0]}, {},
             id="StatementDistribution-arrays5-extra5",
         ),
     ],
@@ -473,14 +472,6 @@ def test_agreement_with_external_solver(scores, case_trajectory):
         assert ours.t[k] == pytest.approx(t_chk, abs=1e-12)
         mine = np.concatenate([ours.x[k], ours.z[k], ours.y[k]])
         assert np.abs(mine - sol.y[:, col]).max() < 1e-6
-
-
-def test_trajectory_accessors(case_trajectory):
-    s = case_trajectory.state(0)
-    assert s.t == 0.0
-    assert np.array_equal(s.x, case_trajectory.x[0])
-    assert case_trajectory.terminal.t == case_trajectory.t[-1]
-    assert [case_trajectory.state(i).t for i in range(3)] == list(case_trajectory.t[:3])
 
 
 # --- reduced-game analytic oracle ---

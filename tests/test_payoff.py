@@ -28,7 +28,7 @@ def y0_normalized() -> np.ndarray:
 def factor_utilities(scores, y: np.ndarray) -> np.ndarray:
     """Per-factor utilities scores @ y, as the expected total utilities of
     the n pure factor states (rows of the identity) at z = 1."""
-    n = scores.n_factors
+    n = scores.scores.shape[0]
     return expected_total_utility(scores.scores, np.eye(n), y, np.ones(n))
 
 

@@ -1,6 +1,7 @@
-"""Every name the package exports is used by the package itself or
-documented in README's Library section, so no public name exists only
-because a test imports it."""
+"""Every name the package exports, and every public method or property
+of an exported class, is used by the package itself or documented in
+README's Library section, so no public name exists only because a test
+imports it."""
 
 import ast
 import re
@@ -43,6 +44,38 @@ def names_used_in_package() -> set[str]:
     return used
 
 
+def exported_classes() -> list[type]:
+    return [obj for name in exported_names() if isinstance(obj := getattr(qgame, name), type)]
+
+
+def public_members(cls: type) -> list[str]:
+    """Methods and properties that `cls` itself defines, without a leading underscore."""
+    return [
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and (callable(value) or isinstance(value, (property, classmethod, staticmethod)))
+    ]
+
+
+def attributes_used_in_package(outside: str) -> set[str]:
+    """Attribute names read in the package's modules outside the body of
+    class `outside`: a member only its own class reads is not public use."""
+    used: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.ClassDef) and node.name == outside:
+            return
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")))
+    return used
+
+
 def readme_library_section() -> str:
     text = README.read_text(encoding="utf-8")
     match = re.search(r"^## Library\n(.*?)(?=^## )", text, re.S | re.M)
@@ -62,7 +95,22 @@ def test_every_export_is_used_or_documented():
     assert orphans == [], f"exported but neither used in src/qgame nor in README: {orphans}"
 
 
+def test_every_public_member_is_used_or_documented():
+    library = readme_library_section()
+    orphans = []
+    for cls in exported_classes():
+        used = attributes_used_in_package(cls.__name__)
+        orphans += [
+            f"{cls.__name__}.{member}"
+            for member in public_members(cls)
+            if member not in used and not re.search(rf"\.{re.escape(member)}\b", library)
+        ]
+    assert orphans == [], f"public but neither used in src/qgame nor in README: {orphans}"
+
+
 def test_the_guard_sees_the_exports():
     names = exported_names()
     assert "integrate" in names and "vector_field" in names
     assert "integrate" in names_used_in_package()
+    assert "counts" in public_members(qgame.FlagAssignment)
+    assert "code" in public_members(qgame.StrategyCode)

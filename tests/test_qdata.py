@@ -40,7 +40,7 @@ from table_fixtures import (
 
 def make_loadings(rows: dict) -> LoadingMatrix:
     ids = tuple(rows)
-    return LoadingMatrix(np.array([rows[s] for s in ids]), ids, 5)
+    return LoadingMatrix(np.array([rows[s] for s in ids]), ids)
 
 
 # --- flagging ---
@@ -96,7 +96,9 @@ def test_flagging_rejects_bad_inputs(loadings):
         with pytest.raises(ValueError, match="n_statements: expected an integer"):
             flag_stakeholders(loadings, count, 0.05)
     with pytest.raises(DimensionMismatch):
-        LoadingMatrix(np.zeros((20, 4)), tuple(LOADINGS), 5)
+        LoadingMatrix(np.zeros((19, 5)), tuple(LOADINGS))
+    with pytest.raises(DimensionMismatch):
+        LoadingMatrix(np.zeros(20), tuple(LOADINGS))
     with pytest.raises(ValueError):
         LoadingMatrix(np.array([[np.nan, 0.1, 0.1, 0.1, 0.1]]), ("STK1",))
 
@@ -271,7 +273,7 @@ def test_bundled_loadings_match_transcription(loadings):
     assert loadings.stakeholder_ids == tuple(f"STK{i}" for i in range(1, 21))
 
 
-def test_bundled_share_table_matches_transcription(space):
+def test_bundled_share_table_matches_transcription():
     shares = load_share_table(qgame.case_study_path().parent.parent / "data" / "y0.csv")
     assert np.array_equal(shares, [Y0[c] for c in CANONICAL_ORDER])
     assert shares.sum() == pytest.approx(0.9996, abs=1e-12)

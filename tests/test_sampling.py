@@ -11,16 +11,14 @@ from qgame.sampling import BLOCK_ROWS, _stream, _winners
 from measures import repeat_stability
 
 
-def symmetric(space) -> StatementDistribution:
-    return StatementDistribution(np.zeros(36), np.ones(36), space.codes)
+def symmetric() -> StatementDistribution:
+    return StatementDistribution(np.zeros(36), np.ones(36))
 
 
-def skewed(space) -> StatementDistribution:
+def skewed() -> StatementDistribution:
     """Distinct means and sigmas, so every strategy wins some rows."""
     rng = np.random.default_rng(2024)
-    return StatementDistribution(
-        rng.normal(0.0, 0.3, 36), rng.uniform(0.5, 1.5, 36), space.codes
-    )
+    return StatementDistribution(rng.normal(0.0, 0.3, 36), rng.uniform(0.5, 1.5, 36))
 
 
 def one_block_reference(dist: StatementDistribution, cfg: SamplerConfig) -> np.ndarray:
@@ -42,26 +40,26 @@ def one_block_reference(dist: StatementDistribution, cfg: SamplerConfig) -> np.n
 
 
 @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 30000])
-def test_blocked_sampler_equals_one_block(space, n):
-    dist = skewed(space)
+def test_blocked_sampler_equals_one_block(n):
+    dist = skewed()
     for seed in range(10):
         cfg = SamplerConfig(n_sequences=n, seed=seed)
         assert np.array_equal(sample_y0(dist, cfg), one_block_reference(dist, cfg))
 
 
 @pytest.mark.parametrize("block", [1, 7, 1000])
-def test_shares_do_not_depend_on_the_block_size(space, monkeypatch, block):
-    dist = skewed(space)
+def test_shares_do_not_depend_on_the_block_size(monkeypatch, block):
+    dist = skewed()
     cfg = SamplerConfig(n_sequences=2500, seed=11)
     expected = sample_y0(dist, cfg)
     monkeypatch.setattr(sampling, "BLOCK_ROWS", block)
     assert np.array_equal(sample_y0(dist, cfg), expected)
 
 
-def test_random_uniform_ties_across_block_boundaries(space):
+def test_random_uniform_ties_across_block_boundaries():
     # at 1e20 one ulp is 16384, so every draw rounds to its mean and
     # every row is a 36-way tie resolved by the tie stream, in row order
-    dist = StatementDistribution(np.full(36, 1e20), np.ones(36), space.codes)
+    dist = StatementDistribution(np.full(36, 1e20), np.ones(36))
     for seed in (0, 1, 2):
         cfg = SamplerConfig(
             n_sequences=2 * BLOCK_ROWS + 3, seed=seed, tie_rule="random-uniform"
@@ -71,8 +69,8 @@ def test_random_uniform_ties_across_block_boundaries(space):
         assert np.array_equal(shares, one_block_reference(dist, cfg))
 
 
-def test_sampler_memory_does_not_grow_with_n_sequences(space):
-    dist = skewed(space)
+def test_sampler_memory_does_not_grow_with_n_sequences():
+    dist = skewed()
     sample_y0(dist, SamplerConfig(n_sequences=10))  # scipy imported outside the trace
     tracemalloc.start()
     try:
@@ -83,29 +81,29 @@ def test_sampler_memory_does_not_grow_with_n_sequences(space):
     assert peak < 8 * 2**20
 
 
-def test_output_is_on_the_simplex(space):
-    y0 = sample_y0(symmetric(space), SamplerConfig(n_sequences=977, seed=3))
+def test_output_is_on_the_simplex():
+    y0 = sample_y0(symmetric(), SamplerConfig(n_sequences=977, seed=3))
     assert np.all(y0 >= 0)
     assert y0.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_separated_mean_takes_all_mass(space):
+def test_separated_mean_takes_all_mass():
     means = np.zeros(36)
     means[7] = 100.0
-    dist = StatementDistribution(means, np.ones(36), space.codes)
+    dist = StatementDistribution(means, np.ones(36))
     y0 = sample_y0(dist, SamplerConfig(n_sequences=20000, seed=1))
     assert y0[7] > 0.999
 
 
-def test_symmetric_distribution_is_near_uniform(space):
+def test_symmetric_distribution_is_near_uniform():
     n = 30000
-    y0 = sample_y0(symmetric(space), SamplerConfig(n_sequences=n, seed=2))
+    y0 = sample_y0(symmetric(), SamplerConfig(n_sequences=n, seed=2))
     tol = 3 * np.sqrt((1 / 36) * (35 / 36) / n)
     assert np.abs(y0 - 1 / 36).max() < 2 * tol  # every entry well inside
 
 
-def test_seeded_determinism_is_bitwise(space):
-    dist = symmetric(space)
+def test_seeded_determinism_is_bitwise():
+    dist = symmetric()
     a = sample_y0(dist, SamplerConfig(n_sequences=5000, seed=99))
     b = sample_y0(dist, SamplerConfig(n_sequences=5000, seed=99))
     assert np.array_equal(a, b)
@@ -113,12 +111,12 @@ def test_seeded_determinism_is_bitwise(space):
     assert not np.array_equal(a, c)
 
 
-def test_mean_shift_is_monotone_in_expectation(space):
+def test_mean_shift_is_monotone_in_expectation():
     # paired seeds: raising one strategy's mean must not lower its share
-    base = symmetric(space)
+    base = symmetric()
     raised_means = np.zeros(36)
     raised_means[11] = 0.5
-    raised = StatementDistribution(raised_means, np.ones(36), space.codes)
+    raised = StatementDistribution(raised_means, np.ones(36))
     ups = 0
     for seed in range(10):
         cfg = SamplerConfig(n_sequences=4000, seed=seed)
@@ -155,30 +153,30 @@ def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(tie_rule="coin-flip")
     with pytest.raises(ValueError):
-        StatementDistribution(np.zeros(3), np.array([1.0, 0.0, 1.0]), ("a", "b", "c"))
+        StatementDistribution(np.zeros(3), np.array([1.0, 0.0, 1.0]))
 
 
-def test_repeat_stability_identical_seeds_is_zero(space):
+def test_repeat_stability_identical_seeds_is_zero():
     cfg = SamplerConfig(n_sequences=2000, seed=5)
-    assert repeat_stability(symmetric(space), cfg, repeats=2, seeds=[5, 5]) == 0.0
+    assert repeat_stability(symmetric(), cfg, repeats=2, seeds=[5, 5]) == 0.0
 
 
-def test_repeat_stability_converged_sample_size(space):
+def test_repeat_stability_converged_sample_size():
     # empirical bound: pairwise L1 between 30000-draw estimates of a
     # 36-cell distribution concentrates near 0.04; 0.06 leaves headroom
     cfg = SamplerConfig(n_sequences=30000, seed=0)
-    d = repeat_stability(symmetric(space), cfg, repeats=5)
+    d = repeat_stability(symmetric(), cfg, repeats=5)
     assert d < 0.06
 
 
-def test_repeat_stability_tiny_sample_is_noisy(space):
+def test_repeat_stability_tiny_sample_is_noisy():
     cfg = SamplerConfig(n_sequences=10, seed=0)
-    assert repeat_stability(symmetric(space), cfg, repeats=5) > 0.1
+    assert repeat_stability(symmetric(), cfg, repeats=5) > 0.1
 
 
-def test_repeat_stability_argument_checks(space):
+def test_repeat_stability_argument_checks():
     cfg = SamplerConfig(n_sequences=10, seed=0)
     with pytest.raises(ValueError):
-        repeat_stability(symmetric(space), cfg, repeats=1)
+        repeat_stability(symmetric(), cfg, repeats=1)
     with pytest.raises(ValueError):
-        repeat_stability(symmetric(space), cfg, repeats=3, seeds=[1, 2])
+        repeat_stability(symmetric(), cfg, repeats=3, seeds=[1, 2])

@@ -252,6 +252,25 @@ def test_path_fields_must_be_strings(sandbox, key, value, field):
     assert info.value.field == field
 
 
+PATH_FIELDS = [
+    ("zscores", lambda v: v),
+    ("loadings", lambda v: v),
+    ("y0.path", lambda v: {"mode": "table", "path": v}),
+    ("y0.distribution", lambda v: {"mode": "sample", "distribution": v}),
+]
+
+
+@pytest.mark.parametrize("value", ["", "../data"], ids=["empty", "directory"])
+@pytest.mark.parametrize("field, spec", PATH_FIELDS, ids=[f for f, _ in PATH_FIELDS])
+def test_path_fields_must_name_a_file(sandbox, field, spec, value):
+    scen_dir, base = sandbox
+    base[field.split(".")[0]] = spec(value)
+    with pytest.raises(ValidationError, match="does not name a file") as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == field
+    assert repr(value) in str(info.value)
+
+
 def test_analysis_out_of_range_is_a_validation_error(sandbox):
     scen_dir, base = sandbox
     base["analysis"] = {"winner_threshold": 5}

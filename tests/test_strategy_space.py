@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qgame import parse_code
+from qgame import CANONICAL_CODES, STRATEGIES, parse_code
 from qgame.errors import MalformedCode, UnknownLevel
 from qgame.strategy_space import (
     CONTENT_LEVELS,
@@ -14,34 +14,37 @@ from qgame.strategy_space import (
 from table_fixtures import CANONICAL_ORDER
 
 
-def test_canonical_sequence_matches_published_row_order(space):
-    assert list(space.codes) == CANONICAL_ORDER
+def test_canonical_sequence_matches_published_row_order():
+    assert list(CANONICAL_CODES) == CANONICAL_ORDER
+    assert [s.code for s in STRATEGIES] == CANONICAL_ORDER
 
 
-def test_size_and_distinctness(space):
-    assert len(space) == 36
-    assert len(set(space.codes)) == 36
+def test_size_and_distinctness():
+    assert len(STRATEGIES) == 36
+    assert len(set(CANONICAL_CODES)) == 36
 
 
 @pytest.mark.parametrize(
     "index,code",
     [(0, "D.R.T.Pu"), (3, "I.R.T.Pu"), (26, "D.R.A.PP"), (35, "I.C.A.PP")],
 )
-def test_known_positions(space, index, code):
-    assert space[index].code == code
-    assert space[index].index == index
+def test_known_positions(index, code):
+    assert STRATEGIES[index].code == code
+    assert STRATEGIES[index].index == index
+    assert CANONICAL_CODES[index] == code
 
 
-def test_tool_blocks_of_twelve(space):
+def test_tool_blocks_of_twelve():
     for block, tool in ((0, "T"), (1, "S"), (2, "A")):
         for i in range(block * 12, (block + 1) * 12):
-            assert space[i].tool == tool
-        assert len([s for s in space if s.tool == tool]) == 12
+            assert STRATEGIES[i].tool == tool
+        assert len([s for s in STRATEGIES if s.tool == tool]) == 12
 
 
-def test_parse_round_trip_bijection(space):
+def test_parse_round_trip_bijection():
     for i in range(36):
-        assert parse_code(space[i].code).index == i
+        assert parse_code(CANONICAL_CODES[i]).index == i
+        assert parse_code(STRATEGIES[i].code) is STRATEGIES[i]
 
 
 def test_parse_trailing_dot_normalizes():
@@ -55,9 +58,9 @@ def test_parse_example_fields():
     assert s.index == 3
 
 
-def test_full_cartesian_product_covered(space):
+def test_full_cartesian_product_covered():
     combos = {
-        (s.target, s.content, s.tool, s.resource) for s in space
+        (s.target, s.content, s.tool, s.resource) for s in STRATEGIES
     }
     assert combos == set(
         itertools.product(TARGET_LEVELS, CONTENT_LEVELS, TOOL_LEVELS, RESOURCE_LEVELS)
