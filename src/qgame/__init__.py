@@ -22,7 +22,6 @@ from .qdata import (
     ZScoreMatrix,
     assignment_fractions,
     derive_x0,
-    derive_z0,
     flag_stakeholders,
     load_loadings,
     load_share_table,

@@ -31,7 +31,7 @@ from . import analysis as an
 from .dynamics import Trajectory
 from .errors import QGameError
 from .qdata import flag_stakeholders, load_loadings
-from .sampling import TIE_RULES, SamplerConfig, load_distribution, sample_y0
+from .sampling import SamplerConfig, load_distribution, sample_y0
 from .scenario import load_scenario, run_scenario
 from .strategy_space import CANONICAL_CODES, parse_code
 
@@ -182,6 +182,28 @@ def _parse_header(path: Path, line: str) -> tuple[list[str], tuple[str, ...], tu
     return header, factors, strategies
 
 
+def _row_fault(path: Path, header: list[str], rows: list[str], exc: ValueError) -> QGameError:
+    """The first row, counted from 1 after the header, that is not as
+    wide as the header or holds a cell that is not a number. `exc` is
+    np.loadtxt's own account, for a cell such as '1_0' that float()
+    reads and np.loadtxt does not."""
+    for i, line in enumerate(rows, 1):
+        cells = line.rstrip("\n").split(",")
+        if len(cells) != len(header):
+            return QGameError(
+                f"{path}: row {i} after the header has {len(cells)} values, "
+                f"the header names {len(header)}"
+            )
+        for name, cell in zip(header, cells):
+            try:
+                float(cell)
+            except ValueError:
+                return QGameError(
+                    f"{path}: row {i} after the header, column {name}: {cell!r} is not a number"
+                )
+    return QGameError(f"{path}: {exc}")
+
+
 def read_trajectory_csv(path: Path) -> Trajectory:
     """Rebuild a trajectory from its CSV export; t must rise strictly."""
     with open(path, encoding="utf-8") as fh:
@@ -189,7 +211,10 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     if len(lines) < 2:
         raise QGameError(f"{path}: no trajectory rows")
     header, factors, strategies = _parse_header(path, lines[0])
-    data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise _row_fault(path, header, lines[1:], exc) from None
     if data.shape[1] != len(header):
         raise QGameError(
             f"{path}: rows have {data.shape[1]} values, the header names {len(header)}"
@@ -262,7 +287,7 @@ def cmd_simulate(args) -> int:
         write_plotdata(traj, out_dir / "plotdata", writer)
     (out_dir / "report.json").write_text(report_text, encoding="utf-8")
 
-    print(f"simulated {len(traj)} samples to t={traj.t[-1]:g} ({traj.method})")
+    print(f"simulated {len(traj)} samples to t={traj.t[-1]:g} ({config.method})")
     print(an.render_summary(report))
     print(f"outputs written to {out_dir}")
     return EXIT_OK
@@ -285,7 +310,7 @@ def cmd_flag(args) -> int:
 
 def cmd_sample_y0(args) -> int:
     dist = load_distribution(args.distribution)
-    cfg = SamplerConfig(n_sequences=args.n_sequences, seed=args.seed, tie_rule=args.tie_rule)
+    cfg = SamplerConfig(n_sequences=args.n_sequences, seed=args.seed)
     shares = sample_y0(dist, cfg)
     lines = ["strategy,share"] + [
         f"{code},{v:.17g}" for code, v in zip(CANONICAL_CODES, shares)
@@ -340,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("distribution", help="per-strategy (mean, sigma) CSV")
     p.add_argument("--seed", type=int, default=SamplerConfig.seed)
     p.add_argument("--n-sequences", type=int, default=SamplerConfig.n_sequences)
-    p.add_argument("--tie-rule", choices=TIE_RULES, default=SamplerConfig.tie_rule)
     p.add_argument("-o", "--output", help="output file (default: stdout)")
     p.set_defaults(func=cmd_sample_y0)
 

@@ -40,7 +40,6 @@ class GameState:
     x: np.ndarray  # factor shares
     y: np.ndarray  # strategy shares
     z: np.ndarray  # positive-sign frequencies
-    t: float = 0.0
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
@@ -49,6 +48,13 @@ class GameState:
             object.__setattr__(self, name, arr)
 
     def validate(self) -> None:
+        """Raise InvalidState naming the first non-finite entry, then the
+        first block off its simplex or, for z, outside [0, 1]."""
+        for name in ("x", "y", "z"):
+            vec = getattr(self, name)
+            bad = np.flatnonzero(~np.isfinite(vec))
+            if len(bad):
+                raise InvalidState(f"{name}[{bad[0]}] = {vec[bad[0]]} is not finite")
         for name, vec in (("x", self.x), ("y", self.y)):
             if np.any(vec < 0.0):
                 raise InvalidState(f"{name} has negative entries")
@@ -58,12 +64,6 @@ class GameState:
                 )
         if np.any(self.z < 0.0) or np.any(self.z > 1.0):
             raise InvalidState("z has entries outside [0, 1]")
-        if not (
-            np.all(np.isfinite(self.x))
-            and np.all(np.isfinite(self.y))
-            and np.all(np.isfinite(self.z))
-        ):
-            raise InvalidState("state contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,6 @@ class Trajectory:
     utility: np.ndarray            # (k,) expected total utility x' A(z) y
     factor_labels: tuple[str, ...]
     strategy_labels: tuple[str, ...]
-    method: str = "rk4"
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -265,7 +264,7 @@ def integrate(
     """Integrate the coupled system from state0 to config.t_end.
 
     Args:
-        state0: valid initial state (t is taken as 0).
+        state0: valid initial state, at t = 0.
         scores: score matrix defining the payoffs; shapes set the system size.
         config: integrator settings; defaults to fixed-step RK4.
         on_samples: called as on_samples(t, v) with every BLOCK new samples,
@@ -376,6 +375,5 @@ def integrate(
         utility=expected_total_utility(S, x, y, z),
         factor_labels=tuple(f"Q{i + 1}" for i in range(n)),
         strategy_labels=scores.strategy_labels,
-        method=cfg.method,
         meta={"accepted_steps": accepted, "max_x_drift": drift[0], "max_y_drift": drift[1]},
     )

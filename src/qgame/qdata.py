@@ -177,18 +177,6 @@ def derive_x0(flags: FlagAssignment) -> np.ndarray:
     return fractions / mass
 
 
-def derive_z0(loadings: LoadingMatrix) -> np.ndarray:
-    """Candidate positive-sign frequencies: fraction of strictly positive
-    loadings per factor.
-
-    This is a sensitivity-study convenience; the bundled scenario pins z0
-    explicitly because no simple loading statistic reproduces its values.
-    """
-    if loadings.loadings.size == 0:
-        raise ValueError("loading matrix is empty")
-    return (loadings.loadings > 0).mean(axis=0)
-
-
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """Read a CSV, skipping blank lines and '#' comment lines."""
     with open(path, newline="", encoding="utf-8") as fh:

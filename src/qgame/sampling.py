@@ -1,14 +1,15 @@
 """Monte Carlo construction of initial strategy shares.
 
 Each sequence draws one independent normal value per strategy; the share
-of a strategy is the fraction of sequences in which it attains the strict
-maximum. Draws use a counter-based Philox stream keyed by the seed, with
-normals obtained by inverse CDF from one uniform each, so sequence k
-consumes exactly the uniforms at flat positions [k*m, (k+1)*m) of the
-stream. The result is bit-for-bit reproducible for a fixed seed and
-independent of any batching or scheduling: `sample_y0` walks the stream
-in blocks of `BLOCK_ROWS` sequences, so its memory does not grow with
-`n_sequences`, and its shares equal those of one block of all rows.
+of a strategy is the fraction of sequences in which it attains the
+maximum, a tie going to the lowest canonical index. Draws use a
+counter-based Philox stream keyed by the seed, with normals obtained
+by inverse CDF from one uniform each, so sequence k consumes exactly
+the uniforms at flat positions [k*m, (k+1)*m) of the stream. The result
+is bit-for-bit reproducible for a fixed seed and independent of any
+batching or scheduling: `sample_y0` walks the stream in blocks of
+`BLOCK_ROWS` sequences, so its memory does not grow with `n_sequences`,
+and its shares equal those of one block of all rows.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import require_int
 from .qdata import _read_code_table
 
-TIE_RULES = ("first-index", "random-uniform")
 BLOCK_ROWS = 4096  # sequences drawn per block: 4096 x 36 float64 is about 1.2 MB
 MAX_SEQUENCES = 10**7  # about 13 s of sampling at 1.3 us per row
 
@@ -50,43 +50,26 @@ class StatementDistribution:
 class SamplerConfig:
     n_sequences: int = 30000
     seed: int = 0
-    tie_rule: str = "first-index"
 
     def __post_init__(self):
         require_int("n_sequences", self.n_sequences, 1, MAX_SEQUENCES)
         require_int("seed", self.seed, 0, 2**64 - 1)
-        if self.tie_rule not in TIE_RULES:
-            raise ValueError(f"tie_rule must be one of {TIE_RULES}")
 
 
-def _stream(seed: int, lane: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed), np.uint64(lane)], dtype=np.uint64)
+def _stream(seed: int) -> np.random.Generator:
+    # the key's second word is 0: any other value would move every seed's draws
+    key = np.array([np.uint64(seed), np.uint64(0)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _winners(draws: np.ndarray, tie_rule: str, tie_rng: np.random.Generator) -> np.ndarray:
-    """Index of the strict per-row maximum; tied rows resolved per tie_rule."""
-    winners = np.argmax(draws, axis=1)
-    if tie_rule == "random-uniform":
-        row_max = draws[np.arange(len(draws)), winners]
-        tied = np.count_nonzero(draws == row_max[:, None], axis=1) > 1
-        for row in np.flatnonzero(tied):
-            candidates = np.flatnonzero(draws[row] == row_max[row])
-            winners[row] = candidates[tie_rng.integers(len(candidates))]
-    return winners
 
 
 def sample_y0(dist: StatementDistribution, config: SamplerConfig | None = None) -> np.ndarray:
     """Argmax-frequency estimate of initial strategy shares.
 
     Draws `n_sequences` independent rows of normals (one per strategy) and
-    returns, for each strategy, the fraction of rows it wins. Ties have
-    probability zero for nondegenerate sigmas; the tie rule only matters
-    for hand-built degenerate inputs.
-
-    Rows are drawn in blocks of `BLOCK_ROWS` from one stream and tie
-    draws come from a second stream in row order, so the result does not
-    depend on the block size.
+    returns, for each strategy, the fraction of rows it wins; a tied row
+    goes to the lowest canonical index. Rows are drawn in blocks of
+    `BLOCK_ROWS` from one stream, so the result does not depend on the
+    block size.
     """
     # imported here: scipy.special costs every process that never samples
     # about 0.3 s and 26 MB
@@ -94,7 +77,7 @@ def sample_y0(dist: StatementDistribution, config: SamplerConfig | None = None) 
 
     cfg = config or SamplerConfig()
     m = len(dist)
-    rng, tie_rng = _stream(cfg.seed, 0), _stream(cfg.seed, 1)
+    rng = _stream(cfg.seed)
     counts = np.zeros(m, dtype=np.int64)
     block = np.empty((min(cfg.n_sequences, BLOCK_ROWS), m))
     for start in range(0, cfg.n_sequences, BLOCK_ROWS):
@@ -105,7 +88,7 @@ def sample_y0(dist: StatementDistribution, config: SamplerConfig | None = None) 
         ndtri(draws, out=draws)
         draws *= dist.sigmas
         draws += dist.means
-        counts += np.bincount(_winners(draws, cfg.tie_rule, tie_rng), minlength=m)
+        counts += np.bincount(np.argmax(draws, axis=1), minlength=m)
     return counts / cfg.n_sequences
 
 

@@ -3,8 +3,9 @@
 A scenario is a JSON object naming the score table, how to obtain each
 initial-condition block, and optional integrator/analysis settings.
 Relative paths resolve against the scenario file's directory. Explicit
-x0/y0 vectors must already be on the simplex; derived and table-sourced
-vectors are renormalized after validation.
+x0/y0 vectors must already be on the simplex; a derived x0 and a
+table-sourced y0 are renormalized after validation. z0 is always an
+explicit vector.
 """
 
 import json
@@ -20,10 +21,8 @@ from .analysis import AnalysisThresholds
 from .dynamics import GameState, IntegratorConfig, Trajectory, integrate
 from .errors import InvalidSetting, ParseError, ValidationError, require_real
 from .qdata import (
-    LoadingMatrix,
     ZScoreMatrix,
     derive_x0,
-    derive_z0,
     flag_stakeholders,
     flagging_threshold,
     load_loadings,
@@ -151,11 +150,6 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
                 f"but the zscores have {n} factors"
             )
 
-    def need_loadings(field: str) -> LoadingMatrix:
-        if loadings is None:
-            raise ValidationError(field, "derive-from-loadings requires a loadings file")
-        return loadings
-
     flagging = raw.get("flagging", {})
     if not isinstance(flagging, dict) or set(flagging) - {"n_statements", "p_threshold"}:
         raise ValidationError("flagging", "expected n_statements/p_threshold settings")
@@ -168,7 +162,9 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     # x0
     x0_spec = raw.get("x0")
     if x0_spec == "derive-from-loadings":
-        x0 = derive_x0(flag_stakeholders(need_loadings("x0"), **flagging))
+        if loadings is None:
+            raise ValidationError("x0", "derive-from-loadings requires a loadings file")
+        x0 = derive_x0(flag_stakeholders(loadings, **flagging))
     elif isinstance(x0_spec, list):
         x0 = _simplex_vector(x0_spec, "x0", n)
     else:
@@ -176,14 +172,11 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
 
     # z0
     z0_spec = raw.get("z0")
-    if z0_spec == "derive-from-loadings":
-        z0 = derive_z0(need_loadings("z0"))
-    elif isinstance(z0_spec, list):
-        z0 = _explicit_vector(z0_spec, "z0", n)
-        if np.any(z0 < 0) or np.any(z0 > 1):
-            raise ValidationError("z0", "entries must lie in [0, 1]")
-    else:
-        raise ValidationError("z0", "expected a vector or 'derive-from-loadings'")
+    if not isinstance(z0_spec, list):
+        raise ValidationError("z0", f"expected a vector, got {z0_spec!r}")
+    z0 = _explicit_vector(z0_spec, "z0", n)
+    if np.any(z0 < 0) or np.any(z0 > 1):
+        raise ValidationError("z0", "entries must lie in [0, 1]")
 
     # y0
     y0_spec = raw.get("y0")

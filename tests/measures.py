@@ -51,10 +51,7 @@ def repeat_stability(
         seeds = [int((config.seed + r) % 2**64) for r in range(repeats)]
     elif len(seeds) != repeats:
         raise ValueError("one seed per repeat is required")
-    runs = [
-        sample_y0(dist, SamplerConfig(config.n_sequences, s, config.tie_rule))
-        for s in seeds
-    ]
+    runs = [sample_y0(dist, SamplerConfig(config.n_sequences, s)) for s in seeds]
     worst = 0.0
     for a in range(repeats):
         for b in range(a + 1, repeats):

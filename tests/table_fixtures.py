@@ -111,6 +111,3 @@ PSI_AT_Y0_RAW = [1.2217, 0.7493, 0.1319, 0.4503, 0.7452]
 # x' A(z) y at the case-study start (x0, y0 renormalized onto their
 # simplices, z0 as above), frozen from the same loop oracle
 UTILITY_AT_START = -0.22014395231776934
-
-# fraction of strictly positive loadings per factor column
-POSITIVE_LOADING_FRACTIONS = [0.70, 0.60, 0.70, 0.50, 0.50]

@@ -294,7 +294,7 @@ def test_sample_y0_short_row_exits_1_without_traceback(tmp_path):
 VERB_OPTIONS = {
     "simulate": {"--seed", "--t-end", "--step", "--method", "-o", "--output"},
     "flag": {"--n-statements", "--p"},
-    "sample-y0": {"--seed", "--n-sequences", "--tie-rule", "-o", "--output"},
+    "sample-y0": {"--seed", "--n-sequences", "-o", "--output"},
     "analyze": {"--winner-threshold", "--z-tol", "--rise-tol", "--die-tol", "--mono-slack",
                 "-o", "--output"},
 }
@@ -316,6 +316,7 @@ def test_each_verb_declares_only_the_flags_it_reads():
         ["analyze", "t.csv", "--step", "5"],
         ["flag", "loadings.csv", "-o", "nowhere", "--step", "7"],
         ["sample-y0", "dist.csv", "--t-end", "4", "--method", "rk45"],
+        ["sample-y0", "dist.csv", "--tie-rule", "first-index"],
     ],
 )
 def test_flags_a_verb_does_not_read_exit_2(argv, capsys):
@@ -498,6 +499,31 @@ def test_analyze_rejects_non_finite_cells(short_run, tmp_path, capsys, cell):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: row 3 after the header, column y_D.R.A.PP: ")
     assert "not a finite number" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: row[:3], "row 2 after the header has 3 values, the header names 48"),
+        (lambda row: row[:3] + ["abc"] + row[4:],
+         "row 2 after the header, column x_Q3: 'abc' is not a number"),
+        (lambda row: row + [""], "row 2 after the header has 49 values, the header names 48"),
+        # float() reads '1_0', so only numpy's own message can name it
+        (lambda row: row[:1] + ["1_0"] + row[2:], "could not convert string '1_0'"),
+    ],
+    ids=["ragged", "not_a_number", "trailing_comma", "numpy_only"],
+)
+def test_analyze_names_the_row_and_column_it_cannot_parse(short_run, tmp_path, capsys,
+                                                          edit, message):
+    lines = (short_run / "trajectory.csv").read_text().splitlines()
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report"
+    assert main(["analyze", str(bad), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -309,6 +309,17 @@ def test_invalid_initial_state_is_rejected(scores):
         integrate(bad, scores, IntegratorConfig(t_end=1.0))
 
 
+@pytest.mark.parametrize(
+    "block, index, value",
+    [("x", 0, np.nan), ("x", 2, np.inf), ("y", 5, -np.inf), ("z", 3, np.nan), ("z", 1, np.inf)],
+)
+def test_validate_names_the_entry_that_is_not_finite(block, index, value):
+    blocks = {"x": np.full(5, 0.2), "y": np.full(36, 1 / 36), "z": np.full(5, 0.5)}
+    blocks[block][index] = value
+    with pytest.raises(InvalidState, match=rf"^{block}\[{index}\] = {value} is not finite$"):
+        GameState(**blocks).validate()
+
+
 def test_adaptive_step_underflow():
     # payoffs this violent make the acceptable step smaller than the
     # hard floor, so the controller must give up instead of looping

@@ -1,9 +1,17 @@
-"""Every name the package exports, and every public method or property
-of an exported class, is used by the package itself or documented in
-README's Library section, so no public name exists only because a test
-imports it."""
+"""Every name the package exports, every public method or property of
+an exported class, and every dataclass field of one, is used by the
+package itself or documented in README's Library section, so no public
+name exists only because a test imports it.
+
+Uses are matched by name. A field read only by its own class counts, as
+`FlagAssignment.counts` reads `factor_count`. Matching by name cannot
+tell fields of one name apart: a read of `traj.t` keeps any field `t`
+alive, so a field that shares its name with a field read elsewhere
+needs a look by hand.
+"""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -58,7 +66,7 @@ def public_members(cls: type) -> list[str]:
     ]
 
 
-def attributes_used_in_package(outside: str) -> set[str]:
+def attributes_used_in_package(outside: str | None = None) -> set[str]:
     """Attribute names read in the package's modules outside the body of
     class `outside`: a member only its own class reads is not public use."""
     used: set[str] = set()
@@ -66,7 +74,7 @@ def attributes_used_in_package(outside: str) -> set[str]:
     def visit(node: ast.AST) -> None:
         if isinstance(node, ast.ClassDef) and node.name == outside:
             return
-        if isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             used.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child)
@@ -108,9 +116,23 @@ def test_every_public_member_is_used_or_documented():
     assert orphans == [], f"public but neither used in src/qgame nor in README: {orphans}"
 
 
+def test_every_dataclass_field_is_used_or_documented():
+    library = readme_library_section()
+    used = attributes_used_in_package()
+    orphans = [
+        f"{cls.__name__}.{f.name}"
+        for cls in exported_classes()
+        if dataclasses.is_dataclass(cls)
+        for f in dataclasses.fields(cls)
+        if f.name not in used and not re.search(rf"\.{re.escape(f.name)}\b", library)
+    ]
+    assert orphans == [], f"fields neither read in src/qgame nor in README: {orphans}"
+
+
 def test_the_guard_sees_the_exports():
     names = exported_names()
     assert "integrate" in names and "vector_field" in names
     assert "integrate" in names_used_in_package()
     assert "counts" in public_members(qgame.FlagAssignment)
     assert "code" in public_members(qgame.StrategyCode)
+    assert {"factor_count", "strategy_labels"} <= attributes_used_in_package()

@@ -6,7 +6,6 @@ from qgame import (
     LoadingMatrix,
     assignment_fractions,
     derive_x0,
-    derive_z0,
     flag_stakeholders,
     load_loadings,
     load_share_table,
@@ -31,7 +30,6 @@ from table_fixtures import (
     EXPECTED_COUNTS,
     EXPECTED_FLAGS,
     LOADINGS,
-    POSITIVE_LOADING_FRACTIONS,
     X0_FRACTIONS,
     Y0,
     ZSCORES,
@@ -177,23 +175,6 @@ def test_derive_x0_simplex_property_random_loadings():
         x0 = derive_x0(flags)
         assert np.all(x0 >= 0) and abs(x0.sum() - 1.0) < 1e-12
         produced += 1
-
-
-# --- z0 ---
-
-def test_positive_fraction_rule_on_bundled_loadings(loadings):
-    assert derive_z0(loadings) == pytest.approx(POSITIVE_LOADING_FRACTIONS, abs=1e-15)
-
-
-def test_positive_fraction_rule_does_not_reproduce_pinned_z0(loadings):
-    # the bundled scenario pins z0 explicitly precisely because of this gap
-    assert not np.allclose(derive_z0(loadings), [0.39, 0.33, 0.39, 0.28, 0.28], atol=0.05)
-
-
-def test_all_positive_column_gives_one():
-    rows = {f"S{k}": [0.5, -0.2, 0.1, -0.4, 0.3] for k in range(6)}
-    z0 = derive_z0(make_loadings(rows))
-    assert z0[0] == 1.0 and z0[1] == 0.0
 
 
 # --- z-score loading ---

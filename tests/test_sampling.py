@@ -6,7 +6,7 @@ from scipy.special import ndtri
 
 from qgame import SamplerConfig, StatementDistribution, sample_y0
 from qgame import sampling
-from qgame.sampling import BLOCK_ROWS, _stream, _winners
+from qgame.sampling import BLOCK_ROWS, _stream
 
 from measures import repeat_stability
 
@@ -25,18 +25,10 @@ def one_block_reference(dist: StatementDistribution, cfg: SamplerConfig) -> np.n
     """The sampler as one n_sequences x m block of draws, the form it had
     before it was blocked; kept here as the reference for the blocked one."""
     m = len(dist)
-    u = _stream(cfg.seed, 0).random((cfg.n_sequences, m))
+    u = _stream(cfg.seed).random((cfg.n_sequences, m))
     np.clip(u, 2.0**-53, None, out=u)
     draws = dist.means + dist.sigmas * ndtri(u)
-    tie_rng = _stream(cfg.seed, 1)
-    winners = np.argmax(draws, axis=1)
-    row_max = draws[np.arange(len(draws)), winners]
-    tied = np.count_nonzero(draws == row_max[:, None], axis=1) > 1
-    if cfg.tie_rule == "random-uniform":
-        for row in np.flatnonzero(tied):
-            candidates = np.flatnonzero(draws[row] == row_max[row])
-            winners[row] = candidates[tie_rng.integers(len(candidates))]
-    return np.bincount(winners, minlength=m) / cfg.n_sequences
+    return np.bincount(np.argmax(draws, axis=1), minlength=m) / cfg.n_sequences
 
 
 @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 30000])
@@ -56,16 +48,14 @@ def test_shares_do_not_depend_on_the_block_size(monkeypatch, block):
     assert np.array_equal(sample_y0(dist, cfg), expected)
 
 
-def test_random_uniform_ties_across_block_boundaries():
+def test_ties_across_block_boundaries_go_to_the_first_index():
     # at 1e20 one ulp is 16384, so every draw rounds to its mean and
-    # every row is a 36-way tie resolved by the tie stream, in row order
+    # every row, in every block, is a 36-way tie
     dist = StatementDistribution(np.full(36, 1e20), np.ones(36))
     for seed in (0, 1, 2):
-        cfg = SamplerConfig(
-            n_sequences=2 * BLOCK_ROWS + 3, seed=seed, tie_rule="random-uniform"
-        )
+        cfg = SamplerConfig(n_sequences=2 * BLOCK_ROWS + 3, seed=seed)
         shares = sample_y0(dist, cfg)
-        assert np.count_nonzero(shares) == 36
+        assert shares.tolist() == [1.0] + [0.0] * 35
         assert np.array_equal(shares, one_block_reference(dist, cfg))
 
 
@@ -124,18 +114,13 @@ def test_mean_shift_is_monotone_in_expectation():
     assert ups == 10
 
 
-def test_tie_rule_first_index():
-    draws = np.array([[1.0, 1.0, 0.5], [0.2, 0.9, 0.9], [3.0, 1.0, 3.0]])
-    rng = np.random.default_rng(0)
-    assert _winners(draws, "first-index", rng).tolist() == [0, 1, 0]
-
-
-def test_tie_rule_random_uniform_hits_all_candidates():
-    draws = np.tile([[1.0, 1.0, 0.0]], (2000, 1))
-    rng = np.random.default_rng(8)
-    w = _winners(draws, "random-uniform", rng)
-    assert set(w.tolist()) == {0, 1}
-    assert abs(np.mean(w == 0) - 0.5) < 0.05
+def test_a_tie_goes_to_the_lowest_tied_index():
+    # 7, 20 and 31 tie at 1e20 in every row and beat the rest, which lie
+    # near 0; the lowest of the three takes every row
+    means = np.zeros(36)
+    means[[20, 7, 31]] = 1e20
+    shares = sample_y0(StatementDistribution(means, np.ones(36)), SamplerConfig(500, 3))
+    assert shares[7] == 1.0 and np.count_nonzero(shares) == 1
 
 
 def test_sampler_config_validation():
@@ -150,8 +135,6 @@ def test_sampler_config_validation():
             SamplerConfig(**kwargs)
     with pytest.raises(ValueError):
         SamplerConfig(seed=-1)
-    with pytest.raises(ValueError):
-        SamplerConfig(tie_rule="coin-flip")
     with pytest.raises(ValueError):
         StatementDistribution(np.zeros(3), np.array([1.0, 0.0, 1.0]))
 

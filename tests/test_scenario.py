@@ -278,11 +278,13 @@ def test_analysis_out_of_range_is_a_validation_error(sandbox):
         qgame.load_scenario(write_scenario(scen_dir, base))
 
 
-def test_derived_z0_uses_positive_fractions(sandbox):
+@pytest.mark.parametrize("value", ["derive-from-loadings", None, 0.5])
+def test_z0_must_be_an_explicit_vector(sandbox, value):
     scen_dir, base = sandbox
-    base["z0"] = "derive-from-loadings"
-    resolved = qgame.load_scenario(write_scenario(scen_dir, base))
-    assert resolved.initial.z == pytest.approx([0.70, 0.60, 0.70, 0.50, 0.50])
+    base["z0"] = value
+    with pytest.raises(ValidationError, match="z0: expected a vector, got ") as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == "z0"
 
 
 def test_derive_without_loadings_fails(sandbox):
