@@ -11,11 +11,10 @@ from .dynamics import (
     GameState,
     IntegratorConfig,
     Trajectory,
+    expected_total_utility,
     integrate,
-    replicator_field,
     vector_field,
 )
-from .payoff import expected_total_utility
 from .qdata import (
     FlagAssignment,
     LoadingMatrix,

@@ -2,13 +2,19 @@
 
 State is (x, y, z): stakeholder factor shares x on the n-simplex,
 community strategy shares y on the m-simplex, and per-factor
-positive-sign frequencies z in [0, 1]^n. With A(z) the payoff matrix
-built from the instantaneous z (rebuilt inside every derivative
-evaluation, including Runge-Kutta substages):
+positive-sign frequencies z in [0, 1]^n. The stakeholders play against
+the community strategy mix with payoff matrix A(z) = S * (2z - 1), row
+by row over the scores S: a factor's row keeps its scores when its
+positive-sign frequency z_i is 1, flips sign when z_i is 0, and
+vanishes at z_i = 1/2. The community side uses the transpose. With A(z)
+taken at the instantaneous z, Runge-Kutta substages included:
 
     dx_i/dt = x_i * ((A y)_i - x' A y)
     dy_j/dt = y_j * ((A' x)_j - y' A' x)
-    dz_i/dt = z_i * (1 - z_i) * 2 * (scores @ y)_i
+    dz_i/dt = z_i * (1 - z_i) * 2 * (S y)_i
+
+x' A y is the average stakeholder payoff. A(z) itself is never built;
+`_rhs` states the identities it evaluates instead.
 
 Replicator flow preserves the simplices analytically, so the integrator
 treats any violation as numerical error: tiny negative entries are
@@ -23,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidState, StepBudgetExceeded, StepSizeUnderflow, require_real
-from .payoff import expected_total_utility, payoff_values
 from .qdata import ZScoreMatrix
 
 STATE_SUM_TOL = 1e-9   # allowed drift of simplex sums in a valid state
@@ -48,22 +53,26 @@ class GameState:
             object.__setattr__(self, name, arr)
 
     def validate(self) -> None:
-        """Raise InvalidState naming the first non-finite entry, then the
-        first block off its simplex or, for z, outside [0, 1]."""
-        for name in ("x", "y", "z"):
-            vec = getattr(self, name)
-            bad = np.flatnonzero(~np.isfinite(vec))
-            if len(bad):
-                raise InvalidState(f"{name}[{bad[0]}] = {vec[bad[0]]} is not finite")
-        for name, vec in (("x", self.x), ("y", self.y)):
-            if np.any(vec < 0.0):
-                raise InvalidState(f"{name} has negative entries")
+        """Raise InvalidState naming the first entry that is not finite, then the
+        first negative x or y entry or block off its simplex, then the first z
+        entry outside [0, 1]."""
+        blocks = (("x", self.x), ("y", self.y), ("z", self.z))
+        for name, vec in blocks:
+            _first_bad(name, vec, ~np.isfinite(vec), "is not finite")
+        for name, vec in blocks[:2]:
+            _first_bad(name, vec, vec < 0.0, "is negative")
             if abs(vec.sum() - 1.0) > STATE_SUM_TOL:
                 raise InvalidState(
                     f"{name} sums to {vec.sum():.12g}, outside 1 +/- {STATE_SUM_TOL}"
                 )
-        if np.any(self.z < 0.0) or np.any(self.z > 1.0):
-            raise InvalidState("z has entries outside [0, 1]")
+        _first_bad("z", self.z, (self.z < 0.0) | (self.z > 1.0), "is outside [0, 1]")
+
+
+def _first_bad(name: str, vec: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """Raise InvalidState naming the first entry of vec where bad holds."""
+    i = np.flatnonzero(bad)
+    if len(i):
+        raise InvalidState(f"{name}[{i[0]}] = {vec[i[0]]} {what}")
 
 
 @dataclass(frozen=True)
@@ -108,26 +117,35 @@ class Trajectory:
         return len(self.t)
 
 
-def replicator_field(
-    A: np.ndarray, x: np.ndarray, y: np.ndarray, out: tuple | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bimatrix replicator field for a fixed payoff matrix A (B = A').
+def _payoffs(S: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """(g, S y, A(z) y) with g = 2z - 1, for one state or a stack of states."""
+    g = 2.0 * z - 1.0
+    Sy = y @ S.T
+    return g, Sy, g * Sy
 
-    With `out`, a pair of arrays (dx, dy), the field is written into them.
+
+def expected_total_utility(
+    scores: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """Average stakeholder payoff x' A(z) y, on bare arrays and without checks:
+    a scalar for one state, of shapes (n,), (m,) and (n,), or a (k,) series
+    for a stack of k states, of shapes (k, n), (k, m) and (k, n)."""
+    return np.einsum("...i,...i->...", x, _payoffs(scores, y, z)[2])
+
+
+def _rhs(v: np.ndarray, S: np.ndarray, n: int) -> np.ndarray:
+    """The coupled field at v = (x, z, y), without building A(z).
+
+    With g = 2z - 1, A(z) = g * S row by row, so A y = g * (S y) and
+    A' x = (g * x) @ S, and dz = z * (1 - z) * 2 * (S y) reuses S y.
     """
-    Ay = A @ y
-    ATx = A.T @ x
-    dx, dy = out or (None, None)
-    return np.multiply(x, Ay - x @ Ay, out=dx), np.multiply(y, ATx - y @ ATx, out=dy)
-
-
-def _rhs(v: np.ndarray, scores: np.ndarray, n: int) -> np.ndarray:
-    x = v[:n]
-    z = v[n:2 * n]
-    y = v[2 * n:]
+    x, z, y = v[:n], v[n:2 * n], v[2 * n:]
+    g, Sy, Ay = _payoffs(S, y, z)
+    ATx = (g * x) @ S
     d = np.empty_like(v)
-    replicator_field(payoff_values(scores, z), x, y, out=(d[:n], d[2 * n:]))
-    np.multiply(z * (1.0 - z), 2.0 * (scores @ y), out=d[n:2 * n])
+    np.multiply(x, Ay - x @ Ay, out=d[:n])
+    np.multiply(y, ATx - y @ ATx, out=d[2 * n:])
+    np.multiply(z * (1.0 - z), 2.0 * Sy, out=d[n:2 * n])
     return d
 
 
@@ -363,10 +381,7 @@ def integrate(
     if on_samples is not None and k > sent:
         on_samples(ts[sent:k], vs[sent:k])
 
-    vs = vs[:k]
-    x = vs[:, :n]
-    z = vs[:, n:2 * n]
-    y = vs[:, 2 * n:]
+    x, z, y = vs[:k, :n], vs[:k, n:2 * n], vs[:k, 2 * n:]
     return Trajectory(
         t=ts[:k],
         x=x,

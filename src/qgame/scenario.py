@@ -80,10 +80,16 @@ def _explicit_vector(value: list, field: str, length: int) -> np.ndarray:
     return vec
 
 
+def _reject_first(field: str, vec: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """Raise ValidationError naming field[i], the first entry where bad holds."""
+    i = np.flatnonzero(bad)
+    if len(i):
+        raise ValidationError(f"{field}[{i[0]}]", f"{vec[i[0]]} {what}")
+
+
 def _simplex_vector(value, field: str, length: int) -> np.ndarray:
     vec = _explicit_vector(value, field, length)
-    if np.any(vec < 0):
-        raise ValidationError(field, "entries must be nonnegative")
+    _reject_first(field, vec, vec < 0, "is negative")
     if abs(vec.sum() - 1.0) > EXPLICIT_SUM_TOL:
         raise ValidationError(field, f"entries must sum to 1 (got {vec.sum():.6g})")
     return vec / vec.sum()
@@ -175,8 +181,7 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     if not isinstance(z0_spec, list):
         raise ValidationError("z0", f"expected a vector, got {z0_spec!r}")
     z0 = _explicit_vector(z0_spec, "z0", n)
-    if np.any(z0 < 0) or np.any(z0 > 1):
-        raise ValidationError("z0", "entries must lie in [0, 1]")
+    _reject_first("z0", z0, (z0 < 0) | (z0 > 1), "is outside [0, 1]")
 
     # y0
     y0_spec = raw.get("y0")

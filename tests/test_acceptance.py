@@ -14,7 +14,6 @@ import qgame
 from qgame import GameState, IntegratorConfig, ZScoreMatrix, integrate
 from qgame.analysis import MONOTONE_WINNER
 from qgame.cli import main
-from qgame.payoff import payoff_values
 
 from measures import count_inflections
 
@@ -157,12 +156,18 @@ def test_criterion_8_invariant_suite(scores, case_run):
             _, _, dz = qgame.vector_field(s, scores)
             assert dz[pin] == 0.0
 
-        # payoff sign flip under z -> 1 - z
+        # payoff sign flip under z -> 1 - z: dx, dy and the utility negate
         for _ in range(100):
+            x = rng.dirichlet(np.ones(5))
+            y = rng.dirichlet(np.ones(36))
             z = rng.uniform(0, 1, 5)
-            a = payoff_values(scores.scores, z)
-            b = payoff_values(scores.scores, 1 - z)
-            assert np.allclose(a, -b, atol=1e-12)
+            dx, dy, _ = qgame.vector_field(GameState(x=x, y=y, z=z), scores)
+            dx_f, dy_f, _ = qgame.vector_field(GameState(x=x, y=y, z=1 - z), scores)
+            assert np.allclose(dx, -dx_f, atol=1e-12)
+            assert np.allclose(dy, -dy_f, atol=1e-12)
+            u = qgame.expected_total_utility(scores.scores, x, y, z)
+            u_f = qgame.expected_total_utility(scores.scores, x, y, 1 - z)
+            assert np.allclose(u, -u_f, atol=1e-12)
 
         # linearity of the factor utilities in the strategy mix: the
         # utilities of the five pure factor states at z = 1

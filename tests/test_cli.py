@@ -356,11 +356,8 @@ def test_simulate_path_field_not_a_string_exits_1(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(
-    "factors, z0", [(4, None), (6, None), (4, "derive-from-loadings")],
-    ids=["4-factors", "6-factors", "4-factors-derived-z0"],
-)
-def test_simulate_loadings_factor_count_must_match_the_scores(tmp_path, capsys, factors, z0):
+@pytest.mark.parametrize("factors", [4, 6], ids=["4-factors", "6-factors"])
+def test_simulate_loadings_factor_count_must_match_the_scores(tmp_path, capsys, factors):
     header, *rows = (
         line.split(",")
         for line in (DATA / "loadings.csv").read_text().splitlines()
@@ -373,8 +370,6 @@ def test_simulate_loadings_factor_count_must_match_the_scores(tmp_path, capsys, 
     spec = json.loads(qgame.case_study_path().read_text())
     spec.update(zscores=str(DATA / "zscores.csv"), loadings=str(loadings))
     spec["y0"]["path"] = str(DATA / "y0.csv")
-    if z0:
-        spec["z0"] = z0
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(spec))
     out = tmp_path / "out"

@@ -8,7 +8,6 @@ from qgame import (
     StatementDistribution,
     ZScoreMatrix,
     integrate,
-    replicator_field,
     vector_field,
 )
 from qgame import dynamics
@@ -108,17 +107,21 @@ def test_z_boundary_coordinates_are_fixed(scores):
         assert np.array_equal(dz[pinned], np.zeros(pinned.sum()))
 
 
-def test_constant_shift_leaves_field_unchanged():
+def payoff_matrix(scores, z) -> np.ndarray:
+    """Test-local oracle: A(z) = S * (2z - 1), row by row."""
+    return scores.scores * (2 * z - 1)[:, None]
+
+
+def test_vector_field_matches_the_textbook_form(scores):
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        A = rng.normal(size=(5, 36))
-        x = rng.dirichlet(np.ones(5))
-        y = rng.dirichlet(np.ones(36))
-        c = rng.normal() * 10
-        dx1, dy1 = replicator_field(A, x, y)
-        dx2, dy2 = replicator_field(A + c, x, y)
-        assert dx1 == pytest.approx(dx2, abs=1e-10)
-        assert dy1 == pytest.approx(dy2, abs=1e-10)
+    for s in [case_start()] + [random_state(rng) for _ in range(100)]:
+        A = payoff_matrix(scores, s.z)
+        Ay = A @ s.y
+        ATx = A.T @ s.x
+        dx, dy, dz = vector_field(s, scores)
+        assert dx == pytest.approx(s.x * (Ay - s.x @ Ay), abs=1e-12)
+        assert dy == pytest.approx(s.y * (ATx - s.y @ ATx), abs=1e-12)
+        assert dz == pytest.approx(s.z * (1 - s.z) * 2 * (scores.scores @ s.y), abs=1e-12)
 
 
 def test_vector_field_rejects_invalid_states(scores):
@@ -317,6 +320,22 @@ def test_validate_names_the_entry_that_is_not_finite(block, index, value):
     blocks = {"x": np.full(5, 0.2), "y": np.full(36, 1 / 36), "z": np.full(5, 0.5)}
     blocks[block][index] = value
     with pytest.raises(InvalidState, match=rf"^{block}\[{index}\] = {value} is not finite$"):
+        GameState(**blocks).validate()
+
+
+@pytest.mark.parametrize(
+    "block, index, value, what",
+    [
+        ("x", 4, -0.2, "is negative"),
+        ("y", 0, -0.1, "is negative"),
+        ("z", 4, 1.5, r"is outside \[0, 1\]"),
+        ("z", 2, -0.25, r"is outside \[0, 1\]"),
+    ],
+)
+def test_validate_names_the_entry_out_of_range(block, index, value, what):
+    blocks = {"x": np.full(5, 0.2), "y": np.full(36, 1 / 36), "z": np.full(5, 0.5)}
+    blocks[block][index] = value
+    with pytest.raises(InvalidState, match=rf"^{block}\[{index}\] = {value} {what}$"):
         GameState(**blocks).validate()
 
 

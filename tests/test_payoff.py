@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qgame import expected_total_utility
-from qgame.payoff import payoff_values
 
 from table_fixtures import (
     CANONICAL_ORDER,
@@ -70,27 +69,35 @@ def test_linearity_property(scores):
 
 # --- payoff matrix ---
 
+def payoff_entries(scores, z) -> np.ndarray:
+    """The entries A(z)[i, j] as the utilities of the pure states (e_i, e_j)
+    at z: the package never builds A(z) itself."""
+    n, m = scores.scores.shape
+    return expected_total_utility(scores.scores, np.eye(n)[:, None], np.eye(m)[None], z)
+
+
 def test_neutral_sign_frequencies_zero_the_matrix(scores):
-    assert np.array_equal(payoff_values(scores.scores, np.full(5, 0.5)), np.zeros((5, 36)))
+    assert np.array_equal(payoff_entries(scores, np.full(5, 0.5)), np.zeros((5, 36)))
 
 
 def test_unit_sign_frequencies_reproduce_scores(scores):
-    assert np.array_equal(payoff_values(scores.scores, np.ones(5)), scores.scores)
+    assert np.array_equal(payoff_entries(scores, np.ones(5)), scores.scores)
 
 
 def test_entry_at_bundled_sign_frequencies(scores):
-    payoff = payoff_values(scores.scores, np.array(Z0))
-    j = CANONICAL_ORDER.index("D.R.A.PP")
-    assert payoff[0, j] == pytest.approx(5 * (2 * 0.39 - 1), abs=1e-12)
-    assert payoff[0, j] == pytest.approx(-1.1, abs=1e-12)
+    x = unit_mass(0, 5)
+    y = unit_mass(CANONICAL_ORDER.index("D.R.A.PP"))
+    u = expected_total_utility(scores.scores, x, y, np.array(Z0))
+    assert u == pytest.approx(5 * (2 * 0.39 - 1), abs=1e-12)
+    assert u == pytest.approx(-1.1, abs=1e-12)
 
 
 def test_sign_flip_identity(scores):
     rng = np.random.default_rng(5)
     for _ in range(100):
         z = rng.uniform(0, 1, 5)
-        a = payoff_values(scores.scores, z)
-        b = payoff_values(scores.scores, 1 - z)
+        a = payoff_entries(scores, z)
+        b = payoff_entries(scores, 1 - z)
         assert np.allclose(a, -b, atol=1e-12)
 
 
@@ -98,7 +105,7 @@ def test_entry_bound(scores):
     rng = np.random.default_rng(17)
     for _ in range(50):
         z = rng.uniform(0, 1, 5)
-        assert np.abs(payoff_values(scores.scores, z)).max() <= 5.0
+        assert np.abs(payoff_entries(scores, z)).max() <= 5.0
 
 
 # --- expected total utility ---
@@ -149,4 +156,5 @@ def test_stack_of_states_matches_each_state(scores):
     for k in range(7):
         one = expected_total_utility(scores.scores, x[k], y[k], z[k])
         assert one == pytest.approx(series[k], abs=1e-14)
-        assert one == pytest.approx(x[k] @ payoff_values(scores.scores, z[k]) @ y[k], abs=1e-12)
+        oracle = x[k] @ (scores.scores * (2 * z[k] - 1)[:, None]) @ y[k]
+        assert one == pytest.approx(oracle, abs=1e-12)

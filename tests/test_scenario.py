@@ -71,6 +71,24 @@ def test_z0_range_validated(sandbox):
         qgame.load_scenario(write_scenario(scen_dir, base))
 
 
+@pytest.mark.parametrize(
+    "key, index, value, what",
+    [
+        ("x0", 4, -0.2, "is negative"),
+        ("x0", 0, -1.0, "is negative"),
+        ("z0", 4, 1.2, r"is outside \[0, 1\]"),
+        ("z0", 1, -0.5, r"is outside \[0, 1\]"),
+    ],
+)
+def test_out_of_range_entry_is_named(sandbox, key, index, value, what):
+    scen_dir, base = sandbox
+    base[key] = [0.25, 0.25, 0.25, 0.25, 0.25] if key == "z0" else [0.6, 0.2, 0.2, 0.0, 0.0]
+    base[key][index] = value
+    with pytest.raises(ValidationError, match=rf"^{key}\[{index}\]: {value} {what}$") as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == f"{key}[{index}]"
+
+
 def test_missing_scenario_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         qgame.load_scenario(tmp_path / "absent.json")
