@@ -20,6 +20,8 @@ Replicator flow preserves the simplices analytically, so the integrator
 treats any violation as numerical error: tiny negative entries are
 clamped to zero and x, y are renormalized once their sums drift beyond a
 threshold. Coordinates that start at exactly zero stay exactly zero.
+rk45 (Dormand-Prince 5(4)) reuses a step's last stage as the next one's
+first unless the guard wrote; that rewrite moved its output bits once.
 """
 
 import math
@@ -99,9 +101,10 @@ class Trajectory:
     """Time-ordered samples of the integrated system plus derived series.
 
     From `integrate`, x, z and y are column views of one (k, 2n + m)
-    sample buffer, and `meta` holds `accepted_steps` and `max_x_drift`
-    and `max_y_drift`, the largest |sum - 1| of x and y seen before
-    renormalization.
+    sample buffer, and `meta` holds the counts `accepted_steps`,
+    `rejected_steps`, `field_evaluations` and `guard_writes` (accepted
+    states that were clamped or renormalized), and `max_x_drift` and
+    `max_y_drift`, the largest |sum - 1| of x and y before renormalization.
     """
 
     t: np.ndarray                  # (k,)
@@ -133,8 +136,8 @@ def expected_total_utility(
     return np.einsum("...i,...i->...", x, _payoffs(scores, y, z)[2])
 
 
-def _rhs(v: np.ndarray, S: np.ndarray, n: int) -> np.ndarray:
-    """The coupled field at v = (x, z, y), without building A(z).
+def _rhs(v: np.ndarray, S: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The coupled field at v = (x, z, y), into out if given, without building A(z).
 
     With g = 2z - 1, A(z) = g * S row by row, so A y = g * (S y) and
     A' x = (g * x) @ S, and dz = z * (1 - z) * 2 * (S y) reuses S y.
@@ -142,7 +145,7 @@ def _rhs(v: np.ndarray, S: np.ndarray, n: int) -> np.ndarray:
     x, z, y = v[:n], v[n:2 * n], v[2 * n:]
     g, Sy, Ay = _payoffs(S, y, z)
     ATx = (g * x) @ S
-    d = np.empty_like(v)
+    d = np.empty_like(v) if out is None else out
     np.multiply(x, Ay - x @ Ay, out=d[:n])
     np.multiply(y, ATx - y @ ATx, out=d[2 * n:])
     np.multiply(z * (1.0 - z), 2.0 * Sy, out=d[n:2 * n])
@@ -189,18 +192,23 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+# row s weights the stages before stage s; row 6 is B5, so stage 7 is f(v5),
+# the next step's first stage (FSAL); the error weights are B5 - B4
+_DP_ROWS = tuple(np.array(row) for row in _DP_A + (_DP_B5,))
+_DP_E = np.array(_DP_B5 + (0.0,)) - np.array(_DP_B4)
 
 
-def _dp_step(v, h, scores, n):
-    """One Dormand-Prince step; returns (5th-order value, error estimate)."""
-    k = [_rhs(v, scores, n)]
-    for stage in range(1, 6):
-        vi = v + h * sum(a * ki for a, ki in zip(_DP_A[stage], k))
-        k.append(_rhs(vi, scores, n))
-    v5 = v + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-    k.append(_rhs(v5, scores, n))
-    v4 = v + h * sum(b * ki for b, ki in zip(_DP_B4, k))
-    return v5, v5 - v4
+def _dp_step(v, h, scores, n, K):
+    """One Dormand-Prince step from v, with K[0] = f(v) in place: fills
+    K[1:7] and returns (5th-order value, error estimate)."""
+    for s in range(1, 7):
+        vs = np.dot(_DP_ROWS[s], K[:s])
+        vs *= h
+        vs += v
+        _rhs(vs, scores, n, out=K[s])
+    err = np.dot(_DP_E, K)
+    err *= h
+    return vs, err
 
 
 def _fault(v, k, n, t, cfg, what):
@@ -226,9 +234,10 @@ def _non_finite(v, start, stop, n, t, cfg):
 def _guard(v, n, cfg, drift, t):
     """Clamp tiny negatives, renormalize drifting simplices, reject blowups.
 
-    Updates drift[0]/drift[1] with the worst |sum - 1| observed for x / y
-    before renormalization. Exact zeros are preserved. A failure names
-    the time t, the block and the entry.
+    Works on v in place and returns whether it wrote (clamped or
+    renormalized). Updates drift[0]/drift[1] with the worst |sum - 1|
+    observed for x / y before renormalization. Exact zeros are preserved.
+    A failure names the time t, the block and the entry.
     """
     z = v[n:2 * n]
     v_min = v.min()  # NaN if any entry is NaN
@@ -237,18 +246,15 @@ def _guard(v, n, cfg, drift, t):
         raise _non_finite(v, 0, len(v), n, t, cfg)
     if v_min < 0.0:
         if v_min < -CLAMP_EPS:
-            raise _fault(
-                v, int(v.argmin()), n, t, cfg,
-                f"is negative beyond clamp_eps={CLAMP_EPS:.1e}",
-            )
+            raise _fault(v, int(v.argmin()), n, t, cfg,
+                         f"is negative beyond clamp_eps={CLAMP_EPS:.1e}")
         v[v < 0.0] = 0.0
     if z_max > 1.0:
         if z_max > 1.0 + CLAMP_EPS:
-            raise _fault(
-                v, n + int(z.argmax()), n, t, cfg,
-                f"exceeds 1 beyond clamp_eps={CLAMP_EPS:.1e}",
-            )
+            raise _fault(v, n + int(z.argmax()), n, t, cfg,
+                         f"exceeds 1 beyond clamp_eps={CLAMP_EPS:.1e}")
         z[z > 1.0] = 1.0
+    wrote = bool(v_min < 0.0 or z_max > 1.0)
     for start, stop, slot in ((0, n, 0), (2 * n, len(v), 1)):
         # a +inf in x or y passes the min check but not its block sum
         s = float(v[start:stop].sum())
@@ -259,7 +265,8 @@ def _guard(v, n, cfg, drift, t):
             drift[slot] = err
         if err > RENORM_TOL:
             v[start:stop] /= s
-    return v
+            wrote = True
+    return wrote
 
 
 def _rk4_steps(cfg: IntegratorConfig) -> int:
@@ -324,8 +331,13 @@ def integrate(
     sent = 0  # samples passed to on_samples
     drift = [0.0, 0.0]
     accepted = 0
-    attempts = 0  # rk45 steps tried, accepted and rejected
+    rejected = 0  # rk45 steps tried and rejected
+    guard_writes = 0  # accepted states that _guard clamped or renormalized
     h = cfg.step
+    K = np.empty((7, len(v)))  # rk45's Dormand-Prince stages, K[0] = f(v)
+    if cfg.method == "rk45":
+        _rhs(v, S, n, out=K[0])
+    evaluations = int(cfg.method == "rk45")  # field evaluations
 
     while t < cfg.t_end - T_EPS:
         if cfg.method == "rk4":
@@ -333,41 +345,42 @@ def integrate(
             # sub-steps when t_end is a multiple of the step
             t_next = min((accepted + 1) * h, cfg.t_end)
             v = _rk4_step(v, t_next - t, S, n)
-            v = _guard(v, n, cfg, drift, t_next)
+            guard_writes += _guard(v, n, cfg, drift, t_next)
+            evaluations += 4
             t = t_next
             accepted += 1
         else:
-            if attempts == MAX_STEPS:
+            if accepted + rejected == MAX_STEPS:
                 raise StepBudgetExceeded(
-                    f"at t={t:.6g}: {attempts} rk45 step attempts ({accepted} accepted) "
+                    f"at t={t:.6g}: {MAX_STEPS} rk45 step attempts ({accepted} accepted) "
                     f"used up MAX_STEPS={MAX_STEPS} before t_end={cfg.t_end:g}; "
                     "loosen abs_tol and rel_tol or reduce --t-end"
                 )
-            attempts += 1
             h_try = min(h, cfg.t_end - t)
             # overflow inside a trial step is not an error: it shows up as a
             # non-finite err_norm and the step gets rejected and shrunk
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                v_new, err = _dp_step(v, h_try, S, n)
-                scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(v), np.abs(v_new))
-                err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            if np.isfinite(err_norm) and err_norm <= 1.0:
-                v = _guard(v_new, n, cfg, drift, t + h_try)
+                v_new, err = _dp_step(v, h_try, S, n, K)
+                err /= cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(v), np.abs(v_new))
+                err_norm = math.sqrt((err * err).sum() / len(err))  # nan or inf: rejected
+            evaluations += 6
+            if err_norm <= 1.0:
+                v = v_new
+                if _guard(v, n, cfg, drift, t + h_try):  # v moved: f(v) anew
+                    guard_writes += 1
+                    evaluations += 1
+                    _rhs(v, S, n, out=K[0])
+                else:  # FSAL: K[6] = f(v); a rejection keeps K[0]
+                    K[0] = K[6]
                 t += h_try
                 accepted += 1
                 grow = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2)
                 h = h_try * grow
             else:
-                shrink = (
-                    0.2
-                    if not np.isfinite(err_norm)
-                    else max(0.2, 0.9 * err_norm ** -0.2)
-                )
-                h = h_try * shrink
+                rejected += 1
+                h = h_try * (max(0.2, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm) else 0.2)
                 if h < MIN_STEP:
-                    raise StepSizeUnderflow(
-                        f"adaptive step fell to {h:.3e} at t={t:.6g}"
-                    )
+                    raise StepSizeUnderflow(f"adaptive step fell to {h:.3e} at t={t:.6g}")
                 continue
         if k == len(ts):
             ts = np.concatenate([ts, np.empty_like(ts)])
@@ -383,12 +396,11 @@ def integrate(
 
     x, z, y = vs[:k, :n], vs[:k, n:2 * n], vs[:k, 2 * n:]
     return Trajectory(
-        t=ts[:k],
-        x=x,
-        y=y,
-        z=z,
+        t=ts[:k], x=x, y=y, z=z,
         utility=expected_total_utility(S, x, y, z),
         factor_labels=tuple(f"Q{i + 1}" for i in range(n)),
         strategy_labels=scores.strategy_labels,
-        meta={"accepted_steps": accepted, "max_x_drift": drift[0], "max_y_drift": drift[1]},
+        meta={"accepted_steps": accepted, "rejected_steps": rejected,
+              "field_evaluations": evaluations, "guard_writes": guard_writes,
+              "max_x_drift": drift[0], "max_y_drift": drift[1]},
     )

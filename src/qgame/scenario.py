@@ -30,6 +30,7 @@ from .qdata import (
     load_zscores,
 )
 from .sampling import SamplerConfig, load_distribution, sample_y0
+from .strategy_space import CANONICAL_CODES
 
 SCHEMA_VERSION = 1
 EXPLICIT_SUM_TOL = 1e-6   # explicit vectors must be this close to the simplex
@@ -201,8 +202,10 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
         if "path" not in y0_spec:
             raise ValidationError("y0.path", "table mode requires a path")
         y0 = load_share_table(_resolve_path(base, y0_spec["path"], "y0.path"))
-        if np.any(y0 < 0):
-            raise ValidationError("y0", "table shares must be nonnegative")
+        negative = np.flatnonzero(y0 < 0)
+        if len(negative):
+            j = negative[0]
+            raise ValidationError("y0", f"table share of {CANONICAL_CODES[j]} = {y0[j]} is negative")
         if abs(y0.sum() - 1.0) > TABLE_SUM_TOL:
             raise ValidationError("y0", f"table shares must be near the simplex (sum {y0.sum():.6g})")
         y0 = y0 / y0.sum()

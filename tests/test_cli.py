@@ -210,6 +210,20 @@ def test_analyze_matches_simulate_report(short_run, tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_report_holds_no_integrator_counters(tmp_path, method):
+    """The counters in Trajectory.meta stay out of report.json, so analyze
+    rebuilds simulate's report byte for byte."""
+    sim, again = tmp_path / "sim", tmp_path / "again"
+    args = ["simulate", str(qgame.case_study_path()), "-o", str(sim), "--t-end", "2.0"]
+    assert main(args + ["--method", method]) == 0
+    assert main(["analyze", str(sim / "trajectory.csv"), "-o", str(again)]) == 0
+    report = (sim / "report.json").read_bytes()
+    assert report == (again / "report.json").read_bytes()
+    for name in ("accepted_steps", "rejected_steps", "field_evaluations", "guard_writes"):
+        assert name.encode() not in report
+
+
 def test_full_run_report_names_winners(tmp_path):
     out = tmp_path / "full"
     assert main(["simulate", str(qgame.case_study_path()), "-o", str(out)]) == 0

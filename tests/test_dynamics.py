@@ -10,6 +10,7 @@ from qgame import (
     integrate,
     vector_field,
 )
+import qgame
 from qgame import dynamics
 from qgame.dynamics import BLOCK, T_EPS, _DP_B4, _DP_B5, _DP_A, _DP_C, _guard, _rk4_steps
 from qgame.errors import InvalidSetting, InvalidState, StepBudgetExceeded, StepSizeUnderflow
@@ -48,6 +49,28 @@ def test_dormand_prince_coefficients_are_consistent():
     assert [float(b) for b in b4] == list(_DP_B4)
     for row, c in zip(_DP_A, _DP_C):
         assert sum(row) == pytest.approx(c, abs=1e-15)
+
+
+@pytest.mark.parametrize("h", [0.01, 0.5])
+def test_stacked_dormand_prince_step_matches_the_stage_sums(scores, h):
+    """One step on the stage array equals the textbook sums over _DP_A, _DP_B5
+    and _DP_B4, and its last stage is the field at the 5th-order value."""
+    S, n = scores.scores, scores.scores.shape[0]
+    s0 = case_start()
+    v = np.concatenate([s0.x, s0.z, s0.y])
+    k = [dynamics._rhs(v, S, n)]
+    for row in _DP_A[1:]:
+        k.append(dynamics._rhs(v + h * sum(a * ki for a, ki in zip(row, k)), S, n))
+    v5 = v + h * sum(b * ki for b, ki in zip(_DP_B5, k))
+    k.append(dynamics._rhs(v5, S, n))
+    v4 = v + h * sum(b * ki for b, ki in zip(_DP_B4, k))
+
+    K = np.empty((7, len(v)))
+    K[0] = k[0]
+    got_v5, got_err = dynamics._dp_step(v, h, S, n, K)
+    assert np.abs(got_v5 - v5).max() <= 1e-15
+    assert np.abs(got_err - (v5 - v4)).max() <= 1e-15
+    assert np.array_equal(K[6], dynamics._rhs(got_v5, S, n))
 
 
 # --- vector field ---
@@ -285,13 +308,21 @@ def test_guard_hint_under_rk45():
 def test_guard_clamps_within_clamp_eps_and_renormalizes():
     drift = [0.0, 0.0]
     v = np.array([1.2, -1e-13, 0.3, 1.0 + 1e-13, 0.0, 1.0 + 1e-13])
-    out = _guard(v, 2, IntegratorConfig(), drift, 0.1)
+    assert _guard(v, 2, IntegratorConfig(), drift, 0.1) is True
     # x: clamped to [1.2, 0], drift 0.2 > RENORM_TOL, so renormalized
     # z: clamped to 1; y: drift 1e-13 < RENORM_TOL, left as it is, zero kept
-    assert out.tolist() == [1.0, 0.0, 0.3, 1.0, 0.0, 1.0 + 1e-13]
+    assert v.tolist() == [1.0, 0.0, 0.3, 1.0, 0.0, 1.0 + 1e-13]
     assert drift[0] == pytest.approx(0.2) and drift[1] == pytest.approx(1e-13, rel=1e-3)
-    assert _guard(out, 2, IntegratorConfig(), drift, 0.2) is out
+    assert _guard(v, 2, IntegratorConfig(), drift, 0.2) is False  # nothing left to write
+    assert v.tolist() == [1.0, 0.0, 0.3, 1.0, 0.0, 1.0 + 1e-13]
     assert drift[0] == pytest.approx(0.2)  # the worst drift is kept
+
+
+@pytest.mark.parametrize("v", [[1.0, -1e-13, 0.5, 0.5, 0.5, 0.5], [1.0, 0.0, 0.5, 1.0 + 1e-13, 0.5, 0.5],
+                               [0.5, 0.5, 0.5, 0.5, 0.5, 0.5 + 2e-9]])
+def test_guard_reports_each_kind_of_write(v):
+    """A clamp of x, a clamp of z and a renormalization of y each count as a write."""
+    assert _guard(np.array(v), 2, IntegratorConfig(), [0.0, 0.0], 0.1) is True
 
 
 def test_shape_mismatch_message_is_shared(scores):
@@ -372,6 +403,65 @@ def test_rk45_over_step_budget_names_time_and_count(scores, monkeypatch):
     cfg = IntegratorConfig(method="rk45", step=0.01, t_end=50.0)
     with pytest.raises(StepBudgetExceeded, match=r"^at t=\S+: 10 rk45 step attempts"):
         integrate(case_start(), scores, cfg)
+
+
+# --- integrator counters and the reused last stage ---
+
+def test_rk4_counts_four_evaluations_per_step(case_trajectory):
+    meta = case_trajectory.meta
+    assert meta["accepted_steps"] == 5000
+    assert meta["field_evaluations"] == 4 * meta["accepted_steps"]
+    assert meta["rejected_steps"] == 0
+    assert meta["guard_writes"] == 0
+
+
+def test_rk45_reuses_the_last_stage(case_trajectory_rk45):
+    meta = case_trajectory_rk45.meta
+    attempts = meta["accepted_steps"] + meta["rejected_steps"]
+    assert meta["field_evaluations"] == 1 + 6 * attempts + meta["guard_writes"]
+    assert meta["field_evaluations"] <= 1320  # 7 per attempt before: 1526
+    assert abs(meta["accepted_steps"] - 211) <= 2
+
+
+def _assert_reuse_is_exact(case_study, cfg, monkeypatch):
+    """The rk45 run as it is, and with _guard reporting a write after every
+    accepted step, so that every first stage is evaluated anew."""
+    plain = qgame.run_scenario(case_study, cfg)
+    guard = dynamics._guard
+
+    def always_wrote(*args):
+        guard(*args)
+        return True
+
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_guard", always_wrote)
+        anew = qgame.run_scenario(case_study, cfg)
+    for name in ("t", "x", "y", "z", "utility"):
+        assert np.array_equal(getattr(plain, name), getattr(anew, name)), name
+    accepted = plain.meta["accepted_steps"]
+    assert anew.meta["accepted_steps"] == accepted
+    assert anew.meta["guard_writes"] == accepted
+    assert anew.meta["field_evaluations"] == (
+        plain.meta["field_evaluations"] + accepted - plain.meta["guard_writes"]
+    )
+    return plain
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-4])
+def test_reused_last_stage_is_exact(case_study, monkeypatch, tol):
+    cfg = IntegratorConfig(method="rk45", abs_tol=tol, rel_tol=tol)
+    assert _assert_reuse_is_exact(case_study, cfg, monkeypatch).meta["guard_writes"] == 0
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-4])
+def test_reused_last_stage_is_exact_when_the_guard_writes(case_study, monkeypatch, tol):
+    # the steps keep sum(x) and sum(y) within rounding of 1, so with the
+    # bundled RENORM_TOL the guard never writes on the case study; at 0 it
+    # renormalizes whenever a sum is off 1, and f(v) is recomputed there
+    monkeypatch.setattr(dynamics, "RENORM_TOL", 0.0)
+    cfg = IntegratorConfig(method="rk45", abs_tol=tol, rel_tol=tol)
+    plain = _assert_reuse_is_exact(case_study, cfg, monkeypatch)
+    assert 0 < plain.meta["guard_writes"] < plain.meta["accepted_steps"]
 
 
 def test_config_validation():

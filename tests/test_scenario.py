@@ -378,3 +378,18 @@ def test_run_scenario_uses_strategy_labels(case_study):
     )
     assert traj.strategy_labels == tuple(CANONICAL_ORDER)
     assert traj.factor_labels == ("Q1", "Q2", "Q3", "Q4", "Q5")
+
+
+@pytest.mark.parametrize("code", ["D.R.T.Pu", "I.C.A.PP"])
+def test_negative_table_share_names_the_strategy_and_value(sandbox, code):
+    scen_dir, base = sandbox
+    table = scen_dir.parent / "data" / "y0.csv"
+    lines = table.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(code + ","))
+    share = float(lines[i].split(",")[1])
+    lines[i] = f"{code},{-share}"
+    table.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == "y0"
+    assert info.value.reason == f"table share of {code} = {-share} is negative"
