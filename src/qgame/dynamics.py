@@ -20,8 +20,9 @@ Replicator flow preserves the simplices analytically, so the integrator
 treats any violation as numerical error: tiny negative entries are
 clamped to zero and x, y are renormalized once their sums drift beyond a
 threshold. Coordinates that start at exactly zero stay exactly zero.
-rk45 (Dormand-Prince 5(4)) reuses a step's last stage as the next one's
-first unless the guard wrote; that rewrite moved its output bits once.
+rk4 and rk45 (Dormand-Prince 5(4)) are one explicit Runge-Kutta stepper
+on two Butcher tableaus, and both reuse a step's last stage as the next
+step's first unless the guard wrote.
 """
 
 import math
@@ -172,16 +173,13 @@ def vector_field(
     return d[:n], d[2 * n:], d[n:2 * n]
 
 
-def _rk4_step(v, h, scores, n):
-    k1 = _rhs(v, scores, n)
-    k2 = _rhs(v + 0.5 * h * k1, scores, n)
-    k3 = _rhs(v + 0.5 * h * k2, scores, n)
-    k4 = _rhs(v + h * k3, scores, n)
-    return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+# Butcher tableaus as (weights, divisor) rows: row s is the stage value
+# v + h / divisor * (weights . K[:s]), with its field in K[s]. The last row
+# is the new state, so K[-1] is the next step's first stage. RK4's last row
+# keeps the bits of v + h / 6 * (k1 + 2 k2 + 2 k3 + k4).
+_RK4 = tuple((np.array(w), d) for w, d in (
+    ((0.5,), 1.0), ((0.0, 0.5), 1.0), ((0.0, 0.0, 1.0), 1.0), ((1.0, 2.0, 2.0, 1.0), 6.0)))
+# Dormand-Prince 5(4); the error weights are B5 - B4
 _DP_A = (
     (),
     (1 / 5,),
@@ -192,23 +190,19 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-# row s weights the stages before stage s; row 6 is B5, so stage 7 is f(v5),
-# the next step's first stage (FSAL); the error weights are B5 - B4
-_DP_ROWS = tuple(np.array(row) for row in _DP_A + (_DP_B5,))
+_DP = tuple((np.array(row), 1.0) for row in _DP_A[1:] + (_DP_B5,))
 _DP_E = np.array(_DP_B5 + (0.0,)) - np.array(_DP_B4)
 
 
-def _dp_step(v, h, scores, n, K):
-    """One Dormand-Prince step from v, with K[0] = f(v) in place: fills
-    K[1:7] and returns (5th-order value, error estimate)."""
-    for s in range(1, 7):
-        vs = np.dot(_DP_ROWS[s], K[:s])
-        vs *= h
+def _rk_step(v, h, scores, n, K, tableau):
+    """One explicit Runge-Kutta step of size h from v, with K[0] = f(v) in
+    place: fills K[1:] and returns the new state."""
+    for s, (row, divisor) in enumerate(tableau, 1):
+        vs = np.dot(row, K[:s])
+        vs *= h / divisor
         vs += v
         _rhs(vs, scores, n, out=K[s])
-    err = np.dot(_DP_E, K)
-    err *= h
-    return vs, err
+    return vs
 
 
 def _fault(v, k, n, t, cfg, what):
@@ -269,17 +263,6 @@ def _guard(v, n, cfg, drift, t):
     return wrote
 
 
-def _rk4_steps(cfg: IntegratorConfig) -> int:
-    """Steps the rk4 loop of `integrate` takes: the first k with
-    min(k * step, t_end) >= t_end - T_EPS. That time rises with k, so the
-    search starts just below the quotient and moves up at most a few steps.
-    """
-    k = max(0, math.ceil((cfg.t_end - T_EPS) / cfg.step) - 2)
-    while min(k * cfg.step, cfg.t_end) < cfg.t_end - T_EPS:
-        k += 1
-    return k
-
-
 def integrate(
     state0: GameState,
     scores: ZScoreMatrix,
@@ -295,7 +278,8 @@ def integrate(
         on_samples: called as on_samples(t, v) with every BLOCK new samples,
             and once more with the rest when the run ends; t is (k,) and v
             is (k, 2n + m), holding x, z and y in that column order. Both are
-            views of the trajectory's own arrays, final when passed.
+            views of the trajectory's own arrays, final when passed. It runs
+            with numpy's overflow, invalid and divide warnings off.
 
     Returns:
         Trajectory sampled at t=0 and after every accepted step, the last
@@ -310,9 +294,10 @@ def integrate(
     S = scores.scores
     n, m = S.shape
     _check_shapes(state0, n, m)
+    rk4 = cfg.method == "rk4"
     # for an integer budget, t_end / step > MAX_STEPS is the same test as
     # ceil(t_end / step) > MAX_STEPS, and it holds when the quotient is inf
-    if cfg.method == "rk4" and cfg.t_end / cfg.step > MAX_STEPS:
+    if rk4 and cfg.t_end / cfg.step > MAX_STEPS:
         raise StepBudgetExceeded(
             f"rk4 needs {cfg.t_end / cfg.step:.3g} steps of {cfg.step:g} to reach "
             f"t_end={cfg.t_end:g}, over MAX_STEPS={MAX_STEPS}; increase --step or "
@@ -320,9 +305,9 @@ def integrate(
         )
 
     v = np.concatenate([state0.x, state0.z, state0.y])
-    # one buffer for all samples: rk4 knows its row count before the first
-    # step, rk45 starts with one block and doubles when full
-    rows = 1 + _rk4_steps(cfg) if cfg.method == "rk4" else BLOCK
+    # one buffer for all samples: rk4 takes at most ceil(t_end / step) + 1
+    # steps, rk45 starts with one block; a full buffer doubles
+    rows = 2 + math.ceil(cfg.t_end / cfg.step) if rk4 else BLOCK
     ts = np.empty(rows)
     vs = np.empty((rows, len(v)))
     ts[0] = t = 0.0
@@ -334,65 +319,64 @@ def integrate(
     rejected = 0  # rk45 steps tried and rejected
     guard_writes = 0  # accepted states that _guard clamped or renormalized
     h = cfg.step
-    K = np.empty((7, len(v)))  # rk45's Dormand-Prince stages, K[0] = f(v)
-    if cfg.method == "rk45":
-        _rhs(v, S, n, out=K[0])
-    evaluations = int(cfg.method == "rk45")  # field evaluations
+    tableau = _RK4 if rk4 else _DP
+    K = np.empty((len(tableau) + 1, len(v)))  # the stages, K[0] = f(v)
+    _rhs(v, S, n, out=K[0])
+    evaluations = 1  # field evaluations
 
-    while t < cfg.t_end - T_EPS:
-        if cfg.method == "rk4":
-            # counter-based time avoids accumulation drift and spurious
-            # sub-steps when t_end is a multiple of the step
-            t_next = min((accepted + 1) * h, cfg.t_end)
-            v = _rk4_step(v, t_next - t, S, n)
-            guard_writes += _guard(v, n, cfg, drift, t_next)
-            evaluations += 4
-            t = t_next
-            accepted += 1
-        else:
-            if accepted + rejected == MAX_STEPS:
-                raise StepBudgetExceeded(
-                    f"at t={t:.6g}: {MAX_STEPS} rk45 step attempts ({accepted} accepted) "
-                    f"used up MAX_STEPS={MAX_STEPS} before t_end={cfg.t_end:g}; "
-                    "loosen abs_tol and rel_tol or reduce --t-end"
-                )
-            h_try = min(h, cfg.t_end - t)
-            # overflow inside a trial step is not an error: it shows up as a
-            # non-finite err_norm and the step gets rejected and shrunk
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                v_new, err = _dp_step(v, h_try, S, n, K)
+    # overflow inside a trial step is not an error: rk45 sees a non-finite
+    # err_norm and rejects the step, and _guard stops on a non-finite state
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while t < cfg.t_end - T_EPS:
+            if rk4:
+                # counter-based time avoids accumulation drift and spurious
+                # sub-steps when t_end is a multiple of the step
+                t_next = min((accepted + 1) * h, cfg.t_end)
+                h_try = t_next - t
+            else:
+                if accepted + rejected == MAX_STEPS:
+                    raise StepBudgetExceeded(
+                        f"at t={t:.6g}: {MAX_STEPS} rk45 step attempts ({accepted} accepted) "
+                        f"used up MAX_STEPS={MAX_STEPS} before t_end={cfg.t_end:g}; "
+                        "loosen abs_tol and rel_tol or reduce --t-end"
+                    )
+                h_try = min(h, cfg.t_end - t)
+                t_next = t + h_try
+            v_new = _rk_step(v, h_try, S, n, K, tableau)
+            if not rk4:
+                err = np.dot(_DP_E, K)
+                err *= h_try
                 err /= cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(v), np.abs(v_new))
                 err_norm = math.sqrt((err * err).sum() / len(err))  # nan or inf: rejected
-            evaluations += 6
-            if err_norm <= 1.0:
-                v = v_new
-                if _guard(v, n, cfg, drift, t + h_try):  # v moved: f(v) anew
-                    guard_writes += 1
-                    evaluations += 1
-                    _rhs(v, S, n, out=K[0])
-                else:  # FSAL: K[6] = f(v); a rejection keeps K[0]
-                    K[0] = K[6]
-                t += h_try
-                accepted += 1
-                grow = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2)
-                h = h_try * grow
-            else:
+            evaluations += len(tableau)
+            if not (rk4 or err_norm <= 1.0):
                 rejected += 1
                 h = h_try * (max(0.2, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm) else 0.2)
                 if h < MIN_STEP:
                     raise StepSizeUnderflow(f"adaptive step fell to {h:.3e} at t={t:.6g}")
                 continue
-        if k == len(ts):
-            ts = np.concatenate([ts, np.empty_like(ts)])
-            vs = np.concatenate([vs, np.empty_like(vs)])
-        ts[k] = t
-        vs[k] = v
-        k += 1
-        if on_samples is not None and k - sent == BLOCK:
+            v = v_new
+            if _guard(v, n, cfg, drift, t_next):  # v moved: f(v) anew
+                guard_writes += 1
+                evaluations += 1
+                _rhs(v, S, n, out=K[0])
+            else:  # K[-1] = f(v); a rejection keeps K[0]
+                K[0] = K[-1]
+            t = t_next
+            accepted += 1
+            if not rk4:
+                h = h_try * (5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2))
+            if k == len(ts):
+                ts = np.concatenate([ts, np.empty_like(ts)])
+                vs = np.concatenate([vs, np.empty_like(vs)])
+            ts[k] = t
+            vs[k] = v
+            k += 1
+            if on_samples is not None and k - sent == BLOCK:
+                on_samples(ts[sent:k], vs[sent:k])
+                sent = k
+        if on_samples is not None and k > sent:
             on_samples(ts[sent:k], vs[sent:k])
-            sent = k
-    if on_samples is not None and k > sent:
-        on_samples(ts[sent:k], vs[sent:k])
 
     x, z, y = vs[:k, :n], vs[:k, n:2 * n], vs[:k, 2 * n:]
     return Trajectory(

@@ -129,11 +129,13 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
         raise FileNotFoundError(f"no such scenario file: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ParseError(f"{path}: top level must be a JSON object")
+        _require_finite(raw, "")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: top level must be a JSON object")
-    _require_finite(raw, "")
+    except RecursionError:  # from the parser or from _require_finite
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ValidationError(sorted(unknown)[0], "unknown scenario field")

@@ -358,6 +358,15 @@ def test_invalid_scenario_exits_1(tmp_path, capsys):
     assert main(["simulate", str(bad)]) == 1
 
 
+def test_simulate_deeply_nested_scenario_exits_1_without_traceback(tmp_path):
+    scenario = tmp_path / "deep.json"
+    scenario.write_text('{"a": ' + "[" * 100000 + "]" * 100000 + "}")
+    proc = run_python("-m", "qgame", "simulate", str(scenario), "-o", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {scenario}: JSON nested too deeply\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_path_field_not_a_string_exits_1(tmp_path):
     spec = json.loads(qgame.case_study_path().read_text())
     spec["zscores"] = 5

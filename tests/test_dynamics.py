@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from qgame import (
 )
 import qgame
 from qgame import dynamics
-from qgame.dynamics import BLOCK, T_EPS, _DP_B4, _DP_B5, _DP_A, _DP_C, _guard, _rk4_steps
+from qgame.dynamics import BLOCK, T_EPS, _DP, _DP_B4, _DP_B5, _DP_A, _DP_E, _RK4, _guard, _rk_step
 from qgame.errors import InvalidSetting, InvalidState, StepBudgetExceeded, StepSizeUnderflow
 
 from table_fixtures import CANONICAL_ORDER, PSI_AT_Y0_RAW, Y0, Z0
@@ -47,7 +50,7 @@ def test_dormand_prince_coefficients_are_consistent():
     assert sum(b5) == 1 and sum(b4) == 1
     assert [float(b) for b in b5] == list(_DP_B5)
     assert [float(b) for b in b4] == list(_DP_B4)
-    for row, c in zip(_DP_A, _DP_C):
+    for row, c in zip(_DP_A, (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)):
         assert sum(row) == pytest.approx(c, abs=1e-15)
 
 
@@ -67,10 +70,33 @@ def test_stacked_dormand_prince_step_matches_the_stage_sums(scores, h):
 
     K = np.empty((7, len(v)))
     K[0] = k[0]
-    got_v5, got_err = dynamics._dp_step(v, h, S, n, K)
+    got_v5 = _rk_step(v, h, S, n, K, _DP)
     assert np.abs(got_v5 - v5).max() <= 1e-15
-    assert np.abs(got_err - (v5 - v4)).max() <= 1e-15
+    assert np.abs(h * (_DP_E @ K) - (v5 - v4)).max() <= 1e-15
     assert np.array_equal(K[6], dynamics._rhs(got_v5, S, n))
+
+
+def classic_rk4_step(v, h, S, n):
+    """The textbook RK4 step, k1 included."""
+    k1 = dynamics._rhs(v, S, n)
+    k2 = dynamics._rhs(v + 0.5 * h * k1, S, n)
+    k3 = dynamics._rhs(v + 0.5 * h * k2, S, n)
+    k4 = dynamics._rhs(v + h * k3, S, n)
+    return v + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+@pytest.mark.parametrize("h", [0.01, 0.5])
+def test_rk4_tableau_step_is_the_classic_sum(scores, h):
+    """One step on the RK4 tableau equals the classic formula bit for bit,
+    and its last stage is the field at the new state."""
+    S, n = scores.scores, scores.scores.shape[0]
+    s0 = case_start()
+    v = np.concatenate([s0.x, s0.z, s0.y])
+    K = np.empty((5, len(v)))
+    K[0] = dynamics._rhs(v, S, n)
+    got = _rk_step(v, h, S, n, K, _RK4)
+    assert np.array_equal(got, classic_rk4_step(v, h, S, n))
+    assert np.array_equal(K[4], dynamics._rhs(got, S, n))
 
 
 # --- vector field ---
@@ -254,22 +280,31 @@ def loop_steps(step, t_end):
     return steps
 
 
-def test_rk4_step_count_is_known_before_the_first_step():
+def random_rk4_cases(rng, count, max_steps):
+    """(step, t_end) pairs near a multiple of the step, on either side."""
+    return [(float(h), float(h * k * (1 + e)))
+            for h, k, e in zip(rng.uniform(1e-3, 1.0, count), rng.integers(1, max_steps, count),
+                               rng.choice([0.0, 1e-16, -1e-16, 1e-13, -1e-13], count))]
+
+
+def test_rk4_buffer_holds_every_sample_without_doubling(scores, case_trajectory):
+    """The buffer's 2 + ceil(t_end / step) rows bound the loop's steps, so
+    an rk4 run never doubles its buffer."""
     rng = np.random.default_rng(8)
-    cases = [(0.01, 50.0), (0.1, 0.3), (0.3, 1.0), (0.7, 1000.0), (0.01, 1e-15),
+    fixed = [(0.1, 0.3), (0.3, 1.0), (0.7, 1000.0), (0.01, 1e-15),
              (0.01, 0.01 + 5e-15), (1.0, 1e-14), (2.0, 1.0)]
-    cases += [(float(h), float(h * k * (1 + e)))
-              for h, k, e in zip(rng.uniform(1e-3, 1.0, 300), rng.integers(1, 3000, 300),
-                                 rng.choice([0.0, 1e-16, -1e-16, 1e-13, -1e-13], 300))]
-    for step, t_end in cases:
-        assert _rk4_steps(IntegratorConfig(step=step, t_end=t_end)) == loop_steps(step, t_end), (
-            step, t_end)
-
-
-def test_rk4_buffer_holds_exactly_its_samples(scores):
-    for step, t_end in ((0.1, 0.3), (0.3, 1.0), (0.01, 1e-15)):
-        traj = integrate(case_start(), scores, IntegratorConfig(step=step, t_end=t_end))
-        assert traj.x.base.shape == (len(traj), 46) == (1 + loop_steps(step, t_end), 46)
+    short = random_rk4_cases(rng, 40, 40)
+    for step, t_end in fixed + short + random_rk4_cases(rng, 300, 3000):
+        assert loop_steps(step, t_end) <= 1 + math.ceil(t_end / step), (step, t_end)
+    # a vertex with z = 1 is a rest point where the field is exactly zero,
+    # so no step size throws it off the simplex
+    rest = GameState(x=np.eye(5)[1], y=np.eye(36)[3], z=np.ones(5))
+    runs = [(0.01, 50.0, case_trajectory)]
+    runs += [(step, t_end, integrate(rest, scores, IntegratorConfig(step=step, t_end=t_end)))
+             for step, t_end in fixed + short]
+    for step, t_end, traj in runs:
+        assert len(traj) == 1 + loop_steps(step, t_end), (step, t_end)
+        assert traj.x.base.shape == (2 + math.ceil(t_end / step), 46), (step, t_end)
 
 
 # --- the simplex guard (n = 2: v = x0 x1 | z0 z1 | y0 y1) ---
@@ -384,7 +419,7 @@ def test_rk4_over_step_budget_fails_before_the_first_step(scores, monkeypatch):
     def no_step(*args):
         raise AssertionError("stepped")
 
-    monkeypatch.setattr(dynamics, "_rk4_step", no_step)
+    monkeypatch.setattr(dynamics, "_rk_step", no_step)
     cfg = IntegratorConfig(step=1e-5, t_end=50.0)  # 5e6 steps
     with pytest.raises(StepBudgetExceeded, match="MAX_STEPS=1000000"):
         integrate(case_start(), scores, cfg)
@@ -396,6 +431,16 @@ def test_rk4_at_the_step_budget_runs(scores, monkeypatch):
     monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
     traj = integrate(case_start(), scores, IntegratorConfig(step=0.01, t_end=1.0))
     assert traj.meta["accepted_steps"] == 100
+
+
+def test_rk4_blowup_names_time_and_entry_without_warnings():
+    huge = ZScoreMatrix(np.array([[1e200, -1e200], [-1e200, 1e200]]))
+    s0 = GameState(x=[0.5, 0.5], y=[0.3, 0.7], z=[0.9, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would escape pytest.raises
+        with pytest.raises(InvalidState, match=r"^at t=0\.01: [xzy]\[\d\] = \S+ is not finite; "
+                                               "reduce --step or use --method rk45$"):
+            integrate(s0, huge, IntegratorConfig(step=0.01, t_end=1.0))
 
 
 def test_rk45_over_step_budget_names_time_and_count(scores, monkeypatch):
@@ -410,7 +455,8 @@ def test_rk45_over_step_budget_names_time_and_count(scores, monkeypatch):
 def test_rk4_counts_four_evaluations_per_step(case_trajectory):
     meta = case_trajectory.meta
     assert meta["accepted_steps"] == 5000
-    assert meta["field_evaluations"] == 4 * meta["accepted_steps"]
+    # the first stage of each step is the last of the one before
+    assert meta["field_evaluations"] == 1 + 4 * meta["accepted_steps"]
     assert meta["rejected_steps"] == 0
     assert meta["guard_writes"] == 0
 
@@ -424,7 +470,7 @@ def test_rk45_reuses_the_last_stage(case_trajectory_rk45):
 
 
 def _assert_reuse_is_exact(case_study, cfg, monkeypatch):
-    """The rk45 run as it is, and with _guard reporting a write after every
+    """The run as it is, and with _guard reporting a write after every
     accepted step, so that every first stage is evaluated anew."""
     plain = qgame.run_scenario(case_study, cfg)
     guard = dynamics._guard
@@ -462,6 +508,24 @@ def test_reused_last_stage_is_exact_when_the_guard_writes(case_study, monkeypatc
     cfg = IntegratorConfig(method="rk45", abs_tol=tol, rel_tol=tol)
     plain = _assert_reuse_is_exact(case_study, cfg, monkeypatch)
     assert 0 < plain.meta["guard_writes"] < plain.meta["accepted_steps"]
+
+
+def test_reused_last_stage_is_exact_under_rk4(case_study, monkeypatch):
+    cfg = IntegratorConfig(t_end=10.0)
+    assert _assert_reuse_is_exact(case_study, cfg, monkeypatch).meta["guard_writes"] == 0
+
+
+def test_reused_last_stage_is_exact_under_rk4_when_the_guard_writes(case_study, monkeypatch):
+    monkeypatch.setattr(dynamics, "RENORM_TOL", 0.0)
+    plain = _assert_reuse_is_exact(case_study, IntegratorConfig(t_end=10.0), monkeypatch)
+    assert 0 < plain.meta["guard_writes"] < plain.meta["accepted_steps"]
+    # and every sample is the classic step from the one before, guarded
+    S, n = case_study.scores.scores, case_study.scores.scores.shape[0]
+    samples = np.column_stack([plain.x, plain.z, plain.y])
+    for i in range(1, len(plain)):
+        v = classic_rk4_step(samples[i - 1], plain.t[i] - plain.t[i - 1], S, n)
+        _guard(v, n, IntegratorConfig(), [0.0, 0.0], plain.t[i])
+        assert np.array_equal(v, samples[i]), i
 
 
 def test_config_validation():

@@ -1,10 +1,12 @@
 import json
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import qgame
+from qgame import scenario
 from qgame.errors import ParseError, ValidationError
 
 from table_fixtures import CANONICAL_ORDER, Y0, Z0
@@ -108,6 +110,26 @@ def test_invalid_json_is_a_parse_error(tmp_path):
         qgame.load_scenario(p)
     p.write_text('["a", "list"]')
     with pytest.raises(ParseError):
+        qgame.load_scenario(p)
+
+
+def deep_json(path, depth=100000):
+    path.write_text('{"a": ' + "[" * depth + "]" * depth + "}")
+    return path
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, monkeypatch):
+    p = deep_json(tmp_path / "deep.json")
+    with pytest.raises(ParseError, match=r"deep\.json: JSON nested too deeply$"):
+        qgame.load_scenario(p)
+    # nesting that the parser accepts can still be too deep for the
+    # non-finite check, which recurses on its own
+    nested = []
+    for _ in range(100000):
+        nested = [nested]
+    monkeypatch.setattr(scenario, "json", SimpleNamespace(
+        loads=lambda text: {"a": nested}, JSONDecodeError=json.JSONDecodeError))
+    with pytest.raises(ParseError, match=r"deep\.json: JSON nested too deeply$"):
         qgame.load_scenario(p)
 
 
