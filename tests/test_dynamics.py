@@ -287,21 +287,34 @@ def random_rk4_cases(rng, count, max_steps):
                                rng.choice([0.0, 1e-16, -1e-16, 1e-13, -1e-13], count))]
 
 
-def test_rk4_buffer_holds_every_sample_without_doubling(scores, case_trajectory):
-    """The buffer's 2 + ceil(t_end / step) rows bound the loop's steps, so
-    an rk4 run never doubles its buffer."""
-    rng = np.random.default_rng(8)
-    fixed = [(0.1, 0.3), (0.3, 1.0), (0.7, 1000.0), (0.01, 1e-15),
+RK4_FIXED = [(0.1, 0.3), (0.3, 1.0), (0.7, 1000.0), (0.01, 1e-15),
              (0.01, 0.01 + 5e-15), (1.0, 1e-14), (2.0, 1.0)]
-    short = random_rk4_cases(rng, 40, 40)
-    for step, t_end in fixed + short + random_rk4_cases(rng, 300, 3000):
+
+
+def rk4_short_and_long_cases():
+    """40 random short runs and 300 random long ones, the same on every call."""
+    rng = np.random.default_rng(8)
+    return random_rk4_cases(rng, 40, 40), random_rk4_cases(rng, 300, 3000)
+
+
+def test_rk4_step_count_is_known_before_the_first_step():
+    """Before the first step, 1 + ceil(t_end / step) bounds the steps the
+    loop takes, so the buffer's 2 + ceil(t_end / step) rows hold them all."""
+    short, long = rk4_short_and_long_cases()
+    for step, t_end in RK4_FIXED + short + long:
         assert loop_steps(step, t_end) <= 1 + math.ceil(t_end / step), (step, t_end)
+
+
+def test_rk4_buffer_holds_exactly_its_samples(scores, case_trajectory):
+    """The trajectory holds exactly its 1 + steps samples, as views of the
+    one buffer of 2 + ceil(t_end / step) rows: an rk4 run never doubles it."""
+    short, _ = rk4_short_and_long_cases()
     # a vertex with z = 1 is a rest point where the field is exactly zero,
     # so no step size throws it off the simplex
     rest = GameState(x=np.eye(5)[1], y=np.eye(36)[3], z=np.ones(5))
     runs = [(0.01, 50.0, case_trajectory)]
     runs += [(step, t_end, integrate(rest, scores, IntegratorConfig(step=step, t_end=t_end)))
-             for step, t_end in fixed + short]
+             for step, t_end in RK4_FIXED + short]
     for step, t_end, traj in runs:
         assert len(traj) == 1 + loop_steps(step, t_end), (step, t_end)
         assert traj.x.base.shape == (2 + math.ceil(t_end / step), 46), (step, t_end)
