@@ -122,7 +122,8 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     """Load, validate, and resolve a scenario file into ready-to-run inputs.
 
     `sampler_seed` overrides the seed of a sampled y0 block (CLI --seed);
-    giving it for a y0 that is not sampled is a ValidationError.
+    giving it for a y0 that is not sampled is a ValidationError. A sampled
+    y0 is drawn only once every block has been validated.
     """
     path = Path(path)
     if not path.exists():
@@ -222,7 +223,7 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
             sampler = SamplerConfig(**settings)
         except (TypeError, ValueError) as exc:
             raise _setting_error("y0", exc) from exc
-        y0 = sample_y0(dist, sampler)
+        y0 = None  # drawn once every block is valid
     else:
         raise ValidationError("y0", "expected a vector or a table/sample object")
 
@@ -242,6 +243,8 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     except ValueError as exc:
         raise _setting_error("analysis", exc) from exc
 
+    if y0 is None:
+        y0 = sample_y0(dist, sampler)
     initial = GameState(x=x0, y=y0, z=z0)
     try:
         initial.validate()

@@ -504,6 +504,15 @@ def test_sample_y0_over_sequence_limit_exits_1():
     assert "Traceback" not in proc.stderr
 
 
+def test_sample_y0_bad_sigma_names_the_file_and_strategy(tmp_path, capsys):
+    bad = tmp_path / "dist.csv"
+    text = (DATA / "symmetric_distribution.csv").read_text()
+    bad.write_text(text.replace("I.R.T.Pr,0.0,1.0", "I.R.T.Pr,0.0,-0.5", 1))
+    assert main(["sample-y0", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: sigma of I.R.T.Pr = -0.5 is not strictly positive\n"
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_analyze_rejects_non_finite_cells(short_run, tmp_path, capsys, cell):
     lines = (short_run / "trajectory.csv").read_text().splitlines()

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,10 +17,10 @@ def symmetric() -> StatementDistribution:
     return StatementDistribution(np.zeros(36), np.ones(36))
 
 
-def skewed() -> StatementDistribution:
+def skewed(m: int = 36) -> StatementDistribution:
     """Distinct means and sigmas, so every strategy wins some rows."""
     rng = np.random.default_rng(2024)
-    return StatementDistribution(rng.normal(0.0, 0.3, 36), rng.uniform(0.5, 1.5, 36))
+    return StatementDistribution(rng.normal(0.0, 0.3, m), rng.uniform(0.5, 1.5, m))
 
 
 def one_block_reference(dist: StatementDistribution, cfg: SamplerConfig) -> np.ndarray:
@@ -46,6 +48,100 @@ def test_shares_do_not_depend_on_the_block_size(monkeypatch, block):
     expected = sample_y0(dist, cfg)
     monkeypatch.setattr(sampling, "BLOCK_ROWS", block)
     assert np.array_equal(sample_y0(dist, cfg), expected)
+
+
+def spy_on_ranges(monkeypatch) -> list:
+    """Record (start, stop, buffer rows, thread id) of every range counted."""
+    calls = []
+    count_range = sampling._count_range
+
+    def spy(dist, seed, start, stop, block, ndtri):
+        calls.append((start, stop, len(block), threading.get_ident()))
+        return count_range(dist, seed, start, stop, block, ndtri)
+
+    monkeypatch.setattr(sampling, "_count_range", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("m", [36, 37, 5])
+def test_shares_do_not_depend_on_the_cpu_count(monkeypatch, cpus, m):
+    dist = skewed(m)
+    n = 2 * BLOCK_ROWS + 3  # three blocks, so 8 CPUs give more threads than blocks
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: cpus)
+    calls = spy_on_ranges(monkeypatch)
+    for seed in (0, 1, 7):
+        cfg = SamplerConfig(n_sequences=n, seed=seed)
+        assert np.array_equal(sample_y0(dist, cfg), one_block_reference(dist, cfg))
+    k = min(cpus, 3)
+    ranges = sorted(calls[:k])  # the threads record in any order
+    # contiguous ranges covering every row, each on its own thread, the first
+    # on the caller's, sharing one buffer of BLOCK_ROWS rows
+    assert [r[0] for r in ranges] == [i * n // k for i in range(k)]
+    assert [r[1] for r in ranges] == [(i + 1) * n // k for i in range(k)]
+    assert sum(r[2] for r in ranges) == BLOCK_ROWS
+    assert len({r[3] for r in ranges}) == k and ranges[0][3] == threading.get_ident()
+    assert len(calls) == 3 * k
+
+
+def test_more_threads_than_cores_under_fast_switching(monkeypatch):
+    # eight threads share the result list and one buffer; switching every
+    # microsecond interleaves them as often as the interpreter can
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: 8)
+    dist = skewed()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            cfg = SamplerConfig(n_sequences=8 * BLOCK_ROWS + 5, seed=seed)
+            assert np.array_equal(sample_y0(dist, cfg), one_block_reference(dist, cfg))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_threads_are_capped_at_the_buffer_rows(monkeypatch, block):
+    dist = skewed()
+    cfg = SamplerConfig(n_sequences=2500, seed=11)
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(sampling, "BLOCK_ROWS", block)
+    calls = spy_on_ranges(monkeypatch)
+    assert np.array_equal(sample_y0(dist, cfg), one_block_reference(dist, cfg))
+    assert len(calls) == min(block, 8) and all(rows >= 1 for _, _, rows, _ in calls)
+
+
+@pytest.mark.parametrize(
+    "cpus, n", [(8, 1), (8, BLOCK_ROWS), (1, 30000)], ids=["one-row", "one-block", "one-cpu"]
+)
+def test_one_block_or_one_cpu_starts_no_thread(monkeypatch, cpus, n):
+    # the CPU count comes from the affinity mask, as under taskset
+    monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    calls = spy_on_ranges(monkeypatch)
+    started = threading.active_count()
+    cfg = SamplerConfig(n_sequences=n, seed=3)
+    assert np.array_equal(sample_y0(skewed(), cfg), one_block_reference(skewed(), cfg))
+    assert calls == [(0, n, min(n, BLOCK_ROWS), threading.get_ident())]
+    assert threading.active_count() == started
+
+
+@pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+@pytest.mark.parametrize("failing", [0, 2])
+def test_a_failure_in_any_range_reaches_the_caller(monkeypatch, failing):
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: 3)
+    calls = spy_on_ranges(monkeypatch)
+    count_range = sampling._count_range
+    n = 3 * BLOCK_ROWS
+
+    def fail_one(dist, seed, start, stop, block, ndtri):
+        counts = count_range(dist, seed, start, stop, block, ndtri)
+        if start == failing * n // 3:
+            raise RuntimeError(f"range at row {start} failed")
+        return counts
+
+    monkeypatch.setattr(sampling, "_count_range", fail_one)
+    with pytest.raises(RuntimeError, match=f"range at row {failing * n // 3} failed"):
+        sample_y0(skewed(), SamplerConfig(n_sequences=n, seed=5))
+    assert len(calls) == 3  # the failure stopped no other range
 
 
 def test_ties_across_block_boundaries_go_to_the_first_index():
@@ -137,6 +233,26 @@ def test_sampler_config_validation():
         SamplerConfig(seed=-1)
     with pytest.raises(ValueError):
         StatementDistribution(np.zeros(3), np.array([1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "field, index, value, message",
+    [
+        ("means", 5, np.nan, r"means\[5\] = nan is not finite"),
+        ("means", 0, -np.inf, r"means\[0\] = -inf is not finite"),
+        ("sigmas", 3, np.inf, r"sigmas\[3\] = inf is not finite"),
+        ("sigmas", 2, np.nan, r"sigmas\[2\] = nan is not finite"),
+        ("sigmas", 7, -0.5, r"sigmas\[7\] = -0.5 is not strictly positive"),
+    ],
+)
+def test_distribution_names_its_first_bad_entry(field, index, value, message):
+    # a NaN mean once took every row (argmax picks the first NaN), and an
+    # infinite sigma gave its strategy about half of them
+    params = {"means": np.zeros(36), "sigmas": np.ones(36)}
+    params[field][index] = value
+    params[field][index + 1] = value  # only the first is named
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StatementDistribution(**params)
 
 
 def test_repeat_stability_identical_seeds_is_zero():

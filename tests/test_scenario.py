@@ -349,6 +349,21 @@ def test_sampled_y0_is_deterministic(sandbox):
     assert a.initial.y.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "block, spec", [("integrator", {"stepp": 0.01}), ("analysis", {"winner_threshold": "high"})]
+)
+def test_bad_settings_fail_before_sampling(sandbox, monkeypatch, block, spec):
+    scen_dir, base = sandbox
+    base["y0"] = {"mode": "sample", "distribution": "../data/symmetric_distribution.csv"}
+    base[block] = spec
+    calls = []
+    monkeypatch.setattr(scenario, "sample_y0", lambda *args: calls.append(args))
+    with pytest.raises(ValidationError, match=block) as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field.startswith(block)
+    assert calls == []
+
+
 def test_sampler_seed_override_changes_result(sandbox):
     scen_dir, base = sandbox
     base["y0"] = {
