@@ -13,16 +13,24 @@ taken at the instantaneous z, Runge-Kutta substages included:
     dy_j/dt = y_j * ((A' x)_j - y' A' x)
     dz_i/dt = z_i * (1 - z_i) * 2 * (S y)_i
 
-x' A y is the average stakeholder payoff. A(z) itself is never built;
-`_rhs` states the identities it evaluates instead.
+x' A y is the average stakeholder payoff. A(z) itself is never built.
 
-Replicator flow preserves the simplices analytically, so the integrator
-treats any violation as numerical error: tiny negative entries are
-clamped to zero and x, y are renormalized once their sums drift beyond a
-threshold. Coordinates that start at exactly zero stay exactly zero.
-rk4 and rk45 (Dormand-Prince 5(4)) are one explicit Runge-Kutta stepper
-on two Butcher tableaus, and both reuse a step's last stage as the next
-step's first unless the guard wrote.
+The integrator works on the exponential-weights form of the same system
+(Hofbauer & Sigmund 1998, ch. 7), in log coordinates v = (u, a, c) with
+x = softmax(u), z = (1 + tanh a) / 2 and y = softmax(c). With g = tanh a
+= 2z - 1 the field is
+
+    u' = g * (S y)    a' = S y    c' = (g * x) @ S
+
+(`_rhs`): the mean payoffs drop out, because softmax ignores a common
+shift, and so does the factor z (1 - z). The simplices and [0, 1] hold by
+construction, so nothing repairs them. A share that is exactly zero has a
+log coordinate of -inf, where the field is finite, so it stays exactly
+zero; z = 0 and z = 1 sit at a = -inf and +inf. `integrate` converts at
+both edges: shares come in, shares go out. Between recentrings the first
+stage of each step is the last stage of the step before, bit for bit.
+rk4 and rk45 (Dormand-Prince 5(4), advancing the fifth-order solution)
+are one explicit Runge-Kutta stepper on two Butcher tableaus.
 """
 
 import math
@@ -37,8 +45,7 @@ from .qdata import ZScoreMatrix
 STATE_SUM_TOL = 1e-9   # allowed drift of simplex sums in a valid state
 MIN_STEP = 1e-12       # hard floor for the adaptive step size
 MAX_STEPS = 10**6      # step budget: rk4 steps, or rk45 attempts, per integration
-RENORM_TOL = 1e-9      # renormalize x, y when |sum - 1| exceeds this
-CLAMP_EPS = 1e-12      # entries in [-CLAMP_EPS, 0) are clamped to 0
+LOG_BOUND = 64.0       # a log block whose max leaves [-LOG_BOUND, LOG_BOUND] is recentred
 T_EPS = 1e-14          # a run ends once t is within T_EPS of t_end
 BLOCK = 256            # samples per on_samples call
 
@@ -103,9 +110,11 @@ class Trajectory:
 
     From `integrate`, x, z and y are column views of one (k, 2n + m)
     sample buffer, and `meta` holds the counts `accepted_steps`,
-    `rejected_steps`, `field_evaluations` and `guard_writes` (accepted
-    states that were clamped or renormalized), and `max_x_drift` and
-    `max_y_drift`, the largest |sum - 1| of x and y before renormalization.
+    `rejected_steps`, `field_evaluations` and `recentrings` (accepted
+    states whose log coordinates were shifted back into range), the
+    smallest and largest accepted step, `min_step` and `max_step` (None
+    when no step was taken), and `max_x_drift` and `max_y_drift`, the
+    largest |sum - 1| of x and y over the samples.
     """
 
     t: np.ndarray                  # (k,)
@@ -137,19 +146,48 @@ def expected_total_utility(
     return np.einsum("...i,...i->...", x, _payoffs(scores, y, z)[2])
 
 
-def _rhs(v: np.ndarray, S: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The coupled field at v = (x, z, y), into out if given, without building A(z).
+def _to_log(x: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Log coordinates v = (u, a, c) of shares (x, z, y): u and c are log x
+    and log y shifted to a max of 0, and a = atanh(2z - 1) = log(z / (1 - z)) / 2.
+    Zero shares map to -inf, z = 1 to +inf; call it with divide warnings off."""
+    u, c = np.log(x), np.log(y)
+    u -= u.max()
+    c -= c.max()
+    return np.concatenate([u, 0.5 * np.log(z / (1.0 - z)), c])
 
-    With g = 2z - 1, A(z) = g * S row by row, so A y = g * (S y) and
-    A' x = (g * x) @ S, and dz = z * (1 - z) * 2 * (S y) reuses S y.
+
+def _to_shares(w: np.ndarray, n: int) -> None:
+    """Overwrite rows w = (u, a, c) of log coordinates with their shares
+    (x, z, y); call it with overflow warnings off."""
+    for b in (w[:, :n], w[:, 2 * n:]):
+        b -= b.max(axis=1, keepdims=True)
+        np.exp(b, out=b)
+        b /= b.sum(axis=1, keepdims=True)
+    a = w[:, n:2 * n]  # z = (1 + tanh a) / 2 = 1 / (1 + exp(-2a)), exact near 0
+    a *= -2.0
+    np.exp(a, out=a)
+    a += 1.0
+    np.reciprocal(a, out=a)
+
+
+def _rhs(v: np.ndarray, S: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The coupled field at log coordinates v = (u, a, c), into out if given.
+
+    With ex = exp(u), ey = exp(c) and g = tanh a: S y = S @ ey / sum(ey),
+    u' = A y = g * (S y), a' = S y and c' = A' x = (g * ex) @ S / sum(ex).
+    A -inf entry of u or c adds nothing to the sums; the exp of a is unused.
     """
-    x, z, y = v[:n], v[n:2 * n], v[2 * n:]
-    g, Sy, Ay = _payoffs(S, y, z)
-    ATx = (g * x) @ S
     d = np.empty_like(v) if out is None else out
-    np.multiply(x, Ay - x @ Ay, out=d[:n])
-    np.multiply(y, ATx - y @ ATx, out=d[2 * n:])
-    np.multiply(z * (1.0 - z), 2.0 * Sy, out=d[n:2 * n])
+    e = np.exp(v)
+    ex, ey = e[:n], e[2 * n:]
+    Sy = d[n:2 * n]
+    np.matmul(S, ey, out=Sy)
+    Sy /= ey.sum()
+    g = np.tanh(v[n:2 * n])
+    np.multiply(g, Sy, out=d[:n])
+    g *= ex
+    np.matmul(g, S, out=d[2 * n:])
+    d[2 * n:] /= ex.sum()
     return d
 
 
@@ -164,13 +202,16 @@ def _check_shapes(state: GameState, n: int, m: int) -> None:
 def vector_field(
     state: GameState, scores: ZScoreMatrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time derivative (dx, dy, dz) of a valid state under the coupled system."""
+    """Time derivative (dx, dy, dz) of a valid state under the coupled system:
+    the log-coordinate field through the chain rule."""
     state.validate()
     n, m = scores.scores.shape
     _check_shapes(state, n, m)
-    v = np.concatenate([state.x, state.z, state.y])
-    d = _rhs(v, scores.scores, n)
-    return d[:n], d[2 * n:], d[n:2 * n]
+    x, y, z = state.x, state.y, state.z
+    with np.errstate(divide="ignore"):
+        d = _rhs(_to_log(x, z, y), scores.scores, n)
+    du, da, dc = d[:n], d[n:2 * n], d[2 * n:]
+    return x * (du - x @ du), y * (dc - y @ dc), 2.0 * z * (1.0 - z) * da
 
 
 # Butcher tableaus as (weights, divisor) rows: row s is the stage value
@@ -205,7 +246,7 @@ def _rk_step(v, h, scores, n, K, tableau):
     return vs
 
 
-def _fault(v, k, n, t, cfg, what):
+def _fault(v, k, n, t, cfg):
     """InvalidState naming the time, the block and the entry of v[k]."""
     block, i = ("x", k) if k < n else ("z", k - n) if k < 2 * n else ("y", k - 2 * n)
     hint = (
@@ -213,54 +254,25 @@ def _fault(v, k, n, t, cfg, what):
         if cfg.method == "rk4"
         else "tighten abs_tol and rel_tol"
     )
-    return InvalidState(f"at t={t:.6g}: {block}[{i}] = {v[k]:.3e} {what}; {hint}")
+    return InvalidState(f"at t={t:.6g}: {block}[{i}] = {v[k]:.3e} is not finite; {hint}")
 
 
-def _non_finite(v, start, stop, n, t, cfg):
-    """The fault for a non-finite entry of v[start:stop], or, if every
-    entry is finite, for the largest one, whose block sum overflowed."""
-    bad = ~np.isfinite(v[start:stop])
-    if bad.any():
-        return _fault(v, start + int(bad.argmax()), n, t, cfg, "is not finite")
-    return _fault(v, start + int(v[start:stop].argmax()), n, t, cfg, "overflows its block sum")
+def _recentre(v, n, t, cfg):
+    """Shift the log blocks u and c of v in place so that each max is 0.
 
-
-def _guard(v, n, cfg, drift, t):
-    """Clamp tiny negatives, renormalize drifting simplices, reject blowups.
-
-    Works on v in place and returns whether it wrote (clamped or
-    renormalized). Updates drift[0]/drift[1] with the worst |sum - 1|
-    observed for x / y before renormalization. Exact zeros are preserved.
-    A failure names the time t, the block and the entry.
+    A NaN anywhere, or a log block whose max is not finite (an overflow to
+    +inf, or no share left), is a fault naming the time t, the block and
+    the entry. The blocks are checked in the order `_rhs` reads them: y
+    (S y), z (g), then x.
     """
-    z = v[n:2 * n]
-    v_min = v.min()  # NaN if any entry is NaN
-    z_max = z.max()
-    if not (math.isfinite(v_min) and math.isfinite(z_max)):
-        raise _non_finite(v, 0, len(v), n, t, cfg)
-    if v_min < 0.0:
-        if v_min < -CLAMP_EPS:
-            raise _fault(v, int(v.argmin()), n, t, cfg,
-                         f"is negative beyond clamp_eps={CLAMP_EPS:.1e}")
-        v[v < 0.0] = 0.0
-    if z_max > 1.0:
-        if z_max > 1.0 + CLAMP_EPS:
-            raise _fault(v, n + int(z.argmax()), n, t, cfg,
-                         f"exceeds 1 beyond clamp_eps={CLAMP_EPS:.1e}")
-        z[z > 1.0] = 1.0
-    wrote = bool(v_min < 0.0 or z_max > 1.0)
-    for start, stop, slot in ((0, n, 0), (2 * n, len(v), 1)):
-        # a +inf in x or y passes the min check but not its block sum
-        s = float(v[start:stop].sum())
-        if not math.isfinite(s):
-            raise _non_finite(v, start, stop, n, t, cfg)
-        err = abs(s - 1.0)
-        if err > drift[slot]:
-            drift[slot] = err
-        if err > RENORM_TOL:
-            v[start:stop] /= s
-            wrote = True
-    return wrote
+    tu, ta, tc = np.maximum.reduceat(v, (0, n, 2 * n)).tolist()  # nan if any entry is
+    for start, stop, top in ((2 * n, len(v), tc), (n, 2 * n, ta), (0, n, tu)):
+        if math.isnan(top) or (start != n and math.isinf(top)):  # z = 0, 1 at a = -inf, inf
+            block = v[start:stop]
+            bad = np.isnan(block) | (block == top)
+            raise _fault(v, start + int(bad.argmax()), n, t, cfg)
+    v[:n] -= tu
+    v[2 * n:] -= tc
 
 
 def integrate(
@@ -274,7 +286,9 @@ def integrate(
     Args:
         state0: valid initial state, at t = 0.
         scores: score matrix defining the payoffs; shapes set the system size.
-        config: integrator settings; defaults to fixed-step RK4.
+        config: integrator settings; defaults to fixed-step RK4. Under rk45,
+            abs_tol and rel_tol bound the local error of the log coordinates,
+            which is a relative error on small shares.
         on_samples: called as on_samples(t, v) with every BLOCK new samples,
             and once more with the rest when the run ends; t is (k,) and v
             is (k, 2n + m), holding x, z and y in that column order. Both are
@@ -284,7 +298,10 @@ def integrate(
     Returns:
         Trajectory sampled at t=0 and after every accepted step, the last
         at t_end; factors are labelled Q1..Qn, strategies by the scores.
+        The first sample holds state0's own shares.
 
+    Raises InvalidState, naming t, the block and the entry, when an
+    accepted state holds a NaN or its log coordinates overflow.
     Raises StepBudgetExceeded, before the first step, when rk4 would take
     more than MAX_STEPS steps, and, at the time reached, when rk45 has
     attempted more than MAX_STEPS steps, accepted and rejected together.
@@ -304,29 +321,33 @@ def integrate(
             "reduce --t-end"
         )
 
-    v = np.concatenate([state0.x, state0.z, state0.y])
     # one buffer for all samples: rk4 takes at most ceil(t_end / step) + 1
-    # steps, rk45 starts with one block; a full buffer doubles
+    # steps, rk45 starts with one block; a full buffer doubles. Rows hold
+    # log coordinates until _to_shares converts them, a block at a time;
+    # row 0 holds state0's shares from the start
     rows = 2 + math.ceil(cfg.t_end / cfg.step) if rk4 else BLOCK
     ts = np.empty(rows)
-    vs = np.empty((rows, len(v)))
+    vs = np.empty((rows, 2 * n + m))
     ts[0] = t = 0.0
-    vs[0] = v
+    vs[0] = np.concatenate([state0.x, state0.z, state0.y])
     k = 1  # samples stored
-    sent = 0  # samples passed to on_samples
-    drift = [0.0, 0.0]
+    sent = 0  # samples converted and passed to on_samples
     accepted = 0
     rejected = 0  # rk45 steps tried and rejected
-    guard_writes = 0  # accepted states that _guard clamped or renormalized
+    recentrings = 0  # accepted states whose log blocks were shifted
+    h_min, h_max = math.inf, 0.0  # accepted step sizes
     h = cfg.step
     tableau = _RK4 if rk4 else _DP
-    K = np.empty((len(tableau) + 1, len(v)))  # the stages, K[0] = f(v)
-    _rhs(v, S, n, out=K[0])
-    evaluations = 1  # field evaluations
+    K = np.empty((len(tableau) + 1, vs.shape[1]))  # the stages, K[0] = f(v)
+    edges = np.array([0, n, 2 * n])  # the u, a and c blocks
 
     # overflow inside a trial step is not an error: rk45 sees a non-finite
-    # err_norm and rejects the step, and _guard stops on a non-finite state
+    # err_norm and rejects the step, and _recentre stops on a state that
+    # holds a NaN or an overflowed log block
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = _to_log(state0.x, state0.z, state0.y)
+        _rhs(v, S, n, out=K[0])
+        evaluations = 1  # field evaluations
         while t < cfg.t_end - T_EPS:
             if rk4:
                 # counter-based time avoids accumulation drift and spurious
@@ -344,6 +365,8 @@ def integrate(
                 t_next = t + h_try
             v_new = _rk_step(v, h_try, S, n, K, tableau)
             if not rk4:
+                # a -inf coordinate has an infinite scale and a finite error,
+                # so it adds 0 to the norm
                 err = np.dot(_DP_E, K)
                 err *= h_try
                 err /= cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(v), np.abs(v_new))
@@ -356,14 +379,17 @@ def integrate(
                     raise StepSizeUnderflow(f"adaptive step fell to {h:.3e} at t={t:.6g}")
                 continue
             v = v_new
-            if _guard(v, n, cfg, drift, t_next):  # v moved: f(v) anew
-                guard_writes += 1
+            tu, ta, tc = np.maximum.reduceat(v, edges).tolist()  # nan if any entry is
+            if -LOG_BOUND <= tu <= LOG_BOUND and -LOG_BOUND <= tc <= LOG_BOUND and ta == ta:
+                K[0] = K[-1]  # = f(v); a rejection keeps K[0]
+            else:  # v moved: f(v) anew
+                _recentre(v, n, t_next, cfg)
+                recentrings += 1
                 evaluations += 1
                 _rhs(v, S, n, out=K[0])
-            else:  # K[-1] = f(v); a rejection keeps K[0]
-                K[0] = K[-1]
             t = t_next
             accepted += 1
+            h_min, h_max = min(h_min, h_try), max(h_max, h_try)
             if not rk4:
                 h = h_try * (5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2))
             if k == len(ts):
@@ -372,11 +398,15 @@ def integrate(
             ts[k] = t
             vs[k] = v
             k += 1
-            if on_samples is not None and k - sent == BLOCK:
-                on_samples(ts[sent:k], vs[sent:k])
+            if k - sent == BLOCK:
+                _to_shares(vs[max(sent, 1):k], n)
+                if on_samples is not None:
+                    on_samples(ts[sent:k], vs[sent:k])
                 sent = k
-        if on_samples is not None and k > sent:
-            on_samples(ts[sent:k], vs[sent:k])
+        if k > sent:
+            _to_shares(vs[max(sent, 1):k], n)
+            if on_samples is not None:
+                on_samples(ts[sent:k], vs[sent:k])
 
     x, z, y = vs[:k, :n], vs[:k, n:2 * n], vs[:k, 2 * n:]
     return Trajectory(
@@ -385,6 +415,9 @@ def integrate(
         factor_labels=tuple(f"Q{i + 1}" for i in range(n)),
         strategy_labels=scores.strategy_labels,
         meta={"accepted_steps": accepted, "rejected_steps": rejected,
-              "field_evaluations": evaluations, "guard_writes": guard_writes,
-              "max_x_drift": drift[0], "max_y_drift": drift[1]},
+              "field_evaluations": evaluations, "recentrings": recentrings,
+              "min_step": h_min if accepted else None,
+              "max_step": h_max if accepted else None,
+              "max_x_drift": float(np.abs(x.sum(axis=1) - 1.0).max()),
+              "max_y_drift": float(np.abs(y.sum(axis=1) - 1.0).max())},
     )

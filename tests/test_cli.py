@@ -118,7 +118,7 @@ def test_csv_cells_are_17_significant_digits(short_run, case_study, tmp_path):
         assert_panels_slice_trajectory(out)
 
 
-TIGHT = {"method": "rk45", "abs_tol": 1e-13, "rel_tol": 1e-13}  # ~600 samples to t = 10
+TIGHT = {"method": "rk45", "abs_tol": 1e-14, "rel_tol": 1e-14}  # ~580 samples to t = 10
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +220,8 @@ def test_report_holds_no_integrator_counters(tmp_path, method):
     assert main(["analyze", str(sim / "trajectory.csv"), "-o", str(again)]) == 0
     report = (sim / "report.json").read_bytes()
     assert report == (again / "report.json").read_bytes()
-    for name in ("accepted_steps", "rejected_steps", "field_evaluations", "guard_writes"):
+    for name in ("accepted_steps", "rejected_steps", "field_evaluations", "recentrings",
+                 "min_step", "max_step", "max_x_drift"):
         assert name.encode() not in report
 
 
@@ -476,13 +477,41 @@ def test_analyze_mono_slack_reaches_the_thresholds(short_run, tmp_path):
     assert json.loads((tmp_path / "report.json").read_text()) == expected
 
 
+# exp of a log coordinate overflows within an rk4 step of 200; a step of
+# 100 still completes (the field is bounded by max |S|)
+OVERFLOWING_STEP = ["--step", "200", "--t-end", "400"]
+
+
 def test_simulate_step_too_large_names_time_block_and_hint(tmp_path):
     proc = run_python("-m", "qgame", "simulate", str(qgame.case_study_path()),
-                      "--step", "0.5", "-o", str(tmp_path))
+                      *OVERFLOWING_STEP, "-o", str(tmp_path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: at t=")
     assert "y[" in proc.stderr and "--method rk45" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_coarse_step_completes_on_the_simplex(tmp_path, capsys):
+    """In log coordinates a step of 0.5 stays on the simplices and in
+    [0, 1]: every written sample is a valid state."""
+    assert main(["simulate", str(qgame.case_study_path()), "--step", "0.5",
+                 "-o", str(tmp_path)]) == 0
+    assert "sign-frequency limits: 1 1 0 1 1" in capsys.readouterr().out
+    traj = read_trajectory_csv(tmp_path / "trajectory.csv")
+    assert len(traj) == 101
+    for k in range(len(traj)):
+        qgame.GameState(x=traj.x[k], y=traj.y[k], z=traj.z[k]).validate()
+    assert np.abs(traj.x.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(traj.y.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_rk45_case_study_utility_is_nondecreasing_from_t0(tmp_path, capsys):
+    """The rk45 utility climbs to 5 with no drop beyond UTILITY_SLACK."""
+    assert main(["simulate", str(qgame.case_study_path()), "--method", "rk45",
+                 "-o", str(tmp_path)]) == 0
+    assert "nondecreasing from t=0)" in capsys.readouterr().out
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["utility"]["monotone_after"] == 0
 
 
 def test_simulate_over_step_budget_exits_1_without_traceback(tmp_path):
@@ -642,7 +671,7 @@ def test_failed_simulate_leaves_no_directory_and_no_process(tmp_path, capsys):
     import multiprocessing
 
     out = tmp_path / "out"
-    assert main(["simulate", str(qgame.case_study_path()), "--step", "0.5", "-o", str(out)]) == 1
+    assert main(["simulate", str(qgame.case_study_path()), *OVERFLOWING_STEP, "-o", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: at t=")
     assert not out.exists()
     assert multiprocessing.active_children() == []

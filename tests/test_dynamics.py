@@ -15,7 +15,10 @@ from qgame import (
 )
 import qgame
 from qgame import dynamics
-from qgame.dynamics import BLOCK, T_EPS, _DP, _DP_B4, _DP_B5, _DP_A, _DP_E, _RK4, _guard, _rk_step
+from qgame.dynamics import (
+    BLOCK, LOG_BOUND, T_EPS, _DP, _DP_B4, _DP_B5, _DP_A, _DP_E, _RK4, _recentre, _rk_step,
+    _to_log,
+)
 from qgame.errors import InvalidSetting, InvalidState, StepBudgetExceeded, StepSizeUnderflow
 
 from table_fixtures import CANONICAL_ORDER, PSI_AT_Y0_RAW, Y0, Z0
@@ -36,6 +39,12 @@ def case_start() -> GameState:
         y=y0 / y0.sum(),
         z=np.array(Z0),
     )
+
+
+def log_start() -> np.ndarray:
+    """The case-study start in the integrator's log coordinates (u, a, c)."""
+    s0 = case_start()
+    return _to_log(s0.x, s0.z, s0.y)
 
 
 # --- tableau sanity ---
@@ -59,8 +68,7 @@ def test_stacked_dormand_prince_step_matches_the_stage_sums(scores, h):
     """One step on the stage array equals the textbook sums over _DP_A, _DP_B5
     and _DP_B4, and its last stage is the field at the 5th-order value."""
     S, n = scores.scores, scores.scores.shape[0]
-    s0 = case_start()
-    v = np.concatenate([s0.x, s0.z, s0.y])
+    v = log_start()
     k = [dynamics._rhs(v, S, n)]
     for row in _DP_A[1:]:
         k.append(dynamics._rhs(v + h * sum(a * ki for a, ki in zip(row, k)), S, n))
@@ -90,8 +98,7 @@ def test_rk4_tableau_step_is_the_classic_sum(scores, h):
     """One step on the RK4 tableau equals the classic formula bit for bit,
     and its last stage is the field at the new state."""
     S, n = scores.scores, scores.scores.shape[0]
-    s0 = case_start()
-    v = np.concatenate([s0.x, s0.z, s0.y])
+    v = log_start()
     K = np.empty((5, len(v)))
     K[0] = dynamics._rhs(v, S, n)
     got = _rk_step(v, h, S, n, K, _RK4)
@@ -223,6 +230,46 @@ def test_zeroed_coordinates_never_revive(scores):
     assert np.array_equal(traj.z[:, 4], np.zeros(len(traj)))
 
 
+def test_rk45_with_zeroed_entries_raises_no_warning(scores):
+    """Zero shares and z = 0 or 1 are infinite log coordinates; converting
+    them, stepping them and measuring their error warns of nothing."""
+    rng = np.random.default_rng(9)
+    x = rng.dirichlet(np.ones(5))
+    x[[1, 3]] = 0.0
+    x /= x.sum()
+    y = rng.dirichlet(np.ones(36))
+    y[[0, 7, 26]] = 0.0
+    y /= y.sum()
+    z = rng.uniform(0.1, 0.9, 5)
+    z[[0, 4]] = [0.0, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(GameState(x=x, y=y, z=z), scores,
+                         IntegratorConfig(method="rk45", t_end=50.0))
+    assert np.array_equal(traj.x[:, [1, 3]], np.zeros((len(traj), 2)))
+    assert np.array_equal(traj.y[:, [0, 7, 26]], np.zeros((len(traj), 3)))
+    assert np.array_equal(traj.z[:, 0], np.zeros(len(traj)))
+    assert np.array_equal(traj.z[:, 4], np.ones(len(traj)))
+
+
+@pytest.mark.parametrize("method, step", [("rk4", 0.1), ("rk45", 0.01)])
+def test_case_study_to_t_1000_ends_at_the_headline(case_study, method, step):
+    """Long after fixation the winners' log coordinates keep growing and the
+    guard recentres them again and again; the run warns of nothing and ends
+    at the headline. rk4 takes 10000 steps of 0.1 here."""
+    cfg = IntegratorConfig(method=method, step=step, t_end=1000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = qgame.run_scenario(case_study, cfg)
+    assert traj.t[-1] == 1000.0
+    assert traj.meta["recentrings"] > 10
+    fixation = qgame.analyze(traj)["fixation"]
+    assert fixation["winner_x"]["label"] == "Q1"
+    assert fixation["winner_y"]["label"] == "D.R.A.PP"
+    assert fixation["z_limits"] == [1, 1, 0, 1, 1]
+    assert np.array_equal(traj.z[-1], [1.0, 1.0, 0.0, 1.0, 1.0])
+
+
 def test_sample_times_strictly_increase(case_trajectory):
     assert np.all(np.diff(case_trajectory.t) > 0)
     assert case_trajectory.t[0] == 0.0
@@ -232,7 +279,7 @@ def test_sample_times_strictly_increase(case_trajectory):
 
 # --- the sample buffer and its blocks ---
 
-TIGHT = dict(method="rk45", abs_tol=1e-13, rel_tol=1e-13)  # ~600 rk45 samples to t = 10
+TIGHT = dict(method="rk45", abs_tol=1e-14, rel_tol=1e-14)  # ~580 rk45 samples to t = 10
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +367,7 @@ def test_rk4_buffer_holds_exactly_its_samples(scores, case_trajectory):
         assert traj.x.base.shape == (2 + math.ceil(t_end / step), 46), (step, t_end)
 
 
-# --- the simplex guard (n = 2: v = x0 x1 | z0 z1 | y0 y1) ---
+# --- the overflow guard (n = 2: v = u0 u1 | a0 a1 | c0 c1) ---
 
 INF, NAN = float("inf"), float("nan")
 
@@ -328,20 +375,29 @@ INF, NAN = float("inf"), float("nan")
 @pytest.mark.parametrize(
     "v, fault",
     [
-        ([NAN, 1.0, 0.5, 0.5, 0.5, 0.5], "x[0] = nan is not finite"),
-        ([INF, 0.0, 0.5, 0.5, 0.5, 0.5], "x[0] = inf is not finite"),
-        ([0.5, 0.5, 0.5, 0.5, 0.5, INF], "y[1] = inf is not finite"),
-        ([0.5, 0.5, INF, 0.5, 0.5, 0.5], "z[0] = inf is not finite"),
-        ([0.5, 0.5, 0.5, 0.5, -INF, 1.0], "y[0] = -inf is not finite"),
-        ([0.5, 0.5, 0.5, NAN, 0.5, 0.5], "z[1] = nan is not finite"),
-        ([1.1, -0.1, 0.5, 0.5, 0.5, 0.5], "x[1] = -1.000e-01 is negative beyond clamp_eps"),
-        ([0.5, 0.5, 1.5, 0.5, 0.5, 0.5], "z[0] = 1.500e+00 exceeds 1 beyond clamp_eps"),
-        ([0.5, 0.5, 0.5, 0.5, 1e308, 1e308], "y[0] = 1.000e+308 overflows its block sum"),
+        pytest.param([NAN, 1.0, 0.5, 0.5, 0.5, 0.5], "x[0] = nan is not finite",
+                     id="v0-x[0] = nan is not finite"),
+        pytest.param([INF, 0.0, 0.5, 0.5, 0.5, 0.5], "x[0] = inf is not finite",
+                     id="v1-x[0] = inf is not finite"),
+        pytest.param([0.5, 0.5, 0.5, 0.5, 0.5, INF], "y[1] = inf is not finite",
+                     id="v2-y[1] = inf is not finite"),
+        pytest.param([0.5, 0.5, 0.5, 0.5, -INF, -INF], "y[0] = -inf is not finite",
+                     id="v4-y[0] = -inf is not finite"),
+        pytest.param([0.5, 0.5, 0.5, NAN, 0.5, 0.5], "z[1] = nan is not finite",
+                     id="v5-z[1] = nan is not finite"),
+        pytest.param([-INF, -INF, INF, -INF, 0.0, 0.0], "x[0] = -inf is not finite",
+                     id="no x share left"),
+        pytest.param([NAN, 0.0, NAN, 0.0, 0.0, NAN], "y[1] = nan is not finite",
+                     id="y named before z and x"),
+        pytest.param([NAN, 0.0, NAN, 0.0, 0.0, 0.0], "z[0] = nan is not finite",
+                     id="z named before x"),
     ],
 )
 def test_guard_fault_names_time_block_and_entry(v, fault):
-    with pytest.raises(InvalidState) as info, np.errstate(over="ignore"):
-        _guard(np.array(v), 2, IntegratorConfig(), [0.0, 0.0], 2.5)
+    """A NaN anywhere, or a log block whose max is not finite, is a fault;
+    a = +inf or -inf (z = 1 or 0) is not."""
+    with pytest.raises(InvalidState) as info:
+        _recentre(np.array(v), 2, 2.5, IntegratorConfig())
     msg = str(info.value)
     assert msg.startswith("at t=2.5: ") and fault in msg
     assert msg.endswith("reduce --step or use --method rk45")
@@ -349,28 +405,60 @@ def test_guard_fault_names_time_block_and_entry(v, fault):
 
 def test_guard_hint_under_rk45():
     with pytest.raises(InvalidState, match="y\\[0\\].*tighten abs_tol and rel_tol$"):
-        _guard(np.array([0.5, 0.5, 0.5, 0.5, -1.0, 2.0]), 2,
-               IntegratorConfig(method="rk45"), [0.0, 0.0], 1.0)
+        _recentre(np.array([0.5, 0.5, 0.5, 0.5, NAN, 2.0]), 2, 1.0,
+                  IntegratorConfig(method="rk45"))
 
 
-def test_guard_clamps_within_clamp_eps_and_renormalizes():
-    drift = [0.0, 0.0]
-    v = np.array([1.2, -1e-13, 0.3, 1.0 + 1e-13, 0.0, 1.0 + 1e-13])
-    assert _guard(v, 2, IntegratorConfig(), drift, 0.1) is True
-    # x: clamped to [1.2, 0], drift 0.2 > RENORM_TOL, so renormalized
-    # z: clamped to 1; y: drift 1e-13 < RENORM_TOL, left as it is, zero kept
-    assert v.tolist() == [1.0, 0.0, 0.3, 1.0, 0.0, 1.0 + 1e-13]
-    assert drift[0] == pytest.approx(0.2) and drift[1] == pytest.approx(1e-13, rel=1e-3)
-    assert _guard(v, 2, IntegratorConfig(), drift, 0.2) is False  # nothing left to write
-    assert v.tolist() == [1.0, 0.0, 0.3, 1.0, 0.0, 1.0 + 1e-13]
-    assert drift[0] == pytest.approx(0.2)  # the worst drift is kept
+def test_guard_shifts_each_log_block_to_a_max_of_zero():
+    """u and c are shifted by their maxima, above or below the bound;
+    -inf entries and a = +-inf stay."""
+    v = np.array([LOG_BOUND + 6.0, -INF, INF, -INF, -LOG_BOUND - 16.0, -LOG_BOUND - 26.0])
+    _recentre(v, 2, 1.0, IntegratorConfig())
+    assert v.tolist() == [0.0, -INF, INF, -INF, 0.0, -10.0]
 
 
-@pytest.mark.parametrize("v", [[1.0, -1e-13, 0.5, 0.5, 0.5, 0.5], [1.0, 0.0, 0.5, 1.0 + 1e-13, 0.5, 0.5],
-                               [0.5, 0.5, 0.5, 0.5, 0.5, 0.5 + 2e-9]])
+@pytest.mark.parametrize("v", [[70.0, 70.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, -70.0, -70.0],
+                               [-70.0, -70.0, 0.0, 0.0, 70.0, 70.0]])
 def test_guard_reports_each_kind_of_write(v):
-    """A clamp of x, a clamp of z and a renormalization of y each count as a write."""
-    assert _guard(np.array(v), 2, IntegratorConfig(), [0.0, 0.0], 0.1) is True
+    """A step that leaves u above the bound, c below it, or u below and c
+    above it is recentred and counted, with f(v) evaluated anew, and the
+    shares are those of the step without the shift."""
+    scores = ZScoreMatrix(np.array([[1.0, -2.0], [-1.0, 3.0]]))
+    s0 = GameState(x=[0.4, 0.6], y=[0.3, 0.7], z=[0.8, 0.3])
+    cfg = IntegratorConfig(step=0.01, t_end=0.01)
+    plain = integrate(s0, scores, cfg)
+    step = dynamics._rk_step
+
+    def shifted(*args):
+        return step(*args) + np.array(v)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "_rk_step", shifted)
+        moved = integrate(s0, scores, cfg)
+    assert plain.meta["recentrings"] == 0 and moved.meta["recentrings"] == 1
+    assert moved.meta["field_evaluations"] == plain.meta["field_evaluations"] + 1 == 6
+    for name in ("x", "y", "z"):
+        assert getattr(moved, name)[-1] == pytest.approx(getattr(plain, name)[-1], abs=1e-15)
+
+
+def test_rk4_nan_stage_faults_at_the_step_it_reaches():
+    """An exp that overflows in a stage leaves NaN in the new state; the
+    run stops there, naming the time and the entry, with no numpy warning."""
+    scores = ZScoreMatrix(np.array([[5.0, -5.0], [-5.0, 5.0]]))
+    s0 = GameState(x=[0.5, 0.5], y=[0.3, 0.7], z=[0.9, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidState, match=r"^at t=200: [xzy]\[\d\] = nan is not finite; "
+                                               "reduce --step or use --method rk45$"):
+            integrate(s0, scores, IntegratorConfig(step=200.0, t_end=400.0))
+
+
+def test_rk45_rejects_nan_stages_instead_of_faulting(scores):
+    """Under rk45 a stage that overflows gives a NaN error norm, so the step
+    is rejected and retried smaller: a huge first step still completes."""
+    traj = integrate(case_start(), scores, IntegratorConfig(method="rk45", step=200.0, t_end=50.0))
+    assert traj.meta["rejected_steps"] > 0
+    assert np.isfinite(np.column_stack([traj.x, traj.z, traj.y])).all()
 
 
 def test_shape_mismatch_message_is_shared(scores):
@@ -468,77 +556,98 @@ def test_rk45_over_step_budget_names_time_and_count(scores, monkeypatch):
 def test_rk4_counts_four_evaluations_per_step(case_trajectory):
     meta = case_trajectory.meta
     assert meta["accepted_steps"] == 5000
-    # the first stage of each step is the last of the one before
-    assert meta["field_evaluations"] == 1 + 4 * meta["accepted_steps"]
+    # the first stage of each step is the last of the one before, except
+    # after the guard recentred the log coordinates
+    assert meta["recentrings"] == 3
+    assert meta["field_evaluations"] == 1 + 4 * meta["accepted_steps"] + meta["recentrings"]
     assert meta["rejected_steps"] == 0
-    assert meta["guard_writes"] == 0
+    assert meta["min_step"] == pytest.approx(0.01, rel=1e-9)
+    assert meta["max_step"] == pytest.approx(0.01, rel=1e-9)
 
 
 def test_rk45_reuses_the_last_stage(case_trajectory_rk45):
     meta = case_trajectory_rk45.meta
     attempts = meta["accepted_steps"] + meta["rejected_steps"]
-    assert meta["field_evaluations"] == 1 + 6 * attempts + meta["guard_writes"]
+    assert meta["field_evaluations"] == 1 + 6 * attempts + meta["recentrings"]
     assert meta["field_evaluations"] <= 1320  # 7 per attempt before: 1526
-    assert abs(meta["accepted_steps"] - 211) <= 2
+    # the post-fixation tail is a straight line in log coordinates
+    assert meta["accepted_steps"] <= 80
+    assert meta["min_step"] == 0.01  # the first step is accepted
+    assert meta["max_step"] > 10.0
+
+
+def test_step_range_is_none_without_a_step(scores):
+    meta = integrate(case_start(), scores, IntegratorConfig(step=0.01, t_end=1e-15)).meta
+    assert meta["accepted_steps"] == 0
+    assert meta["min_step"] is None and meta["max_step"] is None
 
 
 def _assert_reuse_is_exact(case_study, cfg, monkeypatch):
-    """The run as it is, and with _guard reporting a write after every
-    accepted step, so that every first stage is evaluated anew."""
+    """The run as it is, and with the overflow guard entered after every
+    accepted step, so that every first stage is evaluated anew; the guard
+    then recentres only where the plain run does."""
     plain = qgame.run_scenario(case_study, cfg)
-    guard = dynamics._guard
+    recentre = dynamics._recentre
 
-    def always_wrote(*args):
-        guard(*args)
-        return True
+    def only_out_of_range(v, n, t, cfg):
+        tu, _, tc = np.maximum.reduceat(v, (0, n, 2 * n))
+        if max(abs(tu), abs(tc)) > LOG_BOUND:
+            recentre(v, n, t, cfg)
 
     with monkeypatch.context() as m:
-        m.setattr(dynamics, "_guard", always_wrote)
+        m.setattr(dynamics, "LOG_BOUND", -1.0)
+        m.setattr(dynamics, "_recentre", only_out_of_range)
         anew = qgame.run_scenario(case_study, cfg)
     for name in ("t", "x", "y", "z", "utility"):
         assert np.array_equal(getattr(plain, name), getattr(anew, name)), name
     accepted = plain.meta["accepted_steps"]
     assert anew.meta["accepted_steps"] == accepted
-    assert anew.meta["guard_writes"] == accepted
+    assert anew.meta["recentrings"] == accepted
     assert anew.meta["field_evaluations"] == (
-        plain.meta["field_evaluations"] + accepted - plain.meta["guard_writes"]
+        plain.meta["field_evaluations"] + accepted - plain.meta["recentrings"]
     )
     return plain
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-4])
 def test_reused_last_stage_is_exact(case_study, monkeypatch, tol):
-    cfg = IntegratorConfig(method="rk45", abs_tol=tol, rel_tol=tol)
-    assert _assert_reuse_is_exact(case_study, cfg, monkeypatch).meta["guard_writes"] == 0
+    cfg = IntegratorConfig(method="rk45", abs_tol=tol, rel_tol=tol, t_end=10.0)
+    assert _assert_reuse_is_exact(case_study, cfg, monkeypatch).meta["recentrings"] == 0
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-4])
 def test_reused_last_stage_is_exact_when_the_guard_writes(case_study, monkeypatch, tol):
-    # the steps keep sum(x) and sum(y) within rounding of 1, so with the
-    # bundled RENORM_TOL the guard never writes on the case study; at 0 it
-    # renormalizes whenever a sum is off 1, and f(v) is recomputed there
-    monkeypatch.setattr(dynamics, "RENORM_TOL", 0.0)
+    # the winners' log coordinates grow linearly after fixation, so by
+    # t = 50 the guard has recentred them, and f(v) is recomputed there
     cfg = IntegratorConfig(method="rk45", abs_tol=tol, rel_tol=tol)
     plain = _assert_reuse_is_exact(case_study, cfg, monkeypatch)
-    assert 0 < plain.meta["guard_writes"] < plain.meta["accepted_steps"]
+    assert 0 < plain.meta["recentrings"] < plain.meta["accepted_steps"]
 
 
 def test_reused_last_stage_is_exact_under_rk4(case_study, monkeypatch):
     cfg = IntegratorConfig(t_end=10.0)
-    assert _assert_reuse_is_exact(case_study, cfg, monkeypatch).meta["guard_writes"] == 0
+    assert _assert_reuse_is_exact(case_study, cfg, monkeypatch).meta["recentrings"] == 0
 
 
 def test_reused_last_stage_is_exact_under_rk4_when_the_guard_writes(case_study, monkeypatch):
-    monkeypatch.setattr(dynamics, "RENORM_TOL", 0.0)
-    plain = _assert_reuse_is_exact(case_study, IntegratorConfig(t_end=10.0), monkeypatch)
-    assert 0 < plain.meta["guard_writes"] < plain.meta["accepted_steps"]
-    # and every sample is the classic step from the one before, guarded
+    plain = _assert_reuse_is_exact(case_study, IntegratorConfig(t_end=20.0), monkeypatch)
+    assert plain.meta["recentrings"] == 1
+    # and every sample is the classic step from the one before in log
+    # coordinates, recentred out of range, then converted to shares
     S, n = case_study.scores.scores, case_study.scores.scores.shape[0]
     samples = np.column_stack([plain.x, plain.z, plain.y])
+    s0 = case_study.initial
+    with np.errstate(divide="ignore"):
+        v = _to_log(s0.x, s0.z, s0.y)
     for i in range(1, len(plain)):
-        v = classic_rk4_step(samples[i - 1], plain.t[i] - plain.t[i - 1], S, n)
-        _guard(v, n, IntegratorConfig(), [0.0, 0.0], plain.t[i])
-        assert np.array_equal(v, samples[i]), i
+        v = classic_rk4_step(v, plain.t[i] - plain.t[i - 1], S, n)
+        tu, _, tc = np.maximum.reduceat(v, (0, n, 2 * n))
+        if max(abs(tu), abs(tc)) > LOG_BOUND:
+            _recentre(v, n, plain.t[i], IntegratorConfig())
+        row = v[None, :].copy()
+        with np.errstate(over="ignore"):
+            dynamics._to_shares(row, n)
+        assert np.array_equal(row[0], samples[i]), i
 
 
 def test_config_validation():
