@@ -4,13 +4,13 @@ All verbs are file-in/file-out and deterministic: identical inputs and
 seeds produce byte-identical outputs. Floats are written with 17
 significant digits so re-parsing a trajectory reproduces it exactly.
 
-`simulate` uses a second process: it formats the rows of trajectory.csv
-while the first one integrates, so the run is faster only where two
-cores are free. That process formats each value once and writes
-trajectory.csv and then the plotdata/ panels, column slices of the same
-row text, cell for cell; `simulate` reads none of its outputs back and
-writes report.json last. `read_trajectory_csv` is the one reader of
-trajectory.csv.
+`simulate` uses a second process: while the first one integrates, it
+formats each row of trajectory.csv once as its block arrives and adds
+the row's line to trajectory.csv's text and to each plotdata/ panel's,
+a column slice of the same cells. At the end it only writes the files,
+so the run is faster where two cores are free. `simulate` reads none of
+its outputs back and writes report.json last. `read_trajectory_csv` is
+the one reader of trajectory.csv.
 
 Each verb takes only the flags it reads. Exit status: 0 on success, 2
 when an input file is missing or a flag is not one the verb takes, 1 on
@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from contextlib import ExitStack
 from operator import itemgetter
 from pathlib import Path
 
@@ -41,85 +40,86 @@ EXIT_NOT_FOUND = 2
 WRITER_EXIT_S = 10  # wait for the writer process to exit before killing it
 
 
-def _format_rows(conn, parent_end) -> None:
+def _format_rows(conn, parent_end, header: list[str]) -> None:
     """Body of the writer process that `simulate` starts.
 
-    Formats each block of samples as it arrives and keeps the row text
-    without its last cell. From that text it writes trajectory.csv, then
-    the plotdata/ panels, replying None to each request or the errno,
-    message and file name of the OSError that stopped it. Ends when the
-    parent's end closes.
+    Derives each file's columns from `header` once: trajectory.csv takes
+    every column, each plotdata/ panel t and its own. Formats each row of
+    a block once as the block arrives and appends the row's line to every
+    file's text. A request (path, panels) writes trajectory.csv to path,
+    or the panels into the directory path, and is answered None or with
+    the errno, message and file name of the OSError that stopped it. Ends
+    when the parent's end closes.
     """
     import signal  # here, like multiprocessing: the CLI's import does not load it
 
     parent_end.close()  # a forked copy, which would keep the pipe open
     # Ctrl-C reaches the parent too, which ends this process by closing the pipe
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    prefixes, cells = [], []  # each row's text but its utility cell; those cells
+    # file name -> its columns; "" is trajectory.csv, written to the request's path itself
+    columns = {"": range(len(header))}
+    for j, name in enumerate(header[1:], 1):
+        panel = f"y_tool_{parse_code(name[2:]).tool}" if name[:2] == "y_" else name.split("_")[0]
+        columns.setdefault(f"{panel}.csv", [0]).append(j)
+    texts = {name: (itemgetter(*cols), [",".join(header[j] for j in cols) + "\n"])
+             for name, cols in columns.items()}
+    fmt = ",".join(["%.17g"] * len(header))
     while True:
         try:
-            kind, *args = conn.recv()
+            message = conn.recv()
         except EOFError:
             return
-        if kind == "rows":  # t and v
-            fmt = "%.17g," * (1 + args[1].shape[1])
-            prefixes.extend(fmt % tuple(row) for row in np.column_stack(args).tolist())
+        if isinstance(message, np.ndarray):  # a block of rows
+            rows = [(fmt % tuple(row)).split(",") for row in message.tolist()]
+            for get, text in texts.values():
+                text.append("".join(",".join(get(row)) + "\n" for row in rows))
             continue
+        path, panels = message
         try:
-            if kind == "trajectory":
-                path, header, utility = args
-                cells = ["%.17g" % u for u in utility.tolist()]
-                with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(",".join(header) + "\n")
-                    fh.writelines(p + c + "\n" for p, c in zip(prefixes, cells, strict=True))
-            else:
-                _cut_panels(*args, prefixes, cells)
+            if panels:
+                path.mkdir(exist_ok=True)
+            for name, (_, text) in texts.items():
+                if bool(name) == panels:  # path / "" is path
+                    with open(path / name, "w", encoding="utf-8", newline="\n") as fh:
+                        fh.writelines(text)
         except OSError as exc:
-            conn.send((exc.errno, exc.strerror, exc.filename or str(args[0])))
+            conn.send((exc.errno, exc.strerror, exc.filename or str(path)))
         else:
             conn.send(None)
-
-
-def _cut_panels(plot_dir: Path, header: list[str], panels: dict, prefixes, cells) -> None:
-    """Writes each panel, the columns `panels` names, in one pass over the
-    rows' text, splitting about 64 KB of it at a time: for the case study
-    on a 2-core box that took 0.050 s, and blocks of 4096 rows 0.070 s."""
-    plot_dir.mkdir(exist_ok=True)
-    with ExitStack() as stack:
-        outs = []
-        for name, cols in panels.items():
-            path = plot_dir / f"{name}.csv"
-            fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
-            fh.write(",".join(header[j] for j in cols) + "\n")
-            outs.append((fh, itemgetter(*cols)))
-        step = max(1, (1 << 16) // len(prefixes[0]))
-        for i in range(0, len(prefixes), step):
-            rows = [(p + c).split(",") for p, c in zip(prefixes[i:i + step], cells[i:i + step])]
-            for fh, get in outs:
-                fh.write("".join(",".join(get(row)) + "\n" for row in rows))
 
 
 class _TrajectoryWriter:
     """The writer process and its pipe; `add_samples` is `integrate`'s
     `on_samples`. The process is started from `context`, the
-    multiprocessing context of the caller's choice, and ended on close."""
+    multiprocessing context of the caller's choice, with trajectory.csv's
+    `header`, and ended on close."""
 
-    def __init__(self, context):
+    def __init__(self, context, header: list[str]):
         self._conn, child_end = context.Pipe()
-        self._proc = context.Process(target=_format_rows, args=(child_end, self._conn), daemon=True)
+        self._proc = context.Process(
+            target=_format_rows, args=(child_end, self._conn, header), daemon=True
+        )
         self._proc.start()
         child_end.close()
 
-    def add_samples(self, t: np.ndarray, v: np.ndarray) -> None:
-        self._conn.send(("rows", t, v))
-
-    def write(self, *request) -> None:
-        """Has the writer process write a file or a directory of them."""
-        self._conn.send(request)
+    def _exchange(self, message, path=None):
+        """Sends `message` and, for a write request to `path`, returns the
+        reply. Once the writer process has ended, blocks are dropped and
+        the next write request fails, naming its path."""
         try:
-            failure = self._conn.recv()
-        except EOFError:
-            raise QGameError(f"{request[1]}: the writer process ended without writing it") from None
+            self._conn.send(message)
+            return None if path is None else self._conn.recv()
+        except (BrokenPipeError, ConnectionResetError, EOFError):
+            if path is not None:
+                raise QGameError(f"{path}: the writer process ended without writing it") from None
+
+    def add_samples(self, rows: np.ndarray) -> None:
+        self._exchange(rows)
+
+    def write(self, path: Path, panels: bool = False) -> None:
+        """Has the writer process write trajectory.csv to `path`, or with
+        `panels` the plotdata/ panels into the directory `path`."""
+        failure = self._exchange((path, panels), path)
         if failure is not None:
             raise OSError(*failure)
 
@@ -141,13 +141,10 @@ def _header(factors, strategies) -> list[str]:
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path, writer: _TrajectoryWriter) -> None:
-    """One header line, then one row per sample with every value at 17
-    significant digits. `writer` has formatted every row but the utility
-    cells from the samples `integrate` passed it; this hands it the
-    header and the utility column and returns once it has written the file.
-    """
-    header = _header(traj.factor_labels, traj.strategy_labels)
-    writer.write("trajectory", path, header, traj.utility)
+    """One header line, then one row per sample of `traj` with every value
+    at 17 significant digits, as `writer` formatted them from the blocks
+    `integrate` passed it; returns once the file is written."""
+    writer.write(path)
 
 
 def _report_json(report: dict) -> str:
@@ -234,30 +231,14 @@ def read_trajectory_csv(path: Path) -> Trajectory:
             f"{path}: row {row + 1} after the header: t = {t[row]} does not rise "
             f"above the previous row's {t[row - 1]}"
         )
-    n = len(factors)
-    return Trajectory(
-        t=t,
-        x=data[:, 1:1 + n],
-        z=data[:, 1 + n:1 + 2 * n],
-        y=data[:, 1 + 2 * n:-1],
-        utility=data[:, -1],
-        factor_labels=factors,
-        strategy_labels=strategies,
-    )
+    return Trajectory.from_rows(data, factors, strategies)
 
 
 def write_plotdata(traj: Trajectory, plot_dir: Path, writer: _TrajectoryWriter) -> None:
-    """Per-figure CSV panels: x, z, utility, and y split by Tool level.
-
-    Each panel is t and some of trajectory.csv's columns, which `writer`
-    cuts out of the rows' text, so no value is formatted twice.
-    """
-    header = _header(traj.factor_labels, traj.strategy_labels)
-    panels = {}
-    for j, name in enumerate(header[1:], 1):
-        panel = f"y_tool_{parse_code(name[2:]).tool}" if name[:2] == "y_" else name.split("_")[0]
-        panels.setdefault(panel, [0]).append(j)
-    writer.write("plotdata", plot_dir, header, panels)
+    """Per-figure CSV panels of `traj`: x, z, utility, and y split by Tool
+    level, each t and some of trajectory.csv's columns with the same text,
+    which `writer` cut from each row as it formatted it."""
+    writer.write(plot_dir, panels=True)
 
 
 def cmd_simulate(args) -> int:
@@ -269,14 +250,15 @@ def cmd_simulate(args) -> int:
     # nothing. Spawn only where there is no fork, as on Windows.
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    with _TrajectoryWriter(context) as writer:
-        scenario = load_scenario(args.scenario, sampler_seed=args.seed)
-        overrides = {
-            key: value
-            for key in ("t_end", "step", "method")
-            if (value := getattr(args, key)) is not None
-        }
-        config = dataclasses.replace(scenario.integrator, **overrides)
+    scenario = load_scenario(args.scenario, sampler_seed=args.seed)
+    overrides = {
+        key: value
+        for key in ("t_end", "step", "method")
+        if (value := getattr(args, key)) is not None
+    }
+    config = dataclasses.replace(scenario.integrator, **overrides)
+    header = _header(scenario.scores.factor_labels, scenario.scores.strategy_labels)
+    with _TrajectoryWriter(context, header) as writer:
         traj = run_scenario(scenario, config, on_samples=writer.add_samples)
         report = an.analyze(traj, scenario.analysis)
         report_text = _report_json(report)

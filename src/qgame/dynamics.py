@@ -27,10 +27,12 @@ shift, and so does the factor z (1 - z). The simplices and [0, 1] hold by
 construction, so nothing repairs them. A share that is exactly zero has a
 log coordinate of -inf, where the field is finite, so it stays exactly
 zero; z = 0 and z = 1 sit at a = -inf and +inf. `integrate` converts at
-both edges: shares come in, shares go out. Between recentrings the first
-stage of each step is the last stage of the step before, bit for bit.
-rk4 and rk45 (Dormand-Prince 5(4), advancing the fifth-order solution)
-are one explicit Runge-Kutta stepper on two Butcher tableaus.
+both edges: shares come in, and shares go out in blocks of rows t, x, z,
+y, utility, trajectory.csv's layout, each block given its utility as it
+is converted. Between recentrings the first stage of each step is the
+last stage of the step before, bit for bit. rk4 and rk45 (Dormand-Prince
+5(4), advancing the fifth-order solution) are one explicit Runge-Kutta
+stepper on two Butcher tableaus.
 """
 
 import math
@@ -108,8 +110,9 @@ class IntegratorConfig:
 class Trajectory:
     """Time-ordered samples of the integrated system plus derived series.
 
-    From `integrate`, x, z and y are column views of one (k, 2n + m)
-    sample buffer, and `meta` holds the counts `accepted_steps`,
+    From `integrate` and `from_rows`, every series is a column view of one
+    (k, 2n + m + 2) array of rows t, x, z, y, utility, trajectory.csv's
+    column order. From `integrate`, `meta` holds the counts `accepted_steps`,
     `rejected_steps`, `field_evaluations` and `recentrings` (accepted
     states whose log coordinates were shifted back into range), the
     smallest and largest accepted step, `min_step` and `max_step` (None
@@ -128,6 +131,15 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, factor_labels: tuple, strategy_labels: tuple):
+        """The trajectory whose series are views of the columns t, x, z, y
+        and utility of `rows`, with len(factor_labels) factors."""
+        n = len(factor_labels)
+        return cls(t=rows[:, 0], x=rows[:, 1:1 + n], z=rows[:, 1 + n:1 + 2 * n],
+                   y=rows[:, 1 + 2 * n:-1], utility=rows[:, -1],
+                   factor_labels=factor_labels, strategy_labels=strategy_labels)
 
 
 def _payoffs(S: np.ndarray, y: np.ndarray, z: np.ndarray):
@@ -279,7 +291,7 @@ def integrate(
     state0: GameState,
     scores: ZScoreMatrix,
     config: IntegratorConfig | None = None,
-    on_samples: Callable[[np.ndarray, np.ndarray], None] | None = None,
+    on_samples: Callable[[np.ndarray], None] | None = None,
 ) -> Trajectory:
     """Integrate the coupled system from state0 to config.t_end.
 
@@ -289,16 +301,16 @@ def integrate(
         config: integrator settings; defaults to fixed-step RK4. Under rk45,
             abs_tol and rel_tol bound the local error of the log coordinates,
             which is a relative error on small shares.
-        on_samples: called as on_samples(t, v) with every BLOCK new samples,
-            and once more with the rest when the run ends; t is (k,) and v
-            is (k, 2n + m), holding x, z and y in that column order. Both are
-            views of the trajectory's own arrays, final when passed. It runs
-            with numpy's overflow, invalid and divide warnings off.
+        on_samples: called as on_samples(rows) with every BLOCK new samples,
+            and once more with the rest when the run ends; rows is
+            (k, 2n + m + 2), its columns t, x, z, y and utility. It is a view
+            of the trajectory's own buffer, final when passed. It runs with
+            numpy's overflow, invalid and divide warnings off.
 
     Returns:
         Trajectory sampled at t=0 and after every accepted step, the last
-        at t_end; factors are labelled Q1..Qn, strategies by the scores.
-        The first sample holds state0's own shares.
+        at t_end, labelled by the scores. The first sample holds state0's
+        own shares.
 
     Raises InvalidState, naming t, the block and the entry, when an
     accepted state holds a NaN or its log coordinates overflow.
@@ -321,15 +333,14 @@ def integrate(
             "reduce --t-end"
         )
 
-    # one buffer for all samples: rk4 takes at most ceil(t_end / step) + 1
-    # steps, rk45 starts with one block; a full buffer doubles. Rows hold
-    # log coordinates until _to_shares converts them, a block at a time;
-    # row 0 holds state0's shares from the start
+    # one buffer for all samples, rows t, v, utility: rk4 takes at most
+    # ceil(t_end / step) + 1 steps, rk45 starts with one block; a full
+    # buffer doubles. v holds log coordinates until _finish_block converts
+    # them; row 0 holds state0's shares from the start
     rows = 2 + math.ceil(cfg.t_end / cfg.step) if rk4 else BLOCK
-    ts = np.empty(rows)
-    vs = np.empty((rows, 2 * n + m))
-    ts[0] = t = 0.0
-    vs[0] = np.concatenate([state0.x, state0.z, state0.y])
+    buf = np.empty((rows, 2 * n + m + 2))
+    t = 0.0
+    buf[0, :-1] = np.concatenate([[t], state0.x, state0.z, state0.y])
     k = 1  # samples stored
     sent = 0  # samples converted and passed to on_samples
     accepted = 0
@@ -338,7 +349,7 @@ def integrate(
     h_min, h_max = math.inf, 0.0  # accepted step sizes
     h = cfg.step
     tableau = _RK4 if rk4 else _DP
-    K = np.empty((len(tableau) + 1, vs.shape[1]))  # the stages, K[0] = f(v)
+    K = np.empty((len(tableau) + 1, 2 * n + m))  # the stages, K[0] = f(v)
     edges = np.array([0, n, 2 * n])  # the u, a and c blocks
 
     # overflow inside a trial step is not an error: rk45 sees a non-finite
@@ -392,32 +403,33 @@ def integrate(
             h_min, h_max = min(h_min, h_try), max(h_max, h_try)
             if not rk4:
                 h = h_try * (5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2))
-            if k == len(ts):
-                ts = np.concatenate([ts, np.empty_like(ts)])
-                vs = np.concatenate([vs, np.empty_like(vs)])
-            ts[k] = t
-            vs[k] = v
+            if k == len(buf):
+                buf = np.concatenate([buf, np.empty_like(buf)])
+            buf[k, 0] = t
+            buf[k, 1:-1] = v
             k += 1
             if k - sent == BLOCK:
-                _to_shares(vs[max(sent, 1):k], n)
-                if on_samples is not None:
-                    on_samples(ts[sent:k], vs[sent:k])
+                _finish_block(buf, sent, k, scores, on_samples)
                 sent = k
         if k > sent:
-            _to_shares(vs[max(sent, 1):k], n)
-            if on_samples is not None:
-                on_samples(ts[sent:k], vs[sent:k])
+            _finish_block(buf, sent, k, scores, on_samples)
 
-    x, z, y = vs[:k, :n], vs[:k, n:2 * n], vs[:k, 2 * n:]
-    return Trajectory(
-        t=ts[:k], x=x, y=y, z=z,
-        utility=expected_total_utility(S, x, y, z),
-        factor_labels=tuple(f"Q{i + 1}" for i in range(n)),
-        strategy_labels=scores.strategy_labels,
-        meta={"accepted_steps": accepted, "rejected_steps": rejected,
-              "field_evaluations": evaluations, "recentrings": recentrings,
-              "min_step": h_min if accepted else None,
-              "max_step": h_max if accepted else None,
-              "max_x_drift": float(np.abs(x.sum(axis=1) - 1.0).max()),
-              "max_y_drift": float(np.abs(y.sum(axis=1) - 1.0).max())},
+    traj = Trajectory.from_rows(buf[:k], scores.factor_labels, scores.strategy_labels)
+    traj.meta.update(
+        accepted_steps=accepted, rejected_steps=rejected, field_evaluations=evaluations,
+        recentrings=recentrings, min_step=h_min if accepted else None,
+        max_step=h_max if accepted else None,
+        max_x_drift=float(np.abs(traj.x.sum(axis=1) - 1.0).max()),
+        max_y_drift=float(np.abs(traj.y.sum(axis=1) - 1.0).max()),
     )
+    return traj
+
+
+def _finish_block(buf, start, stop, scores, on_samples):
+    """Convert buffer rows start..stop-1 to shares (row 0 holds state0's
+    already), fill in their utility and pass them to on_samples."""
+    _to_shares(buf[max(start, 1):stop, 1:-1], len(scores.factor_labels))
+    block = Trajectory.from_rows(buf[start:stop], scores.factor_labels, scores.strategy_labels)
+    block.utility[:] = expected_total_utility(scores.scores, block.x, block.y, block.z)
+    if on_samples is not None:
+        on_samples(buf[start:stop])

@@ -85,6 +85,11 @@ class ZScoreMatrix:
         object.__setattr__(self, "scores", arr)
         object.__setattr__(self, "strategy_labels", labels)
 
+    @property
+    def factor_labels(self) -> tuple[str, ...]:
+        """Q1..Qn, one per row of the scores."""
+        return tuple(f"Q{i + 1}" for i in range(self.scores.shape[0]))
+
 
 @dataclass(frozen=True)
 class FlagAssignment:

@@ -258,7 +258,7 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
 def run_scenario(
     scenario: ResolvedScenario,
     config: IntegratorConfig | None = None,
-    on_samples: Callable[[np.ndarray, np.ndarray], None] | None = None,
+    on_samples: Callable[[np.ndarray], None] | None = None,
 ) -> Trajectory:
     """Integrate a resolved scenario (optionally overriding the integrator);
     `on_samples` is passed on to `integrate`."""

@@ -137,11 +137,9 @@ def tight_rk45(tmp_path_factory, case_study):
     return path, times
 
 
-@pytest.mark.parametrize("samples", [2, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
-@pytest.mark.parametrize("method", ["rk4", "rk45"])
-def test_csv_lines_across_block_boundaries(method, samples, tight_rk45, case_study, tmp_path):
-    """Rows formatted block by block in the writer process are the rows of
-    one in-process run, every cell at 17 significant digits."""
+def block_run(method, samples, tight_rk45, out):
+    """Simulates a case-study run of `samples` samples into `out`; returns
+    the integrator settings of the same run."""
     if method == "rk4":
         scenario, t_end = qgame.case_study_path(), (samples - 1) * 0.01
         cfg = qgame.IntegratorConfig(step=0.01, t_end=t_end)
@@ -149,7 +147,16 @@ def test_csv_lines_across_block_boundaries(method, samples, tight_rk45, case_stu
         scenario, times = tight_rk45
         t_end = float(times[samples - 1])
         cfg = qgame.IntegratorConfig(t_end=t_end, **TIGHT)
-    assert main(["simulate", str(scenario), "-o", str(tmp_path), "--t-end", repr(t_end)]) == 0
+    assert main(["simulate", str(scenario), "-o", str(out), "--t-end", repr(t_end)]) == 0
+    return cfg
+
+
+@pytest.mark.parametrize("samples", [2, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_csv_lines_across_block_boundaries(method, samples, tight_rk45, case_study, tmp_path):
+    """Rows formatted block by block in the writer process are the rows of
+    one in-process run, every cell at 17 significant digits."""
+    cfg = block_run(method, samples, tight_rk45, tmp_path)
     traj = qgame.run_scenario(case_study, cfg)
     assert len(traj) == samples
     rows = np.column_stack([traj.t, traj.x, traj.z, traj.y, traj.utility])
@@ -202,12 +209,21 @@ def test_plotdata_panels_have_expected_columns(short_run):
     assert all(name.split(".")[2] == "T" for name in (n[2:] for n in names))
 
 
-def test_analyze_matches_simulate_report(short_run, tmp_path):
-    code = main(["analyze", str(short_run / "trajectory.csv"), "-o", str(tmp_path)])
-    assert code == 0
-    a = json.loads((short_run / "report.json").read_text())
-    b = json.loads((tmp_path / "report.json").read_text())
-    assert a == b
+def test_analyze_matches_simulate_report(short_run, tight_rk45, tmp_path):
+    """analyze rebuilds simulate's report.json byte for byte, also from runs
+    whose last block of samples holds one row or three: the report and the
+    utility cells come from the same per-block utility."""
+    runs = [short_run]
+    for method in ("rk4", "rk45"):
+        for samples in (BLOCK + 1, 2 * BLOCK + 3):
+            runs.append(tmp_path / f"{method}-{samples}")
+            block_run(method, samples, tight_rk45, runs[-1])
+    for i, out in enumerate(runs):
+        again = tmp_path / f"again-{i}"
+        assert main(["analyze", str(out / "trajectory.csv"), "-o", str(again)]) == 0
+        a, b = (out / "report.json").read_bytes(), (again / "report.json").read_bytes()
+        assert json.loads(a) == json.loads(b)
+        assert a == b, out
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
@@ -235,7 +251,7 @@ def test_full_run_report_names_winners(tmp_path):
     import jsonschema
 
     jsonschema.validate(report, report_schema())
-    # 5001 rows take many of the writer process's 64 KB panel blocks
+    # 5001 rows, 20 blocks in the writer process and well over 256 KB of text
     assert (out / "trajectory.csv").stat().st_size > 4 * (1 << 16)
     assert_panels_slice_trajectory(out)
 
@@ -651,13 +667,14 @@ def test_writer_process_started_by_spawn_writes_the_same_bytes(short_run, tmp_pa
     """The start method used where a platform has no fork."""
     import multiprocessing
 
-    from qgame.cli import _TrajectoryWriter, write_plotdata, write_trajectory_csv
+    from qgame.cli import _header, _TrajectoryWriter, write_plotdata, write_trajectory_csv
 
     traj = read_trajectory_csv(short_run / "trajectory.csv")
-    with _TrajectoryWriter(multiprocessing.get_context("spawn")) as writer:
-        v = np.column_stack([traj.x, traj.z, traj.y])
+    header = _header(traj.factor_labels, traj.strategy_labels)
+    with _TrajectoryWriter(multiprocessing.get_context("spawn"), header) as writer:
+        rows = np.column_stack([traj.t, traj.x, traj.z, traj.y, traj.utility])
         for start in range(0, len(traj), BLOCK):
-            writer.add_samples(traj.t[start:start + BLOCK], v[start:start + BLOCK])
+            writer.add_samples(rows[start:start + BLOCK])
         write_trajectory_csv(traj, tmp_path / "trajectory.csv", writer)
         write_plotdata(traj, tmp_path / "plotdata", writer)
     assert (tmp_path / "trajectory.csv").read_bytes() == (short_run / "trajectory.csv").read_bytes()
@@ -665,6 +682,28 @@ def test_writer_process_started_by_spawn_writes_the_same_bytes(short_run, tmp_pa
     for name in PANELS:
         panel = (tmp_path / "plotdata" / name).read_bytes()
         assert panel == (short_run / "plotdata" / name).read_bytes(), name
+
+
+def ends_after_one_block(conn, parent_end, header):
+    """A writer process body that reads one block of rows and exits."""
+    parent_end.close()
+    conn.recv()
+
+
+@pytest.mark.parametrize("t_end", [[], ["--t-end", "1"]], ids=["many-blocks", "one-block"])
+def test_a_writer_process_that_ends_is_reported(tmp_path, monkeypatch, capsys, t_end):
+    """Whether the parent finds the writer process gone while sending a
+    block or a write request, or waiting for the reply, the run fails
+    naming the file it did not write."""
+    import multiprocessing
+
+    monkeypatch.setattr(qgame.cli, "_format_rows", ends_after_one_block)
+    out = tmp_path / "out"
+    assert main(["simulate", str(qgame.case_study_path()), "-o", str(out), *t_end]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out / 'trajectory.csv'}: the writer process ended without writing it\n"
+    assert not (out / "report.json").exists()
+    assert multiprocessing.active_children() == []
 
 
 def test_failed_simulate_leaves_no_directory_and_no_process(tmp_path, capsys):

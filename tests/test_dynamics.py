@@ -290,7 +290,7 @@ def tight_rk45_times(scores):
 
 
 def block_run(scores, method, samples, rk45_times):
-    """A case-study run of `samples` samples and the copied (t, v) blocks
+    """A case-study run of `samples` samples and the copied blocks of rows
     it passed to on_samples."""
     if method == "rk4":
         cfg = IntegratorConfig(step=0.01, t_end=(samples - 1) * 0.01)
@@ -298,7 +298,7 @@ def block_run(scores, method, samples, rk45_times):
         cfg = IntegratorConfig(t_end=float(rk45_times[samples - 1]), **TIGHT)
     blocks = []
     traj = integrate(
-        case_start(), scores, cfg, on_samples=lambda t, v: blocks.append((t.copy(), v.copy()))
+        case_start(), scores, cfg, on_samples=lambda rows: blocks.append(rows.copy())
     )
     assert len(traj) == samples
     return traj, blocks
@@ -310,12 +310,15 @@ def test_on_samples_blocks_concatenate_to_the_trajectory(
     scores, method, samples, tight_rk45_times
 ):
     traj, blocks = block_run(scores, method, samples, tight_rk45_times)
-    sizes = [len(t) for t, _ in blocks]
+    sizes = [len(rows) for rows in blocks]
     assert sizes == [BLOCK] * (samples // BLOCK) + ([samples % BLOCK] if samples % BLOCK else [])
-    assert np.array_equal(np.concatenate([t for t, _ in blocks]), traj.t)
-    assert np.array_equal(
-        np.concatenate([v for _, v in blocks]), np.column_stack([traj.x, traj.z, traj.y])
-    )
+    rows = np.concatenate(blocks)
+    assert np.array_equal(rows[:, 0], traj.t)
+    assert np.array_equal(rows[:, 1:-1], np.column_stack([traj.x, traj.z, traj.y]))
+    assert np.array_equal(rows[:, -1], traj.utility)
+    for block in blocks:  # each block's utility is its own rows' product
+        x, z, y = block[:, 1:6], block[:, 6:11], block[:, 11:-1]
+        assert np.array_equal(block[:, -1], qgame.expected_total_utility(scores.scores, x, y, z))
 
 
 def loop_steps(step, t_end):
@@ -354,7 +357,8 @@ def test_rk4_step_count_is_known_before_the_first_step():
 
 def test_rk4_buffer_holds_exactly_its_samples(scores, case_trajectory):
     """The trajectory holds exactly its 1 + steps samples, as views of the
-    one buffer of 2 + ceil(t_end / step) rows: an rk4 run never doubles it."""
+    one buffer of 2 + ceil(t_end / step) rows t, x, z, y, utility: an rk4
+    run never doubles it."""
     short, _ = rk4_short_and_long_cases()
     # a vertex with z = 1 is a rest point where the field is exactly zero,
     # so no step size throws it off the simplex
@@ -364,7 +368,7 @@ def test_rk4_buffer_holds_exactly_its_samples(scores, case_trajectory):
              for step, t_end in RK4_FIXED + short]
     for step, t_end, traj in runs:
         assert len(traj) == 1 + loop_steps(step, t_end), (step, t_end)
-        assert traj.x.base.shape == (2 + math.ceil(t_end / step), 46), (step, t_end)
+        assert traj.x.base.shape == (2 + math.ceil(t_end / step), 48), (step, t_end)
 
 
 # --- the overflow guard (n = 2: v = u0 u1 | a0 a1 | c0 c1) ---
