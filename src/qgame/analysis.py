@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import EmptyTrajectory, require_real
+from .errors import EmptyTrajectory, InvalidSetting, require_real
 
 NEVER_GROWS = "never-grows"
 GROW_THEN_DIE = "grow-then-die"
@@ -42,14 +42,14 @@ class AnalysisThresholds:
         for f in fields(self):
             require_real(f.name, getattr(self, f.name))
         if not 0.5 <= self.winner_threshold < 1.0:
-            raise ValueError(
-                f"winner_threshold must lie in [0.5, 1), got {self.winner_threshold!r}"
+            raise InvalidSetting(
+                "winner_threshold", f"must lie in [0.5, 1), got {self.winner_threshold!r}"
             )
         if not 0.0 < self.z_tol < 0.5:
-            raise ValueError(f"z_tol must lie in (0, 0.5), got {self.z_tol!r}")
+            raise InvalidSetting("z_tol", f"must lie in (0, 0.5), got {self.z_tol!r}")
         for name in ("rise_tol", "die_tol", "mono_slack"):
             if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+                raise InvalidSetting(name, f"must be nonnegative, got {getattr(self, name)!r}")
 
 
 def _stable_crossing(t: np.ndarray, series: np.ndarray, threshold: float) -> float:

@@ -41,7 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidState, StepBudgetExceeded, StepSizeUnderflow, require_real
+from .errors import (
+    InvalidSetting, InvalidState, StepBudgetExceeded, StepSizeUnderflow, require_real,
+)
 from .qdata import ZScoreMatrix
 
 STATE_SUM_TOL = 1e-9   # allowed drift of simplex sums in a valid state
@@ -92,18 +94,16 @@ class IntegratorConfig:
     method: str = "rk4"          # "rk4" (fixed step) or "rk45" (adaptive)
     step: float = 0.01           # fixed step / initial adaptive step
     t_end: float = 50.0
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
+    tol: float = 1e-9            # rk45's absolute and relative error bound
 
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown method {self.method!r}")
-        for name in ("step", "t_end", "abs_tol", "rel_tol"):
-            require_real(name, getattr(self, name))
-        if self.step <= 0 or self.t_end <= 0:
-            raise ValueError("step and t_end must be positive")
-        if min(self.abs_tol, self.rel_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+            raise InvalidSetting("method", f"must be 'rk4' or 'rk45', got {self.method!r}")
+        for name in ("step", "t_end", "tol"):
+            value = getattr(self, name)
+            require_real(name, value)
+            if value <= 0:
+                raise InvalidSetting(name, f"must be positive, got {value!r}")
 
 
 @dataclass
@@ -142,20 +142,13 @@ class Trajectory:
                    factor_labels=factor_labels, strategy_labels=strategy_labels)
 
 
-def _payoffs(S: np.ndarray, y: np.ndarray, z: np.ndarray):
-    """(g, S y, A(z) y) with g = 2z - 1, for one state or a stack of states."""
-    g = 2.0 * z - 1.0
-    Sy = y @ S.T
-    return g, Sy, g * Sy
-
-
 def expected_total_utility(
     scores: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray
 ) -> np.ndarray:
     """Average stakeholder payoff x' A(z) y, on bare arrays and without checks:
     a scalar for one state, of shapes (n,), (m,) and (n,), or a (k,) series
     for a stack of k states, of shapes (k, n), (k, m) and (k, n)."""
-    return np.einsum("...i,...i->...", x, _payoffs(scores, y, z)[2])
+    return np.einsum("...i,...i->...", x, (2.0 * z - 1.0) * (y @ scores.T))
 
 
 def _to_log(x: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -261,11 +254,7 @@ def _rk_step(v, h, scores, n, K, tableau):
 def _fault(v, k, n, t, cfg):
     """InvalidState naming the time, the block and the entry of v[k]."""
     block, i = ("x", k) if k < n else ("z", k - n) if k < 2 * n else ("y", k - 2 * n)
-    hint = (
-        "reduce --step or use --method rk45"
-        if cfg.method == "rk4"
-        else "tighten abs_tol and rel_tol"
-    )
+    hint = "reduce --step or use --method rk45" if cfg.method == "rk4" else "tighten tol"
     return InvalidState(f"at t={t:.6g}: {block}[{i}] = {v[k]:.3e} is not finite; {hint}")
 
 
@@ -299,8 +288,8 @@ def integrate(
         state0: valid initial state, at t = 0.
         scores: score matrix defining the payoffs; shapes set the system size.
         config: integrator settings; defaults to fixed-step RK4. Under rk45,
-            abs_tol and rel_tol bound the local error of the log coordinates,
-            which is a relative error on small shares.
+            tol bounds the local error of the log coordinates, absolute and
+            relative alike, which is a relative error on small shares.
         on_samples: called as on_samples(rows) with every BLOCK new samples,
             and once more with the rest when the run ends; rows is
             (k, 2n + m + 2), its columns t, x, z, y and utility. It is a view
@@ -370,7 +359,7 @@ def integrate(
                     raise StepBudgetExceeded(
                         f"at t={t:.6g}: {MAX_STEPS} rk45 step attempts ({accepted} accepted) "
                         f"used up MAX_STEPS={MAX_STEPS} before t_end={cfg.t_end:g}; "
-                        "loosen abs_tol and rel_tol or reduce --t-end"
+                        "loosen tol or reduce --t-end"
                     )
                 h_try = min(h, cfg.t_end - t)
                 t_next = t + h_try
@@ -380,7 +369,7 @@ def integrate(
                 # so it adds 0 to the norm
                 err = np.dot(_DP_E, K)
                 err *= h_try
-                err /= cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(v), np.abs(v_new))
+                err /= cfg.tol + cfg.tol * np.maximum(np.abs(v), np.abs(v_new))
                 err_norm = math.sqrt((err * err).sum() / len(err))  # nan or inf: rejected
             evaluations += len(tableau)
             if not (rk4 or err_norm <= 1.0):

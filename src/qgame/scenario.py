@@ -10,8 +10,9 @@ explicit vector.
 
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -36,12 +37,6 @@ SCHEMA_VERSION = 1
 EXPLICIT_SUM_TOL = 1e-6   # explicit vectors must be this close to the simplex
 TABLE_SUM_TOL = 0.05      # table-sourced shares may carry printing truncation
 
-_INTEGRATOR_KEYS = {f.name for f in fields(IntegratorConfig)}
-_ANALYSIS_KEYS = {f.name for f in fields(AnalysisThresholds)}
-_Y0_KEYS = {
-    "table": {"mode", "path"},
-    "sample": {"mode", "distribution"} | {f.name for f in fields(SamplerConfig)},
-}
 _TOP_KEYS = {
     "schema_version", "zscores", "loadings", "x0", "z0", "y0",
     "flagging", "integrator", "analysis",
@@ -96,12 +91,21 @@ def _simplex_vector(value, field: str, length: int) -> np.ndarray:
     return vec / vec.sum()
 
 
-def _setting_error(block: str, exc: Exception) -> ValidationError:
-    """A failure to build the settings of `block`, naming `block.key` when
-    the failing setting is known."""
-    if isinstance(exc, InvalidSetting):
-        return ValidationError(f"{block}.{exc.field}", exc.reason)
-    return ValidationError(block, str(exc))
+def _settings(block: str, spec, build: Callable, allowed: Iterable[str]):
+    """build(**spec), the settings of one scenario block. spec must be an
+    object whose keys are all in `allowed`; a setting that build rejects
+    is a ValidationError on `block.<field>`."""
+    if not isinstance(spec, dict):
+        raise ValidationError(block, f"expected an object, got {spec!r}")
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ValidationError(
+            block, f"unknown key {unknown[0]!r}; allowed keys: {sorted(allowed)}"
+        )
+    try:
+        return build(**spec)
+    except InvalidSetting as exc:
+        raise ValidationError(f"{block}.{exc.field}", exc.reason) from exc
 
 
 def _require_finite(value, field: str) -> None:
@@ -161,20 +165,15 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
             )
 
     flagging = raw.get("flagging", {})
-    if not isinstance(flagging, dict) or set(flagging) - {"n_statements", "p_threshold"}:
-        raise ValidationError("flagging", "expected n_statements/p_threshold settings")
-    flagging = {"n_statements": m, **flagging}
-    try:
-        flagging_threshold(**flagging)
-    except InvalidSetting as exc:
-        raise _setting_error("flagging", exc) from exc
+    _settings("flagging", flagging, partial(flagging_threshold, n_statements=m),
+              ("n_statements", "p_threshold"))
 
     # x0
     x0_spec = raw.get("x0")
     if x0_spec == "derive-from-loadings":
         if loadings is None:
             raise ValidationError("x0", "derive-from-loadings requires a loadings file")
-        x0 = derive_x0(flag_stakeholders(loadings, **flagging))
+        x0 = derive_x0(flag_stakeholders(loadings, **{"n_statements": m, **flagging}))
     elif isinstance(x0_spec, list):
         x0 = _simplex_vector(x0_spec, "x0", n)
     else:
@@ -192,16 +191,10 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     mode = y0_spec.get("mode") if isinstance(y0_spec, dict) else None
     if sampler_seed is not None and mode != "sample":
         raise ValidationError("y0", "a sampler seed (--seed) needs y0 in sample mode")
-    if mode in ("table", "sample"):
-        unknown = set(y0_spec) - _Y0_KEYS[mode]
-        if unknown:
-            raise ValidationError(
-                "y0", f"unknown {mode}-mode key {sorted(unknown)[0]!r}; "
-                f"allowed keys: {sorted(_Y0_KEYS[mode])}"
-            )
     if isinstance(y0_spec, list):
         y0 = _simplex_vector(y0_spec, "y0", m)
     elif mode == "table":
+        _settings("y0", y0_spec, dict, ("mode", "path"))
         if "path" not in y0_spec:
             raise ValidationError("y0.path", "table mode requires a path")
         y0 = load_share_table(_resolve_path(base, y0_spec["path"], "y0.path"))
@@ -213,35 +206,23 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
             raise ValidationError("y0", f"table shares must be near the simplex (sum {y0.sum():.6g})")
         y0 = y0 / y0.sum()
     elif mode == "sample":
+        if sampler_seed is not None:
+            y0_spec = {**y0_spec, "seed": sampler_seed}
+        sampler = _settings(
+            "y0", y0_spec, lambda mode, distribution=None, **kw: SamplerConfig(**kw),
+            ["mode", "distribution"] + [f.name for f in fields(SamplerConfig)],
+        )
         if "distribution" not in y0_spec:
             raise ValidationError("y0.distribution", "sample mode requires a distribution path")
         dist = load_distribution(_resolve_path(base, y0_spec["distribution"], "y0.distribution"))
-        settings = {k: v for k, v in y0_spec.items() if k not in ("mode", "distribution")}
-        if sampler_seed is not None:
-            settings["seed"] = sampler_seed
-        try:
-            sampler = SamplerConfig(**settings)
-        except (TypeError, ValueError) as exc:
-            raise _setting_error("y0", exc) from exc
         y0 = None  # drawn once every block is valid
     else:
         raise ValidationError("y0", "expected a vector or a table/sample object")
 
-    integrator_spec = raw.get("integrator", {})
-    if not isinstance(integrator_spec, dict) or set(integrator_spec) - _INTEGRATOR_KEYS:
-        raise ValidationError("integrator", f"allowed keys: {sorted(_INTEGRATOR_KEYS)}")
-    try:
-        integrator = IntegratorConfig(**integrator_spec)
-    except (TypeError, ValueError) as exc:
-        raise _setting_error("integrator", exc) from exc
-
-    analysis_spec = raw.get("analysis", {})
-    if not isinstance(analysis_spec, dict) or set(analysis_spec) - _ANALYSIS_KEYS:
-        raise ValidationError("analysis", f"allowed keys: {sorted(_ANALYSIS_KEYS)}")
-    try:
-        thresholds = AnalysisThresholds(**analysis_spec)
-    except ValueError as exc:
-        raise _setting_error("analysis", exc) from exc
+    integrator = _settings("integrator", raw.get("integrator", {}), IntegratorConfig,
+                           [f.name for f in fields(IntegratorConfig)])
+    thresholds = _settings("analysis", raw.get("analysis", {}), AnalysisThresholds,
+                           [f.name for f in fields(AnalysisThresholds)])
 
     if y0 is None:
         y0 = sample_y0(dist, sampler)

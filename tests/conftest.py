@@ -33,8 +33,7 @@ def case_trajectory_half_step(case_study):
 
 @pytest.fixture(scope="session")
 def case_trajectory_rk45(case_study):
-    cfg = qgame.IntegratorConfig(method="rk45", step=0.01, t_end=50.0,
-                                 abs_tol=1e-9, rel_tol=1e-9)
+    cfg = qgame.IntegratorConfig(method="rk45", step=0.01, t_end=50.0, tol=1e-9)
     return qgame.run_scenario(case_study, cfg)
 
 

@@ -118,7 +118,7 @@ def test_csv_cells_are_17_significant_digits(short_run, case_study, tmp_path):
         assert_panels_slice_trajectory(out)
 
 
-TIGHT = {"method": "rk45", "abs_tol": 1e-14, "rel_tol": 1e-14}  # ~580 samples to t = 10
+TIGHT = {"method": "rk45", "tol": 1e-14}  # ~580 samples to t = 10
 
 
 @pytest.fixture(scope="module")
@@ -505,6 +505,14 @@ def test_simulate_step_too_large_names_time_block_and_hint(tmp_path):
     assert proc.stderr.startswith("error: at t=")
     assert "y[" in proc.stderr and "--method rk45" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_simulate_bad_step_names_the_setting_and_value(tmp_path, capsys):
+    args = ["simulate", str(qgame.case_study_path()), "--step", "-1", "-o", str(tmp_path / "out")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step: ") and "-1" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_coarse_step_completes_on_the_simplex(tmp_path, capsys):

@@ -279,7 +279,7 @@ def test_sample_times_strictly_increase(case_trajectory):
 
 # --- the sample buffer and its blocks ---
 
-TIGHT = dict(method="rk45", abs_tol=1e-14, rel_tol=1e-14)  # ~580 rk45 samples to t = 10
+TIGHT = dict(method="rk45", tol=1e-14)  # ~580 rk45 samples to t = 10
 
 
 @pytest.fixture(scope="module")
@@ -408,7 +408,7 @@ def test_guard_fault_names_time_block_and_entry(v, fault):
 
 
 def test_guard_hint_under_rk45():
-    with pytest.raises(InvalidState, match="y\\[0\\].*tighten abs_tol and rel_tol$"):
+    with pytest.raises(InvalidState, match="y\\[0\\].*tighten tol$"):
         _recentre(np.array([0.5, 0.5, 0.5, 0.5, NAN, 2.0]), 2, 1.0,
                   IntegratorConfig(method="rk45"))
 
@@ -615,7 +615,7 @@ def _assert_reuse_is_exact(case_study, cfg, monkeypatch):
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-4])
 def test_reused_last_stage_is_exact(case_study, monkeypatch, tol):
-    cfg = IntegratorConfig(method="rk45", abs_tol=tol, rel_tol=tol, t_end=10.0)
+    cfg = IntegratorConfig(method="rk45", tol=tol, t_end=10.0)
     assert _assert_reuse_is_exact(case_study, cfg, monkeypatch).meta["recentrings"] == 0
 
 
@@ -623,7 +623,7 @@ def test_reused_last_stage_is_exact(case_study, monkeypatch, tol):
 def test_reused_last_stage_is_exact_when_the_guard_writes(case_study, monkeypatch, tol):
     # the winners' log coordinates grow linearly after fixation, so by
     # t = 50 the guard has recentred them, and f(v) is recomputed there
-    cfg = IntegratorConfig(method="rk45", abs_tol=tol, rel_tol=tol)
+    cfg = IntegratorConfig(method="rk45", tol=tol)
     plain = _assert_reuse_is_exact(case_study, cfg, monkeypatch)
     assert 0 < plain.meta["recentrings"] < plain.meta["accepted_steps"]
 
@@ -662,14 +662,14 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("name", ["step", "t_end", "abs_tol", "rel_tol"])
+@pytest.mark.parametrize("name", ["step", "t_end", "tol"])
 def test_config_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match=name):
         IntegratorConfig(**{name: value})
 
 
 @pytest.mark.parametrize("value", [True, "0.1", None])
-@pytest.mark.parametrize("name", ["step", "t_end", "abs_tol", "rel_tol"])
+@pytest.mark.parametrize("name", ["step", "t_end", "tol"])
 def test_config_rejects_non_numbers(name, value):
     with pytest.raises(InvalidSetting, match=f"{name}: expected a number"):
         IntegratorConfig(**{name: value})

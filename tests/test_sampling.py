@@ -51,12 +51,14 @@ def test_shares_do_not_depend_on_the_block_size(monkeypatch, block):
 
 
 def spy_on_ranges(monkeypatch) -> list:
-    """Record (start, stop, buffer rows, thread id) of every range counted."""
+    """Record (start, stop, buffer rows, thread) of every range counted. The
+    list holds each Thread object, so two threads that ran one after the
+    other stay distinct even where the second reuses the first's id."""
     calls = []
     count_range = sampling._count_range
 
     def spy(dist, seed, start, stop, block, ndtri):
-        calls.append((start, stop, len(block), threading.get_ident()))
+        calls.append((start, stop, len(block), threading.current_thread()))
         return count_range(dist, seed, start, stop, block, ndtri)
 
     monkeypatch.setattr(sampling, "_count_range", spy)
@@ -80,7 +82,7 @@ def test_shares_do_not_depend_on_the_cpu_count(monkeypatch, cpus, m):
     assert [r[0] for r in ranges] == [i * n // k for i in range(k)]
     assert [r[1] for r in ranges] == [(i + 1) * n // k for i in range(k)]
     assert sum(r[2] for r in ranges) == BLOCK_ROWS
-    assert len({r[3] for r in ranges}) == k and ranges[0][3] == threading.get_ident()
+    assert len({r[3] for r in ranges}) == k and ranges[0][3] is threading.current_thread()
     assert len(calls) == 3 * k
 
 
@@ -120,7 +122,7 @@ def test_one_block_or_one_cpu_starts_no_thread(monkeypatch, cpus, n):
     started = threading.active_count()
     cfg = SamplerConfig(n_sequences=n, seed=3)
     assert np.array_equal(sample_y0(skewed(), cfg), one_block_reference(skewed(), cfg))
-    assert calls == [(0, n, min(n, BLOCK_ROWS), threading.get_ident())]
+    assert calls == [(0, n, min(n, BLOCK_ROWS), threading.current_thread())]
     assert threading.active_count() == started
 
 

@@ -1,5 +1,8 @@
 import json
+import re
 import shutil
+from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -239,7 +242,7 @@ def test_integer_fields_reject_floats_and_bools(sandbox, block, key, value):
     assert info.value.field == f"{block}.{key}"
 
 
-@pytest.mark.parametrize("key", ["step", "t_end", "abs_tol"])
+@pytest.mark.parametrize("key", ["step", "t_end", "tol"])
 def test_float_fields_reject_bools(sandbox, key):
     """"step": true once ran rk4 with step 1."""
     scen_dir, base = sandbox
@@ -314,8 +317,44 @@ def test_path_fields_must_name_a_file(sandbox, field, spec, value):
 def test_analysis_out_of_range_is_a_validation_error(sandbox):
     scen_dir, base = sandbox
     base["analysis"] = {"winner_threshold": 5}
-    with pytest.raises(ValidationError, match="analysis: winner_threshold"):
+    with pytest.raises(ValidationError, match=r"analysis\.winner_threshold: must lie") as info:
         qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == "analysis.winner_threshold"
+
+
+# one out-of-range value for every integrator and analysis key
+BAD_SETTINGS = {
+    "integrator": {"method": "euler", "step": -1, "t_end": 0, "tol": 0},
+    "analysis": {"winner_threshold": 5, "z_tol": 0.7, "rise_tol": -0.5, "die_tol": -1,
+                 "mono_slack": -0.25},
+}
+
+
+@pytest.mark.parametrize(
+    "block, cls", [("integrator", qgame.IntegratorConfig), ("analysis", qgame.AnalysisThresholds)]
+)
+def test_every_key_is_documented_and_has_a_bad_value(block, cls):
+    """The first paragraph under "Integrator keys" or "Analysis keys" in
+    docs/scenario.md names each key as `key` (default), and BAD_SETTINGS
+    holds an out-of-range value for each."""
+    keys = [f.name for f in fields(cls)]
+    doc = (Path(__file__).parent.parent / "docs" / "scenario.md").read_text(encoding="utf-8")
+    first = doc.split(f"## {block.capitalize()} keys\n", 1)[1].strip().split("\n\n", 1)[0]
+    assert re.findall(r"`(\w+)` \(", first) == keys
+    assert list(BAD_SETTINGS[block]) == keys
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [(block, key, value) for block, spec in BAD_SETTINGS.items() for key, value in spec.items()],
+)
+def test_every_bad_setting_is_named(sandbox, block, key, value):
+    scen_dir, base = sandbox
+    base[block] = {key: value}
+    with pytest.raises(ValidationError) as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == f"{block}.{key}"
+    assert repr(value) in info.value.reason
 
 
 @pytest.mark.parametrize("value", ["derive-from-loadings", None, 0.5])
@@ -398,7 +437,7 @@ def test_y0_rejects_unknown_keys(sandbox, mode, key):
         base["y0"] = {"mode": "sample", "distribution": "../data/symmetric_distribution.csv",
                       "n_sequences": 100}
     base["y0"][key] = 10
-    with pytest.raises(ValidationError, match=f"unknown {mode}-mode key '{key}'") as info:
+    with pytest.raises(ValidationError, match=f"^y0: unknown key '{key}'; allowed keys: ") as info:
         qgame.load_scenario(write_scenario(scen_dir, base))
     assert info.value.field == "y0"
 
