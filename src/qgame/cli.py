@@ -43,26 +43,27 @@ WRITER_EXIT_S = 10  # wait for the writer process to exit before killing it
 def _format_rows(conn, parent_end, header: list[str]) -> None:
     """Body of the writer process that `simulate` starts.
 
-    Derives each file's columns from `header` once: trajectory.csv takes
-    every column, each plotdata/ panel t and its own. Formats each row of
-    a block once as the block arrives and appends the row's line to every
-    file's text. A request (path, panels) writes trajectory.csv to path,
-    or the panels into the directory path, and is answered None or with
-    the errno, message and file name of the OSError that stopped it. Ends
-    when the parent's end closes.
+    Derives each plotdata/ panel's columns from `header` once: t and its
+    own. Formats each row of a block once as the block arrives: that line
+    is trajectory.csv's, and its cells are cut into every panel's line. A
+    request (path, panels) writes trajectory.csv to path, or the panels
+    into the directory path, and is answered None or with the errno,
+    message and file name of the OSError that stopped it. Ends when the
+    parent's end closes.
     """
     import signal  # here, like multiprocessing: the CLI's import does not load it
 
     parent_end.close()  # a forked copy, which would keep the pipe open
     # Ctrl-C reaches the parent too, which ends this process by closing the pipe
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # file name -> its columns; "" is trajectory.csv, written to the request's path itself
-    columns = {"": range(len(header))}
+    columns = {}  # panel file name -> its columns
     for j, name in enumerate(header[1:], 1):
         panel = f"y_tool_{parse_code(name[2:]).tool}" if name[:2] == "y_" else name.split("_")[0]
         columns.setdefault(f"{panel}.csv", [0]).append(j)
-    texts = {name: (itemgetter(*cols), [",".join(header[j] for j in cols) + "\n"])
-             for name, cols in columns.items()}
+    cuts = {name: itemgetter(*cols) for name, cols in columns.items()}
+    # file name -> its text; "" is trajectory.csv, written to the request's path itself
+    texts = {"": [",".join(header) + "\n"]}
+    texts.update((name, [",".join(header[j] for j in cols) + "\n"]) for name, cols in columns.items())
     fmt = ",".join(["%.17g"] * len(header))
     while True:
         try:
@@ -70,15 +71,17 @@ def _format_rows(conn, parent_end, header: list[str]) -> None:
         except EOFError:
             return
         if isinstance(message, np.ndarray):  # a block of rows
-            rows = [(fmt % tuple(row)).split(",") for row in message.tolist()]
-            for get, text in texts.values():
-                text.append("".join(",".join(get(row)) + "\n" for row in rows))
+            lines = [fmt % tuple(row) for row in message.tolist()]
+            texts[""].append("\n".join(lines) + "\n")
+            rows = [line.split(",") for line in lines]
+            for name, get in cuts.items():
+                texts[name].append("".join(",".join(get(row)) + "\n" for row in rows))
             continue
         path, panels = message
         try:
             if panels:
                 path.mkdir(exist_ok=True)
-            for name, (_, text) in texts.items():
+            for name, text in texts.items():
                 if bool(name) == panels:  # path / "" is path
                     with open(path / name, "w", encoding="utf-8", newline="\n") as fh:
                         fh.writelines(text)

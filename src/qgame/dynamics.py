@@ -29,10 +29,12 @@ log coordinate of -inf, where the field is finite, so it stays exactly
 zero; z = 0 and z = 1 sit at a = -inf and +inf. `integrate` converts at
 both edges: shares come in, and shares go out in blocks of rows t, x, z,
 y, utility, trajectory.csv's layout, each block given its utility as it
-is converted. Between recentrings the first stage of each step is the
-last stage of the step before, bit for bit. rk4 and rk45 (Dormand-Prince
-5(4), advancing the fifth-order solution) are one explicit Runge-Kutta
-stepper on two Butcher tableaus.
+is converted. rk4 and rk45 (Dormand-Prince 5(4), advancing the
+fifth-order solution) run one explicit Runge-Kutta step on two Butcher
+tableaus: `_stepper` builds it once per run as a list of numpy calls on
+fixed buffers, the stage values V and their fields K, and each step runs
+that list. Between recentrings the first stage of each step is the last
+stage of the step before, bit for bit.
 """
 
 import math
@@ -175,24 +177,39 @@ def _to_shares(w: np.ndarray, n: int) -> None:
     np.reciprocal(a, out=a)
 
 
-def _rhs(v: np.ndarray, S: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The coupled field at log coordinates v = (u, a, c), into out if given.
+def _field_calls(v, d, S, n, e, g, sums) -> list:
+    """The (function, args) calls that write the coupled field at log
+    coordinates v = (u, a, c) into d, with scratch e (like v), g (n,) and
+    sums, two 0-d arrays.
 
     With ex = exp(u), ey = exp(c) and g = tanh a: S y = S @ ey / sum(ey),
     u' = A y = g * (S y), a' = S y and c' = A' x = (g * ex) @ S / sum(ex).
     A -inf entry of u or c adds nothing to the sums; the exp of a is unused.
     """
-    d = np.empty_like(v) if out is None else out
-    e = np.exp(v)
     ex, ey = e[:n], e[2 * n:]
-    Sy = d[n:2 * n]
-    np.matmul(S, ey, out=Sy)
-    Sy /= ey.sum()
-    g = np.tanh(v[n:2 * n])
-    np.multiply(g, Sy, out=d[:n])
-    g *= ex
-    np.matmul(g, S, out=d[2 * n:])
-    d[2 * n:] /= ex.sum()
+    Sy, dc = d[n:2 * n], d[2 * n:]
+    sy, sx = sums
+    return [
+        (np.exp, (v, e)),
+        (np.matmul, (S, ey, Sy)),
+        (np.add.reduce, (ey, 0, None, sy)),
+        (np.divide, (Sy, sy, Sy)),
+        (np.tanh, (v[n:2 * n], g)),
+        (np.multiply, (g, Sy, d[:n])),
+        (np.multiply, (g, ex, g)),
+        (np.matmul, (g, S, dc)),
+        (np.add.reduce, (ex, 0, None, sx)),
+        (np.divide, (dc, sx, dc)),
+    ]
+
+
+def _rhs(v: np.ndarray, S: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The coupled field at log coordinates v, into out if given, by the
+    calls of `_field_calls` on fresh scratch."""
+    d = np.empty_like(v) if out is None else out
+    for call, args in _field_calls(v, d, S, n, np.empty_like(v), np.empty(n),
+                                   (np.empty(()), np.empty(()))):
+        call(*args)
     return d
 
 
@@ -220,9 +237,9 @@ def vector_field(
 
 
 # Butcher tableaus as (weights, divisor) rows: row s is the stage value
-# v + h / divisor * (weights . K[:s]), with its field in K[s]. The last row
-# is the new state, so K[-1] is the next step's first stage. RK4's last row
-# keeps the bits of v + h / 6 * (k1 + 2 k2 + 2 k3 + k4).
+# V[s] = v + h / divisor * (weights . K[:s]), with its field in K[s]. The
+# last row is the new state, so K[-1] is the next step's first stage.
+# RK4's last row keeps the bits of v + h / 6 * (k1 + 2 k2 + 2 k3 + k4).
 _RK4 = tuple((np.array(w), d) for w, d in (
     ((0.5,), 1.0), ((0.0, 0.5), 1.0), ((0.0, 0.0, 1.0), 1.0), ((1.0, 2.0, 2.0, 1.0), 6.0)))
 # Dormand-Prince 5(4); the error weights are B5 - B4
@@ -240,15 +257,36 @@ _DP = tuple((np.array(row), 1.0) for row in _DP_A[1:] + (_DP_B5,))
 _DP_E = np.array(_DP_B5 + (0.0,)) - np.array(_DP_B4)
 
 
-def _rk_step(v, h, scores, n, K, tableau):
-    """One explicit Runge-Kutta step of size h from v, with K[0] = f(v) in
-    place: fills K[1:] and returns the new state."""
-    for s, (row, divisor) in enumerate(tableau, 1):
-        vs = np.dot(row, K[:s])
-        vs *= h / divisor
-        vs += v
-        _rhs(vs, scores, n, out=K[s])
-    return vs
+def _stepper(S: np.ndarray, n: int, tableau) -> tuple:
+    """The buffers and the step of one run on a Butcher tableau.
+
+    Returns (V, K, step). The caller puts the state in V[0] and its field
+    in K[0]; step(h) takes one explicit Runge-Kutta step of size h from
+    there, filling the stage values V[1:] and their fields K[1:], so V[-1]
+    is the new state and K[-1] its field. A step writes nothing that the
+    caller owns: V[0] and K[0] keep their bits. The calls of one step are
+    built here once, on the same buffers and scratch for every step.
+    """
+    V = np.empty((len(tableau) + 1, 2 * n + S.shape[1]))  # the stage values, V[0] = v
+    K = np.empty_like(V)  # their fields, K[0] = f(v)
+    H = np.empty(len(tableau))  # h / divisor of each row
+    divisors = np.array([divisor for _, divisor in tableau])
+    e, g, sums = np.empty(V.shape[1]), np.empty(n), (np.empty(()), np.empty(()))
+    calls = []
+    for s, (row, _) in enumerate(tableau, 1):
+        calls += [
+            (np.dot, (row, K[:s], V[s])),
+            (np.multiply, (V[s], H[s - 1:s], V[s])),
+            (np.add, (V[s], V[0], V[s])),
+        ]
+        calls += _field_calls(V[s], K[s], S, n, e, g, sums)
+
+    def step(h: float) -> None:
+        np.divide(h, divisors, out=H)
+        for call, args in calls:
+            call(*args)
+
+    return V, K, step
 
 
 def _fault(v, k, n, t, cfg):
@@ -337,15 +375,15 @@ def integrate(
     recentrings = 0  # accepted states whose log blocks were shifted
     h_min, h_max = math.inf, 0.0  # accepted step sizes
     h = cfg.step
-    tableau = _RK4 if rk4 else _DP
-    K = np.empty((len(tableau) + 1, 2 * n + m))  # the stages, K[0] = f(v)
+    V, K, step = _stepper(S, n, _RK4 if rk4 else _DP)
+    v, v_new = V[0], V[-1]  # the state and the step's new state
     edges = np.array([0, n, 2 * n])  # the u, a and c blocks
 
     # overflow inside a trial step is not an error: rk45 sees a non-finite
     # err_norm and rejects the step, and _recentre stops on a state that
     # holds a NaN or an overflowed log block
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = _to_log(state0.x, state0.z, state0.y)
+        v[:] = _to_log(state0.x, state0.z, state0.y)
         _rhs(v, S, n, out=K[0])
         evaluations = 1  # field evaluations
         while t < cfg.t_end - T_EPS:
@@ -363,7 +401,7 @@ def integrate(
                     )
                 h_try = min(h, cfg.t_end - t)
                 t_next = t + h_try
-            v_new = _rk_step(v, h_try, S, n, K, tableau)
+            step(h_try)
             if not rk4:
                 # a -inf coordinate has an infinite scale and a finite error,
                 # so it adds 0 to the norm
@@ -371,14 +409,14 @@ def integrate(
                 err *= h_try
                 err /= cfg.tol + cfg.tol * np.maximum(np.abs(v), np.abs(v_new))
                 err_norm = math.sqrt((err * err).sum() / len(err))  # nan or inf: rejected
-            evaluations += len(tableau)
+            evaluations += len(K) - 1
             if not (rk4 or err_norm <= 1.0):
                 rejected += 1
                 h = h_try * (max(0.2, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm) else 0.2)
                 if h < MIN_STEP:
                     raise StepSizeUnderflow(f"adaptive step fell to {h:.3e} at t={t:.6g}")
                 continue
-            v = v_new
+            v[:] = v_new  # the next step starts from V[0]
             tu, ta, tc = np.maximum.reduceat(v, edges).tolist()  # nan if any entry is
             if -LOG_BOUND <= tu <= LOG_BOUND and -LOG_BOUND <= tc <= LOG_BOUND and ta == ta:
                 K[0] = K[-1]  # = f(v); a rejection keeps K[0]

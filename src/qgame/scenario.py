@@ -216,6 +216,9 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
             raise ValidationError("y0.distribution", "sample mode requires a distribution path")
         dist = load_distribution(_resolve_path(base, y0_spec["distribution"], "y0.distribution"))
         y0 = None  # drawn once every block is valid
+    elif isinstance(y0_spec, dict):
+        got = f"got {mode!r}" if "mode" in y0_spec else "the key is missing"
+        raise ValidationError("y0.mode", f"expected 'table' or 'sample', {got}")
     else:
         raise ValidationError("y0", "expected a vector or a table/sample object")
 

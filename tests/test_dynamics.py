@@ -16,7 +16,7 @@ from qgame import (
 import qgame
 from qgame import dynamics
 from qgame.dynamics import (
-    BLOCK, LOG_BOUND, T_EPS, _DP, _DP_B4, _DP_B5, _DP_A, _DP_E, _RK4, _recentre, _rk_step,
+    BLOCK, LOG_BOUND, T_EPS, _DP, _DP_B4, _DP_B5, _DP_A, _DP_E, _RK4, _recentre, _stepper,
     _to_log,
 )
 from qgame.errors import InvalidSetting, InvalidState, StepBudgetExceeded, StepSizeUnderflow
@@ -76,9 +76,10 @@ def test_stacked_dormand_prince_step_matches_the_stage_sums(scores, h):
     k.append(dynamics._rhs(v5, S, n))
     v4 = v + h * sum(b * ki for b, ki in zip(_DP_B4, k))
 
-    K = np.empty((7, len(v)))
-    K[0] = k[0]
-    got_v5 = _rk_step(v, h, S, n, K, _DP)
+    V, K, step = _stepper(S, n, _DP)
+    V[0], K[0] = v, k[0]
+    step(h)
+    got_v5 = V[-1]
     assert np.abs(got_v5 - v5).max() <= 1e-15
     assert np.abs(h * (_DP_E @ K) - (v5 - v4)).max() <= 1e-15
     assert np.array_equal(K[6], dynamics._rhs(got_v5, S, n))
@@ -99,11 +100,71 @@ def test_rk4_tableau_step_is_the_classic_sum(scores, h):
     and its last stage is the field at the new state."""
     S, n = scores.scores, scores.scores.shape[0]
     v = log_start()
-    K = np.empty((5, len(v)))
-    K[0] = dynamics._rhs(v, S, n)
-    got = _rk_step(v, h, S, n, K, _RK4)
+    V, K, step = _stepper(S, n, _RK4)
+    V[0], K[0] = v, dynamics._rhs(v, S, n)
+    step(h)
+    got = V[-1]
     assert np.array_equal(got, classic_rk4_step(v, h, S, n))
     assert np.array_equal(K[4], dynamics._rhs(got, S, n))
+
+
+def spy_on_steps(monkeypatch) -> list:
+    """Has every step of `integrate` recorded as a dict: its h, and V[0],
+    K[0] before it and V[0], K[0], V[-1], K[-1] after it."""
+    build, steps = dynamics._stepper, []
+
+    def spied(*args):
+        V, K, step = build(*args)
+
+        def spied_step(h):
+            before = dict(h=h, v=V[0].copy(), f=K[0].copy())
+            step(h)
+            steps.append(dict(before, v_after=V[0].copy(), f_after=K[0].copy(),
+                              new=V[-1].copy(), f_new=K[-1].copy()))
+
+        return V, K, spied_step
+
+    monkeypatch.setattr(dynamics, "_stepper", spied)
+    return steps
+
+
+def test_consecutive_rk4_steps_are_the_classic_steps(scores, monkeypatch):
+    """50 steps of one run on its fixed buffers are 50 classic steps bit for
+    bit, each taken from the new state of the step before, so neither V[0]
+    nor K[0] is ever stale."""
+    S, n = scores.scores, scores.scores.shape[0]
+    steps = spy_on_steps(monkeypatch)
+    traj = integrate(case_start(), scores, IntegratorConfig(step=0.01, t_end=0.5))
+    assert len(steps) == traj.meta["accepted_steps"] == 50
+    assert traj.meta["recentrings"] == 0
+    v = log_start()
+    for i, s in enumerate(steps):
+        assert s["h"] == traj.t[i + 1] - traj.t[i]
+        assert np.array_equal(s["v"], v), i
+        assert np.array_equal(s["f"], dynamics._rhs(v, S, n)), i
+        v = classic_rk4_step(v, s["h"], S, n)
+        assert np.array_equal(s["new"], v), i
+
+
+def test_rejected_rk45_step_keeps_the_state_and_its_field(scores, monkeypatch):
+    """A rejected attempt leaves V[0] and K[0] as they were, bit for bit, and
+    the retried step equals the same step taken on fresh buffers."""
+    S, n = scores.scores, scores.scores.shape[0]
+    steps = spy_on_steps(monkeypatch)
+    traj = integrate(case_start(), scores, IntegratorConfig(method="rk45", step=200.0))
+    first, retry = steps[:2]
+    assert first["h"] == 50.0 and traj.t[1] < 50.0  # the first attempt was rejected
+    assert traj.meta["rejected_steps"] > 0
+    v = log_start()
+    for s in (first, retry):
+        assert np.array_equal(s["v"], v)
+        assert np.array_equal(s["f"], dynamics._rhs(v, S, n))
+    assert np.array_equal(first["v_after"], v) and np.array_equal(first["f_after"], first["f"])
+    V, K, step = _stepper(S, n, _DP)  # fresh buffers; the spy replaced only dynamics._stepper
+    V[0], K[0] = v, dynamics._rhs(v, S, n)
+    step(retry["h"])
+    assert retry["h"] < first["h"]
+    assert np.array_equal(V[-1], retry["new"]) and np.array_equal(K[-1], retry["f_new"])
 
 
 # --- vector field ---
@@ -431,13 +492,19 @@ def test_guard_reports_each_kind_of_write(v):
     s0 = GameState(x=[0.4, 0.6], y=[0.3, 0.7], z=[0.8, 0.3])
     cfg = IntegratorConfig(step=0.01, t_end=0.01)
     plain = integrate(s0, scores, cfg)
-    step = dynamics._rk_step
+    build = dynamics._stepper
 
     def shifted(*args):
-        return step(*args) + np.array(v)
+        V, K, step = build(*args)
+
+        def shifted_step(h):
+            step(h)
+            V[-1] += v
+
+        return V, K, shifted_step
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(dynamics, "_rk_step", shifted)
+        m.setattr(dynamics, "_stepper", shifted)
         moved = integrate(s0, scores, cfg)
     assert plain.meta["recentrings"] == 0 and moved.meta["recentrings"] == 1
     assert moved.meta["field_evaluations"] == plain.meta["field_evaluations"] + 1 == 6
@@ -521,10 +588,17 @@ def test_adaptive_step_underflow():
 
 
 def test_rk4_over_step_budget_fails_before_the_first_step(scores, monkeypatch):
-    def no_step(*args):
-        raise AssertionError("stepped")
+    build = dynamics._stepper
 
-    monkeypatch.setattr(dynamics, "_rk_step", no_step)
+    def no_step(*args):
+        V, K, _ = build(*args)
+
+        def step(h):
+            raise AssertionError("stepped")
+
+        return V, K, step
+
+    monkeypatch.setattr(dynamics, "_stepper", no_step)
     cfg = IntegratorConfig(step=1e-5, t_end=50.0)  # 5e6 steps
     with pytest.raises(StepBudgetExceeded, match="MAX_STEPS=1000000"):
         integrate(case_start(), scores, cfg)

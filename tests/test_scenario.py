@@ -442,6 +442,20 @@ def test_y0_rejects_unknown_keys(sandbox, mode, key):
     assert info.value.field == "y0"
 
 
+@pytest.mark.parametrize("mode, got", [("tabel", "got 'tabel'"), (None, "the key is missing")],
+                         ids=["misspelt", "missing"])
+def test_y0_bad_mode_names_the_field(sandbox, mode, got):
+    scen_dir, base = sandbox
+    del base["y0"]["mode"]
+    if mode is not None:
+        base["y0"]["mode"] = mode
+    with pytest.raises(ValidationError) as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == "y0.mode"
+    assert info.value.reason == f"expected 'table' or 'sample', {got}"
+    assert str(info.value) == f"y0.mode: expected 'table' or 'sample', {got}"
+
+
 def test_table_y0_normalizes_truncated_shares(sandbox):
     scen_dir, base = sandbox
     resolved = qgame.load_scenario(write_scenario(scen_dir, base))
