@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import EmptyTrajectory, InvalidSetting, require_real
+from .errors import InvalidSetting, QGameError, require_real
 
 NEVER_GROWS = "never-grows"
 GROW_THEN_DIE = "grow-then-die"
@@ -150,7 +150,7 @@ def _utility(traj: Trajectory) -> dict:
 def analyze(traj: Trajectory, thresholds: AnalysisThresholds | None = None) -> dict:
     """The report dict of `traj`: its fixation, transients and utility."""
     if len(traj) == 0:
-        raise EmptyTrajectory("trajectory has no samples")
+        raise QGameError("trajectory has no samples")
     th = thresholds or AnalysisThresholds()
     return {
         "fixation": _fixation(traj, th),

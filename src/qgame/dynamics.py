@@ -43,9 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidSetting, InvalidState, StepBudgetExceeded, StepSizeUnderflow, require_real,
-)
+from .errors import InvalidSetting, QGameError, first_bad, require_real
 from .qdata import ZScoreMatrix
 
 STATE_SUM_TOL = 1e-9   # allowed drift of simplex sums in a valid state
@@ -69,26 +67,19 @@ class GameState:
             object.__setattr__(self, name, arr)
 
     def validate(self) -> None:
-        """Raise InvalidState naming the first entry that is not finite, then the
+        """Raise QGameError naming the first entry that is not finite, then the
         first negative x or y entry or block off its simplex, then the first z
         entry outside [0, 1]."""
         blocks = (("x", self.x), ("y", self.y), ("z", self.z))
         for name, vec in blocks:
-            _first_bad(name, vec, ~np.isfinite(vec), "is not finite")
+            first_bad(name, vec, ~np.isfinite(vec), "is not finite")
         for name, vec in blocks[:2]:
-            _first_bad(name, vec, vec < 0.0, "is negative")
+            first_bad(name, vec, vec < 0.0, "is negative")
             if abs(vec.sum() - 1.0) > STATE_SUM_TOL:
-                raise InvalidState(
+                raise QGameError(
                     f"{name} sums to {vec.sum():.12g}, outside 1 +/- {STATE_SUM_TOL}"
                 )
-        _first_bad("z", self.z, (self.z < 0.0) | (self.z > 1.0), "is outside [0, 1]")
-
-
-def _first_bad(name: str, vec: np.ndarray, bad: np.ndarray, what: str) -> None:
-    """Raise InvalidState naming the first entry of vec where bad holds."""
-    i = np.flatnonzero(bad)
-    if len(i):
-        raise InvalidState(f"{name}[{i[0]}] = {vec[i[0]]} {what}")
+        first_bad("z", self.z, (self.z < 0.0) | (self.z > 1.0), "is outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -215,7 +206,7 @@ def _rhs(v: np.ndarray, S: np.ndarray, n: int, out: np.ndarray | None = None) ->
 
 def _check_shapes(state: GameState, n: int, m: int) -> None:
     if state.x.shape != (n,) or state.y.shape != (m,) or state.z.shape != (n,):
-        raise InvalidState(
+        raise QGameError(
             f"state shapes x{state.x.shape}, y{state.y.shape}, z{state.z.shape} do not "
             f"match the {n}x{m} score matrix"
         )
@@ -289,11 +280,11 @@ def _stepper(S: np.ndarray, n: int, tableau) -> tuple:
     return V, K, step
 
 
-def _fault(v, k, n, t, cfg):
-    """InvalidState naming the time, the block and the entry of v[k]."""
+def _fault(v, k, n, t, cfg) -> QGameError:
+    """QGameError naming the time, the block and the entry of v[k]."""
     block, i = ("x", k) if k < n else ("z", k - n) if k < 2 * n else ("y", k - 2 * n)
     hint = "reduce --step or use --method rk45" if cfg.method == "rk4" else "tighten tol"
-    return InvalidState(f"at t={t:.6g}: {block}[{i}] = {v[k]:.3e} is not finite; {hint}")
+    return QGameError(f"at t={t:.6g}: {block}[{i}] = {v[k]:.3e} is not finite; {hint}")
 
 
 def _recentre(v, n, t, cfg):
@@ -339,11 +330,11 @@ def integrate(
         at t_end, labelled by the scores. The first sample holds state0's
         own shares.
 
-    Raises InvalidState, naming t, the block and the entry, when an
-    accepted state holds a NaN or its log coordinates overflow.
-    Raises StepBudgetExceeded, before the first step, when rk4 would take
-    more than MAX_STEPS steps, and, at the time reached, when rk45 has
-    attempted more than MAX_STEPS steps, accepted and rejected together.
+    Raises QGameError, naming t, the block and the entry, when an
+    accepted state holds a NaN or its log coordinates overflow; before
+    the first step, when rk4 would take more than MAX_STEPS steps; and,
+    at the time reached, when rk45 has attempted more than MAX_STEPS
+    steps, accepted and rejected together.
     """
     cfg = config or IntegratorConfig()
     state0.validate()
@@ -354,7 +345,7 @@ def integrate(
     # for an integer budget, t_end / step > MAX_STEPS is the same test as
     # ceil(t_end / step) > MAX_STEPS, and it holds when the quotient is inf
     if rk4 and cfg.t_end / cfg.step > MAX_STEPS:
-        raise StepBudgetExceeded(
+        raise QGameError(
             f"rk4 needs {cfg.t_end / cfg.step:.3g} steps of {cfg.step:g} to reach "
             f"t_end={cfg.t_end:g}, over MAX_STEPS={MAX_STEPS}; increase --step or "
             "reduce --t-end"
@@ -394,7 +385,7 @@ def integrate(
                 h_try = t_next - t
             else:
                 if accepted + rejected == MAX_STEPS:
-                    raise StepBudgetExceeded(
+                    raise QGameError(
                         f"at t={t:.6g}: {MAX_STEPS} rk45 step attempts ({accepted} accepted) "
                         f"used up MAX_STEPS={MAX_STEPS} before t_end={cfg.t_end:g}; "
                         "loosen tol or reduce --t-end"
@@ -414,7 +405,7 @@ def integrate(
                 rejected += 1
                 h = h_try * (max(0.2, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm) else 0.2)
                 if h < MIN_STEP:
-                    raise StepSizeUnderflow(f"adaptive step fell to {h:.3e} at t={t:.6g}")
+                    raise QGameError(f"adaptive step fell to {h:.3e} at t={t:.6g}")
                 continue
             v[:] = v_new  # the next step starts from V[0]
             tu, ta, tc = np.maximum.reduceat(v, edges).tolist()  # nan if any entry is

@@ -1,67 +1,26 @@
-"""Exception types shared across the package, and the integer and real
-setting checks."""
+"""The package's three exception types, and its checks of settings and
+vector entries.
+
+Every fault the package raises is a `QGameError`, a `ValueError` whose
+message names what is at fault: the file, row, field, entry or time. A
+setting of the wrong type or outside its range is an `InvalidSetting`,
+whose `field` names the setting; a fault in a scenario file's content is
+a `ValidationError`, whose `field` names the offending entry. A missing
+input file is a `FileNotFoundError`, and a file that cannot be written
+an `OSError`.
+"""
 
 import math
 import numbers
 
-
-class QGameError(Exception):
-    """Base class for all package-specific errors."""
+import numpy as np
 
 
-class MalformedCode(QGameError, ValueError):
-    """Strategy code string does not have the dot-separated 4-part shape."""
+class QGameError(ValueError):
+    """A fault in the package's inputs or in a run; the message says where."""
 
 
-class UnknownLevel(QGameError, ValueError):
-    """A code part is not a valid level for its dimension position."""
-
-
-class DimensionMismatch(QGameError, ValueError):
-    """Array shapes do not agree with the declared factor/strategy counts."""
-
-
-class NoFlaggedStakeholders(QGameError, ValueError):
-    """Flagging left every stakeholder unassigned; x0 cannot be derived."""
-
-
-class MissingStrategy(QGameError, ValueError):
-    """A tabular source lacks a row for one of the canonical strategies."""
-
-
-class DuplicateStrategy(QGameError, ValueError):
-    """A tabular source contains the same strategy code more than once."""
-
-
-class DuplicateStakeholder(QGameError, ValueError):
-    """A loading table contains the same stakeholder id more than once."""
-
-
-class InvalidNumber(QGameError, ValueError):
-    """A table cell is not a finite number, or lies outside its range."""
-
-
-class ScoreOutOfRange(QGameError, ValueError):
-    """A grid score falls outside the integer range -5..5."""
-
-
-class InvalidState(QGameError, ValueError):
-    """A game state violates its simplex/interval invariants beyond tolerance."""
-
-
-class StepSizeUnderflow(QGameError, RuntimeError):
-    """The adaptive integrator pushed the step size below the hard floor."""
-
-
-class StepBudgetExceeded(QGameError, RuntimeError):
-    """An integration needs more steps than the integrator's step budget."""
-
-
-class EmptyTrajectory(QGameError, ValueError):
-    """Analysis was asked to run on a trajectory with no samples."""
-
-
-class InvalidSetting(QGameError, ValueError):
+class InvalidSetting(QGameError):
     """A setting has the wrong type or lies outside its range; `field` names it."""
 
     def __init__(self, field: str, message: str):
@@ -70,12 +29,15 @@ class InvalidSetting(QGameError, ValueError):
         super().__init__(f"{field}: {message}")
 
 
-class ParseError(QGameError, ValueError):
-    """Scenario file is not valid JSON or not a JSON object."""
-
-
 class ValidationError(InvalidSetting):
     """Scenario content failed validation; `field` names the offending entry."""
+
+
+def first_bad(name: str, vec: np.ndarray, bad: np.ndarray, what: str) -> None:
+    """Raise QGameError naming the first entry of vec where bad holds."""
+    i = np.flatnonzero(bad)
+    if len(i):
+        raise QGameError(f"{name}[{i[0]}] = {vec[i[0]]} {what}")
 
 
 def require_int(field: str, value, low: int, high: int | None = None) -> None:

@@ -19,19 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DuplicateStakeholder,
-    DuplicateStrategy,
-    InvalidNumber,
-    InvalidSetting,
-    MalformedCode,
-    MissingStrategy,
-    NoFlaggedStakeholders,
-    ScoreOutOfRange,
-    UnknownLevel,
-    require_int,
-)
+from .errors import InvalidSetting, QGameError, require_int
 from .strategy_space import CANONICAL_CODES, STRATEGIES, parse_code
 
 SCORE_MIN, SCORE_MAX = -5, 5
@@ -49,12 +37,12 @@ class LoadingMatrix:
     def __post_init__(self):
         arr = np.array(self.loadings, dtype=float)
         if arr.ndim != 2 or len(arr) != len(self.stakeholder_ids):
-            raise DimensionMismatch(
+            raise QGameError(
                 f"loadings shape {arr.shape} does not match "
                 f"{len(self.stakeholder_ids)} stakeholders"
             )
         if not np.all(np.abs(arr) <= 1.0):  # also rejects NaN
-            raise ValueError("loadings must lie in [-1, 1]")
+            raise QGameError("loadings must lie in [-1, 1]")
         arr.setflags(write=False)
         object.__setattr__(self, "loadings", arr)
 
@@ -75,10 +63,10 @@ class ZScoreMatrix:
     def __post_init__(self):
         arr = np.array(self.scores, dtype=float)
         if arr.ndim != 2:
-            raise DimensionMismatch(f"scores must be 2-d, got shape {arr.shape}")
+            raise QGameError(f"scores must be 2-d, got shape {arr.shape}")
         labels = tuple(self.strategy_labels) or tuple(f"s{j}" for j in range(arr.shape[1]))
         if len(labels) != arr.shape[1]:
-            raise DimensionMismatch(
+            raise QGameError(
                 f"scores shape {arr.shape} does not match {len(labels)} strategy labels"
             )
         arr.setflags(write=False)
@@ -178,7 +166,7 @@ def derive_x0(flags: FlagAssignment) -> np.ndarray:
     fractions = assignment_fractions(flags)
     mass = fractions.sum()
     if mass == 0.0:
-        raise NoFlaggedStakeholders("no stakeholder was flagged on any factor")
+        raise QGameError("no stakeholder was flagged on any factor")
     return fractions / mass
 
 
@@ -191,7 +179,7 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
             if row and not row[0].lstrip().startswith("#")
         ]
     if not rows:
-        raise ValueError(f"{path}: no data rows")
+        raise QGameError(f"{path}: no data rows")
     return rows[0], rows[1:]
 
 
@@ -200,16 +188,16 @@ def load_loadings(path: str | Path) -> LoadingMatrix:
     header, rows = _read_rows(path)
     n_factors = len(header) - 1
     if n_factors < 1:
-        raise DimensionMismatch(f"{path}: expected at least one factor column")
+        raise QGameError(f"{path}: expected at least one factor column")
     ids = []
     values = []
     for row in rows:
         if len(row) != n_factors + 1:
-            raise DimensionMismatch(
+            raise QGameError(
                 f"{path}: row {row[0]!r} has {len(row) - 1} values, expected {n_factors}"
             )
         if row[0] in ids:
-            raise DuplicateStakeholder(f"{path}: duplicate row for stakeholder {row[0]!r}")
+            raise QGameError(f"{path}: duplicate row for stakeholder {row[0]!r}")
         ids.append(row[0])
         values.append(
             [_loading(path, row[0], col, cell) for col, cell in zip(header[1:], row[1:])]
@@ -224,7 +212,7 @@ def _loading(path: str | Path, stakeholder: str, column: str, cell: str) -> floa
     except ValueError:
         value = math.nan
     if not -1.0 <= value <= 1.0:  # also NaN and non-numeric cells
-        raise InvalidNumber(
+        raise QGameError(
             f"{path}: stakeholder {stakeholder!r}, column {column}: "
             f"{cell!r} is not a loading in [-1, 1]"
         )
@@ -245,24 +233,24 @@ def _read_code_table(path: str | Path, width: int | None = None) -> np.ndarray:
     for row in rows:
         try:
             code = parse_code(row[0])
-        except (MalformedCode, UnknownLevel) as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+        except QGameError as exc:
+            raise QGameError(f"{path}: {exc}") from None
         if len(row) != k + 1:
-            raise DimensionMismatch(
+            raise QGameError(
                 f"{path}: row {code.code} has {len(row) - 1} values, expected {k}"
             )
         if code.index in by_index:
-            raise DuplicateStrategy(f"{path}: duplicate row for {code.code}")
+            raise QGameError(f"{path}: duplicate row for {code.code}")
         try:
             values = [float(v) for v in row[1:]]
         except ValueError:
-            raise InvalidNumber(f"{path}: row {code.code} has a non-numeric value") from None
+            raise QGameError(f"{path}: row {code.code} has a non-numeric value") from None
         if not all(map(math.isfinite, values)):
-            raise InvalidNumber(f"{path}: row {code.code} has a non-finite value")
+            raise QGameError(f"{path}: row {code.code} has a non-finite value")
         by_index[code.index] = values
     missing = [s.code for s in STRATEGIES if s.index not in by_index]
     if missing:
-        raise MissingStrategy(f"{path}: missing strategies {missing}")
+        raise QGameError(f"{path}: missing strategies {missing}")
     return np.array([by_index[s.index] for s in STRATEGIES])
 
 
@@ -276,7 +264,7 @@ def load_zscores(path: str | Path) -> ZScoreMatrix:
     bad = np.argwhere((table != np.round(table)) | (table < SCORE_MIN) | (table > SCORE_MAX))
     if len(bad):
         i, f = bad[0]
-        raise ScoreOutOfRange(
+        raise QGameError(
             f"{path}: score {table[i, f]} for {CANONICAL_CODES[i]} outside integers "
             f"{SCORE_MIN}..{SCORE_MAX}"
         )

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidNumber, require_int
+from .errors import QGameError, first_bad, require_int
 from .qdata import _read_code_table
 from .strategy_space import CANONICAL_CODES
 
@@ -44,15 +44,10 @@ class StatementDistribution:
         means = np.array(self.means, dtype=float)
         sigmas = np.array(self.sigmas, dtype=float)
         if means.shape != sigmas.shape or means.ndim != 1:
-            raise ValueError("means and sigmas must be 1-d arrays of equal length")
-        for name, vec, bad, what in (
-            ("means", means, ~np.isfinite(means), "is not finite"),
-            ("sigmas", sigmas, ~np.isfinite(sigmas), "is not finite"),
-            ("sigmas", sigmas, sigmas <= 0, "is not strictly positive"),
-        ):
-            i = np.flatnonzero(bad)
-            if len(i):
-                raise ValueError(f"{name}[{i[0]}] = {vec[i[0]]} {what}")
+            raise QGameError("means and sigmas must be 1-d arrays of equal length")
+        first_bad("means", means, ~np.isfinite(means), "is not finite")
+        first_bad("sigmas", sigmas, ~np.isfinite(sigmas), "is not finite")
+        first_bad("sigmas", sigmas, sigmas <= 0, "is not strictly positive")
         means.setflags(write=False)
         sigmas.setflags(write=False)
         object.__setattr__(self, "means", means)
@@ -155,7 +150,7 @@ def load_distribution(path: str | Path) -> StatementDistribution:
     bad = np.flatnonzero(sigmas <= 0)
     if len(bad):
         j = bad[0]
-        raise InvalidNumber(
+        raise QGameError(
             f"{path}: sigma of {CANONICAL_CODES[j]} = {sigmas[j]} is not strictly positive"
         )
     return StatementDistribution(means, sigmas)

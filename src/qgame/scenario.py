@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import AnalysisThresholds
 from .dynamics import GameState, IntegratorConfig, Trajectory, integrate
-from .errors import InvalidSetting, ParseError, ValidationError, require_real
+from .errors import InvalidSetting, QGameError, ValidationError, require_real
 from .qdata import (
     ZScoreMatrix,
     derive_x0,
@@ -135,12 +135,12 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
-            raise ParseError(f"{path}: top level must be a JSON object")
+            raise QGameError(f"{path}: top level must be a JSON object")
         _require_finite(raw, "")
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+        raise QGameError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError:  # from the parser or from _require_finite
-        raise ParseError(f"{path}: JSON nested too deeply") from None
+        raise QGameError(f"{path}: JSON nested too deeply") from None
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ValidationError(sorted(unknown)[0], "unknown scenario field")
@@ -232,7 +232,7 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     initial = GameState(x=x0, y=y0, z=z0)
     try:
         initial.validate()
-    except ValueError as exc:
+    except QGameError as exc:
         raise ValidationError("initial conditions", str(exc)) from exc
     return ResolvedScenario(
         scores=scores, initial=initial, integrator=integrator, analysis=thresholds

@@ -13,7 +13,7 @@ every strategy-indexed table and vector in the package follows it.
 import itertools
 from dataclasses import dataclass
 
-from .errors import MalformedCode, UnknownLevel
+from .errors import QGameError
 
 TARGET_LEVELS = ("D", "I")
 CONTENT_LEVELS = ("R", "C")
@@ -60,17 +60,16 @@ _INDEX = dict(zip(CANONICAL_CODES, STRATEGIES))
 def parse_code(text: str) -> StrategyCode:
     """Parse a dot-separated strategy code; a trailing dot is tolerated.
 
-    Raises MalformedCode for the wrong number of parts and UnknownLevel
-    when a part is not a valid level for its position. Codes are
-    case-sensitive.
+    Raises QGameError for the wrong number of parts and when a part is
+    not a valid level for its position. Codes are case-sensitive.
     """
     if not isinstance(text, str):
-        raise MalformedCode(f"expected a string, got {type(text).__name__}")
+        raise QGameError(f"expected a string, got {type(text).__name__}")
     stripped = text[:-1] if text.endswith(".") else text
     parts = stripped.split(".")
     if len(parts) != 4:
-        raise MalformedCode(f"{text!r}: expected 4 dot-separated parts, got {len(parts)}")
+        raise QGameError(f"{text!r}: expected 4 dot-separated parts, got {len(parts)}")
     for part, (name, levels) in zip(parts, _DIMENSIONS):
         if part not in levels:
-            raise UnknownLevel(f"{text!r}: {part!r} is not a {name} level {levels}")
+            raise QGameError(f"{text!r}: {part!r} is not a {name} level {levels}")
     return _INDEX[".".join(parts)]

@@ -3,7 +3,7 @@ import pytest
 
 from qgame import AnalysisThresholds, Trajectory, analyze
 from qgame.analysis import GROW_THEN_DIE, MONOTONE_WINNER, NEVER_GROWS, OTHER
-from qgame.errors import EmptyTrajectory, InvalidSetting
+from qgame.errors import InvalidSetting, QGameError
 
 from measures import count_inflections
 
@@ -139,7 +139,7 @@ def test_fixation_invariant_under_subsampling(case_trajectory):
 
 
 def test_empty_trajectory_raises():
-    with pytest.raises(EmptyTrajectory):
+    with pytest.raises(QGameError, match="^trajectory has no samples$"):
         analyze(empty_traj())
 
 

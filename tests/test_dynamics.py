@@ -19,7 +19,7 @@ from qgame.dynamics import (
     BLOCK, LOG_BOUND, T_EPS, _DP, _DP_B4, _DP_B5, _DP_A, _DP_E, _RK4, _recentre, _stepper,
     _to_log,
 )
-from qgame.errors import InvalidSetting, InvalidState, StepBudgetExceeded, StepSizeUnderflow
+from qgame.errors import InvalidSetting, QGameError
 
 from table_fixtures import CANONICAL_ORDER, PSI_AT_Y0_RAW, Y0, Z0
 
@@ -242,11 +242,11 @@ def test_vector_field_matches_the_textbook_form(scores):
 
 
 def test_vector_field_rejects_invalid_states(scores):
-    with pytest.raises(InvalidState):
+    with pytest.raises(QGameError, match=r"^x sums to 1\.5, outside 1 \+/- 1e-09$"):
         vector_field(GameState(x=[0.5, 0.5, 0.5, 0, 0], y=np.full(36, 1 / 36), z=np.full(5, 0.5)), scores)
-    with pytest.raises(InvalidState):
+    with pytest.raises(QGameError, match=r"^z\[4\] = 1\.5 is outside \[0, 1\]$"):
         vector_field(GameState(x=[1, 0, 0, 0, 0], y=np.full(36, 1 / 36), z=[0.5, 0.5, 0.5, 0.5, 1.5]), scores)
-    with pytest.raises(InvalidState):
+    with pytest.raises(QGameError, match=r"^state shapes x\(3,\), y\(36,\), z\(3,\) do not match "):
         vector_field(GameState(x=[1, 0, 0], y=np.full(36, 1 / 36), z=[0.5, 0.5, 0.5]), scores)
 
 
@@ -461,7 +461,7 @@ INF, NAN = float("inf"), float("nan")
 def test_guard_fault_names_time_block_and_entry(v, fault):
     """A NaN anywhere, or a log block whose max is not finite, is a fault;
     a = +inf or -inf (z = 1 or 0) is not."""
-    with pytest.raises(InvalidState) as info:
+    with pytest.raises(QGameError) as info:
         _recentre(np.array(v), 2, 2.5, IntegratorConfig())
     msg = str(info.value)
     assert msg.startswith("at t=2.5: ") and fault in msg
@@ -469,7 +469,7 @@ def test_guard_fault_names_time_block_and_entry(v, fault):
 
 
 def test_guard_hint_under_rk45():
-    with pytest.raises(InvalidState, match="y\\[0\\].*tighten tol$"):
+    with pytest.raises(QGameError, match="y\\[0\\].*tighten tol$"):
         _recentre(np.array([0.5, 0.5, 0.5, 0.5, NAN, 2.0]), 2, 1.0,
                   IntegratorConfig(method="rk45"))
 
@@ -519,7 +519,7 @@ def test_rk4_nan_stage_faults_at_the_step_it_reaches():
     s0 = GameState(x=[0.5, 0.5], y=[0.3, 0.7], z=[0.9, 0.2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidState, match=r"^at t=200: [xzy]\[\d\] = nan is not finite; "
+        with pytest.raises(QGameError, match=r"^at t=200: [xzy]\[\d\] = nan is not finite; "
                                                "reduce --step or use --method rk45$"):
             integrate(s0, scores, IntegratorConfig(step=200.0, t_end=400.0))
 
@@ -537,7 +537,7 @@ def test_shape_mismatch_message_is_shared(scores):
     bad = GameState(x=np.full(4, 0.25), y=np.full(36, 1 / 36), z=np.full(5, 0.5))
     messages = []
     for call in (lambda: vector_field(bad, scores), lambda: integrate(bad, scores)):
-        with pytest.raises(InvalidState) as info:
+        with pytest.raises(QGameError) as info:
             call()
         messages.append(str(info.value))
     assert messages[0] == messages[1]
@@ -546,7 +546,7 @@ def test_shape_mismatch_message_is_shared(scores):
 
 def test_invalid_initial_state_is_rejected(scores):
     bad = GameState(x=[0.6, 0.6, 0, 0, -0.2], y=np.full(36, 1 / 36), z=np.full(5, 0.5))
-    with pytest.raises(InvalidState):
+    with pytest.raises(QGameError, match=r"^x\[4\] = -0\.2 is negative$"):
         integrate(bad, scores, IntegratorConfig(t_end=1.0))
 
 
@@ -557,7 +557,7 @@ def test_invalid_initial_state_is_rejected(scores):
 def test_validate_names_the_entry_that_is_not_finite(block, index, value):
     blocks = {"x": np.full(5, 0.2), "y": np.full(36, 1 / 36), "z": np.full(5, 0.5)}
     blocks[block][index] = value
-    with pytest.raises(InvalidState, match=rf"^{block}\[{index}\] = {value} is not finite$"):
+    with pytest.raises(QGameError, match=rf"^{block}\[{index}\] = {value} is not finite$"):
         GameState(**blocks).validate()
 
 
@@ -573,7 +573,7 @@ def test_validate_names_the_entry_that_is_not_finite(block, index, value):
 def test_validate_names_the_entry_out_of_range(block, index, value, what):
     blocks = {"x": np.full(5, 0.2), "y": np.full(36, 1 / 36), "z": np.full(5, 0.5)}
     blocks[block][index] = value
-    with pytest.raises(InvalidState, match=rf"^{block}\[{index}\] = {value} {what}$"):
+    with pytest.raises(QGameError, match=rf"^{block}\[{index}\] = {value} {what}$"):
         GameState(**blocks).validate()
 
 
@@ -583,7 +583,7 @@ def test_adaptive_step_underflow():
     stiff = ZScoreMatrix(np.array([[1e30, -1e30], [-1e30, 1e30]]))
     s0 = GameState(x=[0.5, 0.5], y=[0.5, 0.5], z=[1.0, 0.0])
     cfg = IntegratorConfig(method="rk45", step=0.01, t_end=5.0)
-    with pytest.raises(StepSizeUnderflow):
+    with pytest.raises(QGameError, match=r"^adaptive step fell to \S+ at t=\S+$"):
         integrate(s0, stiff, cfg)
 
 
@@ -600,9 +600,9 @@ def test_rk4_over_step_budget_fails_before_the_first_step(scores, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_stepper", no_step)
     cfg = IntegratorConfig(step=1e-5, t_end=50.0)  # 5e6 steps
-    with pytest.raises(StepBudgetExceeded, match="MAX_STEPS=1000000"):
+    with pytest.raises(QGameError, match="MAX_STEPS=1000000"):
         integrate(case_start(), scores, cfg)
-    with pytest.raises(StepBudgetExceeded, match="inf steps"):
+    with pytest.raises(QGameError, match="inf steps"):
         integrate(case_start(), scores, IntegratorConfig(step=1e-300, t_end=1e300))
 
 
@@ -617,7 +617,7 @@ def test_rk4_blowup_names_time_and_entry_without_warnings():
     s0 = GameState(x=[0.5, 0.5], y=[0.3, 0.7], z=[0.9, 0.2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning would escape pytest.raises
-        with pytest.raises(InvalidState, match=r"^at t=0\.01: [xzy]\[\d\] = \S+ is not finite; "
+        with pytest.raises(QGameError, match=r"^at t=0\.01: [xzy]\[\d\] = \S+ is not finite; "
                                                "reduce --step or use --method rk45$"):
             integrate(s0, huge, IntegratorConfig(step=0.01, t_end=1.0))
 
@@ -625,7 +625,7 @@ def test_rk4_blowup_names_time_and_entry_without_warnings():
 def test_rk45_over_step_budget_names_time_and_count(scores, monkeypatch):
     monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
     cfg = IntegratorConfig(method="rk45", step=0.01, t_end=50.0)
-    with pytest.raises(StepBudgetExceeded, match=r"^at t=\S+: 10 rk45 step attempts"):
+    with pytest.raises(QGameError, match=r"^at t=\S+: 10 rk45 step attempts"):
         integrate(case_start(), scores, cfg)
 
 

@@ -8,6 +8,11 @@ Uses are matched by name. A field read only by its own class counts, as
 tell fields of one name apart: a read of `traj.t` keeps any field `t`
 alive, so a field that shares its name with a field read elsewhere
 needs a look by hand.
+
+The same holds for exception types: every `raise` in the package raises
+`QGameError`, `InvalidSetting` or `ValidationError` from `qgame.errors`,
+or `FileNotFoundError` or `OSError`, and every class `qgame.errors`
+defines is raised or caught by name in the package.
 """
 
 import ast
@@ -136,3 +141,67 @@ def test_the_guard_sees_the_exports():
     assert "counts" in public_members(qgame.FlagAssignment)
     assert "code" in public_members(qgame.StrategyCode)
     assert {"factor_count", "strategy_labels"} <= attributes_used_in_package()
+
+
+ALLOWED_RAISES = {"QGameError", "InvalidSetting", "ValidationError", "FileNotFoundError", "OSError"}
+
+
+def raised_and_caught(tree: ast.AST) -> tuple[list[tuple[str, int]], set[str]]:
+    """The (name, line) of every `raise C(...)` in tree, a helper call
+    `raise f(...)` named by the return annotation of its definition in
+    tree, and the names of every class an `except` clause catches."""
+    returns = {
+        node.name: ast.unparse(node.returns)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.returns is not None
+    }
+    raised, caught = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            func = node.exc.func
+            name = func.id if isinstance(func, ast.Name) else ast.unparse(func)
+            raised.append((returns.get(name, name), node.lineno))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught |= {ast.unparse(t) for t in types}
+    return raised, caught
+
+
+def package_raises_and_catches() -> tuple[list[tuple[str, str, int]], set[str]]:
+    raised, caught = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        r, c = raised_and_caught(ast.parse(path.read_text(encoding="utf-8")))
+        raised += [(path.name, name, line) for name, line in r]
+        caught |= c
+    return raised, caught
+
+
+def error_classes() -> list[str]:
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    return [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+
+
+def test_every_raise_is_one_of_the_package_exceptions():
+    raised, _ = package_raises_and_catches()
+    stray = [f"{path}:{line}: {name}" for path, name, line in raised if name not in ALLOWED_RAISES]
+    assert stray == [], f"raises outside {sorted(ALLOWED_RAISES)}: {stray}"
+
+
+def test_every_error_class_is_raised_or_caught_in_the_package():
+    raised, caught = package_raises_and_catches()
+    used = {name for _, name, _ in raised} | caught
+    unused = [name for name in error_classes() if name not in used]
+    assert unused == [], f"defined in qgame.errors but never raised or caught in src/qgame: {unused}"
+
+
+def test_the_raise_guard_sees_raises_helpers_and_catches():
+    raised, caught = raised_and_caught(ast.parse(
+        "def fault() -> QGameError:\n    return QGameError('x')\n"
+        "try:\n    raise Stray('x')\nexcept (KeyError, QGameError):\n    raise fault()\n"
+        "raise type(exc)('y')\n"
+    ))
+    assert sorted(raised, key=lambda r: r[1]) == [("Stray", 4), ("QGameError", 6), ("type(exc)", 7)]
+    assert caught == {"KeyError", "QGameError"}
+    assert error_classes() == ["QGameError", "InvalidSetting", "ValidationError"]
+    names = {name for _, name, _ in package_raises_and_catches()[0]}
+    assert {"QGameError", "InvalidSetting", "ValidationError"} <= names

@@ -10,7 +10,7 @@ import pytest
 
 import qgame
 from qgame import scenario
-from qgame.errors import ParseError, ValidationError
+from qgame.errors import QGameError, ValidationError
 
 from table_fixtures import CANONICAL_ORDER, Y0, Z0
 
@@ -109,10 +109,10 @@ def test_missing_data_file(sandbox, tmp_path):
 def test_invalid_json_is_a_parse_error(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
-    with pytest.raises(ParseError):
+    with pytest.raises(QGameError, match=r"broken\.json: not valid JSON \(Expecting "):
         qgame.load_scenario(p)
     p.write_text('["a", "list"]')
-    with pytest.raises(ParseError):
+    with pytest.raises(QGameError, match=r"broken\.json: top level must be a JSON object$"):
         qgame.load_scenario(p)
 
 
@@ -123,7 +123,7 @@ def deep_json(path, depth=100000):
 
 def test_deeply_nested_json_is_a_parse_error(tmp_path, monkeypatch):
     p = deep_json(tmp_path / "deep.json")
-    with pytest.raises(ParseError, match=r"deep\.json: JSON nested too deeply$"):
+    with pytest.raises(QGameError, match=r"deep\.json: JSON nested too deeply$"):
         qgame.load_scenario(p)
     # nesting that the parser accepts can still be too deep for the
     # non-finite check, which recurses on its own
@@ -132,7 +132,7 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, monkeypatch):
         nested = [nested]
     monkeypatch.setattr(scenario, "json", SimpleNamespace(
         loads=lambda text: {"a": nested}, JSONDecodeError=json.JSONDecodeError))
-    with pytest.raises(ParseError, match=r"deep\.json: JSON nested too deeply$"):
+    with pytest.raises(QGameError, match=r"deep\.json: JSON nested too deeply$"):
         qgame.load_scenario(p)
 
 

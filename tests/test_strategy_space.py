@@ -1,9 +1,10 @@
 import itertools
+import re
 
 import pytest
 
 from qgame import CANONICAL_CODES, STRATEGIES, parse_code
-from qgame.errors import MalformedCode, UnknownLevel
+from qgame.errors import QGameError
 from qgame.strategy_space import (
     CONTENT_LEVELS,
     RESOURCE_LEVELS,
@@ -69,20 +70,20 @@ def test_full_cartesian_product_covered():
 
 @pytest.mark.parametrize("bad", ["D.X.T.Pu", "X.R.T.Pu", "D.R.X.Pu", "D.R.T.Px"])
 def test_unknown_level_rejected(bad):
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(QGameError, match=rf"^{re.escape(repr(bad))}: '\w+' is not a \w+ level \("):
         parse_code(bad)
 
 
 @pytest.mark.parametrize("bad", ["D.R.T", "D.R.T.Pu.Pr", "", "DRTPu", "D,R,T,Pu"])
 def test_malformed_code_rejected(bad):
-    with pytest.raises(MalformedCode):
+    with pytest.raises(QGameError, match=rf"^{re.escape(repr(bad))}: expected 4 dot-separated parts, got \d$"):
         parse_code(bad)
 
 
 def test_codes_are_case_sensitive():
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(QGameError, match="^'d.R.T.Pu': 'd' is not a Target level "):
         parse_code("d.R.T.Pu")
-    with pytest.raises(UnknownLevel):
+    with pytest.raises(QGameError, match="^'D.R.T.pp': 'pp' is not a Resource level "):
         parse_code("D.R.T.pp")
 
 
