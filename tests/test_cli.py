@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -302,6 +303,17 @@ def test_sample_y0_deterministic_files(tmp_path):
     lines = f1.read_text().splitlines()
     assert lines[0] == "strategy,share"
     assert len(lines) == 37
+
+
+def test_sample_y0_seed_42_bytes_are_pinned(tmp_path):
+    # the 30000-row default sample: any change to the stream, the clip, the
+    # tie rule or the formatting moves this hash
+    out = tmp_path / "y0.csv"
+    assert main(["sample-y0", str(DATA / "symmetric_distribution.csv"),
+                 "--seed", "42", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ee80a428ecd05057ecab4d53009df81424b3539334e802cc9b92e440a7d04cfb"
+    )
 
 
 def test_sample_y0_prints_when_no_output(capsys):
