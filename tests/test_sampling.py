@@ -41,6 +41,56 @@ def test_blocked_sampler_equals_one_block(n):
         assert np.array_equal(sample_y0(dist, cfg), one_block_reference(dist, cfg))
 
 
+def means_at(values: dict) -> StatementDistribution:
+    means = np.zeros(36)
+    for j, mean in values.items():
+        means[j] = mean
+    return StatementDistribution(means, np.ones(36))
+
+
+PRUNE_CASES = {
+    "symmetric": symmetric,
+    "skewed": skewed,
+    # every draw rounds to its mean, so every row ties and falls back
+    "tie-36": lambda: StatementDistribution(np.full(36, 1e20), np.ones(36)),
+    "tie-3": lambda: means_at({20: 1e20, 7: 1e20, 31: 1e20}),
+    # cut 1.0 for strategy 4, which is never a candidate; cut 0 for 9
+    "saturated-cut": lambda: means_at({4: -1e3, 9: 1e3}),
+}
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 30000])
+@pytest.mark.parametrize("case", PRUNE_CASES)
+@pytest.mark.parametrize("target", [None, 1e-9, 36.0], ids=["default", "all-fall-back", "no-prune"])
+def test_pruned_sampler_equals_one_block(monkeypatch, target, case, n):
+    if target is not None:
+        monkeypatch.setattr(sampling, "CANDIDATES", target)
+    dist = PRUNE_CASES[case]()
+    cfg = SamplerConfig(n_sequences=n, seed=n % 5)
+    assert np.array_equal(sample_y0(dist, cfg), one_block_reference(dist, cfg))
+
+
+@pytest.mark.parametrize("case", ["symmetric", "skewed", "saturated-cut"])
+def test_ndtri_sees_a_fraction_of_the_draws(monkeypatch, case):
+    # a prune that turned itself off, such as an infinite bound, would
+    # still be exact but would pass every draw through ndtri
+    import scipy.special
+
+    seen = []
+    ndtri_ = scipy.special.ndtri
+
+    def counting(u, *args, **kwargs):
+        seen.append(np.size(u))
+        return ndtri_(u, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.special, "ndtri", counting)
+    dist = PRUNE_CASES[case]()
+    n = 30000
+    cfg = SamplerConfig(n_sequences=n, seed=3)
+    assert np.array_equal(sample_y0(dist, cfg), one_block_reference(dist, cfg))
+    assert 0 < sum(seen) <= 0.2 * n * len(dist)
+
+
 @pytest.mark.parametrize("block", [1, 7, 1000])
 def test_shares_do_not_depend_on_the_block_size(monkeypatch, block):
     dist = skewed()
@@ -57,9 +107,9 @@ def spy_on_ranges(monkeypatch) -> list:
     calls = []
     count_range = sampling._count_range
 
-    def spy(dist, seed, start, stop, block, ndtri):
+    def spy(dist, seed, start, stop, block, *rest):
         calls.append((start, stop, len(block), threading.current_thread()))
-        return count_range(dist, seed, start, stop, block, ndtri)
+        return count_range(dist, seed, start, stop, block, *rest)
 
     monkeypatch.setattr(sampling, "_count_range", spy)
     return calls
@@ -134,8 +184,8 @@ def test_a_failure_in_any_range_reaches_the_caller(monkeypatch, failing):
     count_range = sampling._count_range
     n = 3 * BLOCK_ROWS
 
-    def fail_one(dist, seed, start, stop, block, ndtri):
-        counts = count_range(dist, seed, start, stop, block, ndtri)
+    def fail_one(dist, seed, start, stop, block, *rest):
+        counts = count_range(dist, seed, start, stop, block, *rest)
         if start == failing * n // 3:
             raise RuntimeError(f"range at row {start} failed")
         return counts
