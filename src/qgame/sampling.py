@@ -40,9 +40,7 @@ from .errors import QGameError, first_bad, require_int
 from .qdata import _read_code_table
 from .strategy_space import CANONICAL_CODES
 
-# sequences drawn per block: 4096 x 36 float64 is about 1.2 MB, and the
-# ranges' candidate values take as much again
-BLOCK_ROWS = 4096
+BLOCK_ROWS = 4096  # sequences drawn per block: 4096 x 36 float64 is about 1.2 MB
 # about 3.7 s of sampling at 0.37 us per row on one CPU, less where more are free
 MAX_SEQUENCES = 10**7
 CANDIDATES = 3.0  # draws per row expected above the common level of `_candidates`
@@ -102,27 +100,28 @@ def _count_range(dist, seed, start, stop, block, ndtri, cut, bound) -> np.ndarra
     rng.bit_generator.advance(start * m // 4)
     rng.random(start * m % 4)
     counts = np.zeros(m, dtype=np.int64)
-    values = np.empty_like(block)
     for lo in range(start, stop, len(block)):
-        rows = min(len(block), stop - lo)
-        draws, vals = block[:rows], values[:rows]
+        draws = block[: min(len(block), stop - lo)]
         rng.random(out=draws)
         np.clip(draws, 2.0**-53, None, out=draws)
         # the IEEE operations of means + sigmas * ndtri(u) on the candidates,
-        # u >= cut; every other value is -inf
+        # u >= cut, and each row's best of them (-inf where it has none)
         at = np.flatnonzero(draws >= cut)
         col = at % m
         x = ndtri(draws.take(at))
         x *= dist.sigmas[col]
         x += dist.means[col]
-        vals.fill(-np.inf)
-        vals.put(at, x)
-        win = np.argmax(vals, axis=1)
+        best = np.full(len(draws), -np.inf)
+        np.maximum.at(best, at // m, x)
         # rows whose best candidate does not clear `bound` are drawn in full
-        redo = np.flatnonzero(vals[np.arange(rows), win] <= bound)
+        redo = np.flatnonzero(best <= bound)
         full = ndtri(draws[redo])
         full *= dist.sigmas
         full += dist.means
+        # settled rows: the first of their best candidates, the rest -inf
+        draws.fill(-np.inf)
+        draws.put(at, x)
+        win = np.argmax(draws, axis=1)
         win[redo] = np.argmax(full, axis=1)
         counts += np.bincount(win, minlength=m)
     return counts

@@ -42,6 +42,7 @@ def test_blocked_sampler_equals_one_block(n):
 
 
 def means_at(values: dict) -> StatementDistribution:
+    """Unit sigmas; the given means by index, 0 elsewhere."""
     means = np.zeros(36)
     for j, mean in values.items():
         means[j] = mean
@@ -265,9 +266,7 @@ def test_mean_shift_is_monotone_in_expectation():
 def test_a_tie_goes_to_the_lowest_tied_index():
     # 7, 20 and 31 tie at 1e20 in every row and beat the rest, which lie
     # near 0; the lowest of the three takes every row
-    means = np.zeros(36)
-    means[[20, 7, 31]] = 1e20
-    shares = sample_y0(StatementDistribution(means, np.ones(36)), SamplerConfig(500, 3))
+    shares = sample_y0(PRUNE_CASES["tie-3"](), SamplerConfig(500, 3))
     assert shares[7] == 1.0 and np.count_nonzero(shares) == 1
 
 
