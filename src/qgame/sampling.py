@@ -113,8 +113,9 @@ def _count_range(dist, seed, start, stop, block, ndtri, cut, bound) -> np.ndarra
         x += dist.means[col]
         best = np.full(len(draws), -np.inf)
         np.maximum.at(best, at // m, x)
-        # rows whose best candidate does not clear `bound` are drawn in full
-        redo = np.flatnonzero(best <= bound)
+        # rows whose best candidate does not clear `bound` (or a nan one) are
+        # drawn in full
+        redo = np.flatnonzero(~(best > bound))
         full = ndtri(draws[redo])
         full *= dist.sigmas
         full += dist.means
@@ -128,17 +129,20 @@ def _count_range(dist, seed, start, stop, block, ndtri, cut, bound) -> np.ndarra
 
 
 def _candidates(dist, ndtri, ndtr) -> tuple:
-    """The cuts c_k and the bound B of the prune the module docstring states."""
+    """The cuts c_k and the bound B of the prune the module docstring states.
+    Where sigmas near the float limit overflow them, B is inf or nan, and
+    every row falls back."""
     means, sigmas = dist.means, dist.sigmas
-    # T by bisection: every strategy lies above lo and below hi but for 1e-19
-    lo, hi = np.min(means - 9 * sigmas), np.max(means + 9 * sigmas)
-    for _ in range(20):
-        t = (lo + hi) / 2
-        lo, hi = (t, hi) if ndtr((means - t) / sigmas).sum() > CANDIDATES else (lo, t)
-    cut = ndtr((t - means) / sigmas)
-    # a cut outside the clipped uniforms bounds no draw; inside, ndtri is finite
-    x = sigmas * ndtri(np.clip(cut, 2.0**-53, 1 - 2.0**-53))
-    return cut, np.max(means + x + 1e-9 * (1 + np.abs(means) + np.abs(x)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # T by bisection: every strategy lies above lo and below hi but for 1e-19
+        lo, hi = np.min(means - 9 * sigmas), np.max(means + 9 * sigmas)
+        for _ in range(20):
+            t = (lo + hi) / 2
+            lo, hi = (t, hi) if ndtr((means - t) / sigmas).sum() > CANDIDATES else (lo, t)
+        cut = ndtr((t - means) / sigmas)
+        # a cut outside the clipped uniforms bounds no draw; inside, ndtri is finite
+        x = sigmas * ndtri(np.clip(cut, 2.0**-53, 1 - 2.0**-53))
+        return cut, np.max(means + x + 1e-9 * (1 + np.abs(means) + np.abs(x)))
 
 
 def sample_y0(dist: StatementDistribution, config: SamplerConfig | None = None) -> np.ndarray:

@@ -57,6 +57,8 @@ PRUNE_CASES = {
     "tie-3": lambda: means_at({20: 1e20, 7: 1e20, 31: 1e20}),
     # cut 1.0 for strategy 4, which is never a candidate; cut 0 for 9
     "saturated-cut": lambda: means_at({4: -1e3, 9: 1e3}),
+    # mean +- 9 sigma overflows, so the level is nan and every row falls back
+    "huge-sigma": lambda: StatementDistribution(np.zeros(36), np.full(36, 3e307)),
 }
 
 
