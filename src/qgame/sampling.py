@@ -93,7 +93,8 @@ def _cpu_count() -> int:
 
 
 def _count_range(dist, seed, start, stop, block, ndtri, cut, bound) -> np.ndarray:
-    """Winner counts of sequences [start, stop), drawn through `block`."""
+    """Winner counts of sequences [start, stop), drawn through `block`, with
+    the cuts and bound of `_candidates`."""
     m = len(dist)
     rng = _stream(seed)
     # each Philox counter value yields four 64-bit draws, one uniform each
