@@ -10,7 +10,11 @@ the row's line to trajectory.csv's text and to each plotdata/ panel's,
 a column slice of the same cells. At the end it only writes the files,
 so the run is faster where two cores are free. `simulate` reads none of
 its outputs back and writes report.json last. `read_trajectory_csv` is
-the one reader of trajectory.csv.
+the one reader of trajectory.csv. From `2 * READ_PART_ROWS` rows on, it
+parses one contiguous range of rows per free CPU, each in a forked
+process that sends back the raw float64 values, so `analyze` is faster
+where two cores are free; any fault there falls back to one process,
+whose errors are the ones reported.
 
 Each verb takes only the flags it reads. Exit status: 0 on success, 2
 when an input file is missing or a flag is not one the verb takes, 1 on
@@ -20,6 +24,7 @@ any other validation, runtime or output failure.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from operator import itemgetter
 from pathlib import Path
@@ -30,7 +35,7 @@ from . import analysis as an
 from .dynamics import Trajectory
 from .errors import QGameError
 from .qdata import flag_stakeholders, load_loadings
-from .sampling import SamplerConfig, load_distribution, sample_y0
+from .sampling import SamplerConfig, _cpu_count, load_distribution, sample_y0
 from .scenario import load_scenario, run_scenario
 from .strategy_space import CANONICAL_CODES, parse_code
 
@@ -38,6 +43,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_FOUND = 2
 WRITER_EXIT_S = 10  # wait for the writer process to exit before killing it
+# fewest rows a process of `_parse_split` parses: at about 500 rows in all,
+# splitting costs as much as it saves
+READ_PART_ROWS = 512
 
 
 def _format_rows(conn, parent_end, header: list[str]) -> None:
@@ -204,6 +212,68 @@ def _row_fault(path: Path, header: list[str], rows: list[str], exc: ValueError) 
     return QGameError(f"{path}: {exc}")
 
 
+def _send_rows(reads: list[int], w: int, rows: list[str]) -> None:
+    """Body of a child of `_parse_split`: writes the raw float64 bytes of
+    np.loadtxt's parse of `rows` to `w`, and exits, with status 1 where
+    anything failed. Closes first the parent's read ends in `reads`."""
+    code = 1
+    try:
+        for fd in reads:
+            os.close(fd)
+        part = memoryview(np.loadtxt(rows, delimiter=",", ndmin=2)).cast("B")
+        while part:
+            part = part[os.write(w, part):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _parse_split(rows: list[str], width: int) -> np.ndarray | None:
+    """`rows` parsed as np.loadtxt parses them all at once, cut into
+    contiguous ranges of at least `READ_PART_ROWS` rows, one per CPU. Each
+    range is parsed in a forked child, whose bytes are read straight into
+    the range's slice of the result, so that the caller holds no parse of
+    its own beside it. None, and no process started, where there are
+    fewer than two ranges or no fork. None where a range does not parse
+    as `width` values a row or a process cannot be started, so that the
+    caller parses the rows again in one process."""
+    n = len(rows)
+    k = min(_cpu_count(), n // READ_PART_ROWS)
+    if k < 2 or not hasattr(os, "fork"):
+        return None
+    cuts = [i * n // k for i in range(k + 1)]
+    data = np.empty((n, width))
+    reads, pids = [], []
+    try:
+        for lo, hi in zip(cuts, cuts[1:]):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_rows(reads, w, rows[lo:hi])
+                pids.append(pid)
+            finally:
+                os.close(w)
+        for r, lo, hi in zip(reads, cuts, cuts[1:]):
+            part = memoryview(data[lo:hi]).cast("B")
+            while part:
+                got = os.readv(r, [part])
+                if not got:  # a short read: the child failed, or its rows are narrower
+                    return None
+                part = part[got:]
+            if os.read(r, 1):  # an extra byte: its rows are wider
+                return None
+    except OSError:
+        return None
+    finally:
+        # the read ends first: a child blocked on a full pipe then fails and exits
+        for r in reads:
+            os.close(r)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    return data if not any(statuses) else None
+
+
 def read_trajectory_csv(path: Path) -> Trajectory:
     """Rebuild a trajectory from its CSV export; t must rise strictly."""
     with open(path, encoding="utf-8") as fh:
@@ -211,10 +281,12 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     if len(lines) < 2:
         raise QGameError(f"{path}: no trajectory rows")
     header, factors, strategies = _parse_header(path, lines[0])
-    try:
-        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise _row_fault(path, header, lines[1:], exc) from None
+    data = _parse_split(lines[1:], len(header))
+    if data is None:
+        try:
+            data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise _row_fault(path, header, lines[1:], exc) from None
     if data.shape[1] != len(header):
         raise QGameError(
             f"{path}: rows have {data.shape[1]} values, the header names {len(header)}"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qgame
-from qgame.cli import build_parser, main, read_trajectory_csv
+from qgame.cli import READ_PART_ROWS, build_parser, main, read_trajectory_csv
 from qgame.dynamics import BLOCK
 
 DATA = qgame.case_study_path().parent.parent / "data"
@@ -617,6 +617,114 @@ def test_analyze_names_the_row_and_column_it_cannot_parse(short_run, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
     assert not out.exists()
+
+
+LONG_ROWS = 3 * READ_PART_ROWS + 1  # three ranges on three CPUs, and an odd count
+
+
+@pytest.fixture(scope="module")
+def long_lines(tmp_path_factory):
+    """The header and the first `LONG_ROWS` rows of a simulate run."""
+    out = tmp_path_factory.mktemp("long_run")
+    t_end = str(0.01 * (LONG_ROWS + 10))
+    assert main(["simulate", str(qgame.case_study_path()), "-o", str(out), "--t-end", t_end]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()[:1 + LONG_ROWS]
+    assert len(lines) == 1 + LONG_ROWS
+    return lines
+
+
+def write_lines(path: Path, lines: list[str]) -> Path:
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def spy_on_forks(monkeypatch) -> list:
+    """Record the pid that each os.fork returns in this process."""
+    forks = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_split_parse_equals_one_process_bit_for_bit(monkeypatch, tmp_path, long_lines, cpus):
+    path = write_lines(tmp_path / "trajectory.csv", long_lines)
+    want = np.loadtxt(long_lines[1:], delimiter=",", ndmin=2)
+    monkeypatch.setattr(qgame.cli, "_cpu_count", lambda: cpus)
+    forks = spy_on_forks(monkeypatch)
+    traj = read_trajectory_csv(path)
+    assert len(forks) == (cpus if cpus > 1 else 0)
+    rows = np.column_stack([traj.t, traj.x, traj.z, traj.y, traj.utility])
+    assert rows.tobytes() == want.tobytes()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: row[:3] + ["abc"] + row[4:], ", column x_Q3: 'abc' is not a number"),
+        (lambda row: row[:3], " has 3 values, the header names 48"),
+    ],
+    ids=["bad_cell", "short_row"],
+)
+def test_split_parse_fault_reads_as_in_one_process(monkeypatch, tmp_path, capsys, long_lines,
+                                                   where, edit, message):
+    row = 2 if where == "first" else LONG_ROWS
+    lines = list(long_lines)
+    lines[row] = ",".join(edit(lines[row].split(",")))
+    bad = write_lines(tmp_path / "bad.csv", lines)
+    monkeypatch.setattr(qgame.cli, "_cpu_count", lambda: 3)
+    forks = spy_on_forks(monkeypatch)
+    out = tmp_path / "report"
+    assert main(["analyze", str(bad), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: row {row} after the header{message}\n"
+    assert len(forks) == 3
+    assert not out.exists()
+    assert_no_child_left()
+
+
+def test_a_fault_in_the_first_range_does_not_wait_on_a_full_pipe(tmp_path, long_lines):
+    """The first range's child fails while the child of the next, with far
+    more than a pipe holds, blocks on writing it: the parent must close its
+    read ends before it waits for the children."""
+    lines = list(long_lines)
+    lines[2] += ",0"
+    bad = write_lines(tmp_path / "bad.csv", lines)
+    code = (
+        "import sys, qgame.cli\n"
+        "qgame.cli._cpu_count = lambda: 2\n"
+        "sys.exit(qgame.cli.main(sys.argv[1:]))\n"
+    )
+    proc = run_python("-c", code, "analyze", str(bad), "-o", str(tmp_path / "r"), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {bad}: row 2 after the header has 49 values, the header names 48\n"
+
+
+@pytest.mark.parametrize("rows, cpus", [(LONG_ROWS, None), (2 * READ_PART_ROWS - 1, 8)],
+                         ids=["one-cpu", "short-file"])
+def test_fewer_than_two_ranges_start_no_process(monkeypatch, tmp_path, long_lines, rows, cpus):
+    path = write_lines(tmp_path / "trajectory.csv", long_lines[:1 + rows])
+    if cpus is None:  # the CPU count comes from the affinity mask, as under taskset
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.setattr(qgame.cli, "_cpu_count", lambda: cpus)
+    forks = spy_on_forks(monkeypatch)
+    traj = read_trajectory_csv(path)
+    assert forks == []
+    want = np.loadtxt(long_lines[1:1 + rows], delimiter=",", ndmin=2)
+    assert np.array_equal(traj.y, want[:, 11:-1])
 
 
 @pytest.mark.parametrize("verb", ["simulate", "analyze"])
