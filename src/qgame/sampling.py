@@ -60,6 +60,10 @@ class StatementDistribution:
         first_bad("means", means, ~np.isfinite(means), "is not finite")
         first_bad("sigmas", sigmas, ~np.isfinite(sigmas), "is not finite")
         first_bad("sigmas", sigmas, sigmas <= 0, "is not strictly positive")
+        # the prune's level searches mean +- 9 sigma, and a draw reaches about 8.3 sigma
+        with np.errstate(over="ignore"):
+            reach = np.abs(means) + 9 * sigmas
+        first_bad("sigmas", sigmas, ~np.isfinite(reach), "is too large: |mean| + 9 sigma overflows")
         means.setflags(write=False)
         sigmas.setflags(write=False)
         object.__setattr__(self, "means", means)

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -49,6 +50,9 @@ def means_at(values: dict) -> StatementDistribution:
     return StatementDistribution(means, np.ones(36))
 
 
+# the largest sigma a zero mean accepts: 9 sigma is the largest finite float
+HUGE_SIGMA = np.nextafter(np.finfo(float).max / 9, 0)
+
 PRUNE_CASES = {
     "symmetric": symmetric,
     "skewed": skewed,
@@ -57,8 +61,10 @@ PRUNE_CASES = {
     "tie-3": lambda: means_at({20: 1e20, 7: 1e20, 31: 1e20}),
     # cut 1.0 for strategy 4, which is never a candidate; cut 0 for 9
     "saturated-cut": lambda: means_at({4: -1e3, 9: 1e3}),
-    # mean +- 9 sigma overflows, so the level is nan and every row falls back
-    "huge-sigma": lambda: StatementDistribution(np.zeros(36), np.full(36, 3e307)),
+    # the largest sigma accepted: the level's search starts at the float
+    # limit, yet the cuts, the bound and every draw stay finite, so the rows
+    # are pruned as at sigma 1
+    "huge-sigma": lambda: StatementDistribution(np.zeros(36), np.full(36, HUGE_SIGMA)),
 }
 
 
@@ -306,6 +312,21 @@ def test_distribution_names_its_first_bad_entry(field, index, value, message):
     params[field][index + 1] = value  # only the first is named
     with pytest.raises(ValueError, match=f"^{message}$"):
         StatementDistribution(**params)
+
+
+@pytest.mark.parametrize(
+    "mean, sigma",
+    [(0.0, np.nextafter(HUGE_SIGMA, np.inf)), (0.0, 1e308), (-1.7e308, 1e307)],
+    ids=["one-ulp-over", "1e308", "large-mean"],
+)
+def test_distribution_rejects_a_sigma_whose_reach_overflows(mean, sigma):
+    # sigma = 1e308 overflowed in sample_y0, and the draws that rounded to
+    # +inf tied, so the lowest index took them
+    means, sigmas = np.zeros(36), np.ones(36)
+    means[6], sigmas[6] = mean, sigma
+    message = rf"^sigmas\[6\] = {re.escape(str(sigmas[6]))} is too large: \|mean\| \+ 9 sigma overflows$"
+    with pytest.raises(ValueError, match=message):
+        StatementDistribution(means, sigmas)
 
 
 def test_repeat_stability_identical_seeds_is_zero():
