@@ -12,9 +12,9 @@ so the run is faster where two cores are free. `simulate` reads none of
 its outputs back and writes report.json last. `read_trajectory_csv` is
 the one reader of trajectory.csv. From `2 * READ_PART_ROWS` rows on, it
 parses one contiguous range of rows per free CPU, each in a forked
-process that sends back the raw float64 values, so `analyze` is faster
-where two cores are free; any fault there falls back to one process,
-whose errors are the ones reported.
+process that writes its values into its own slice of one shared result,
+so `analyze` is faster where two cores are free; any fault there falls
+back to one process, whose errors are the ones reported.
 
 Each verb takes only the flags it reads. Exit status: 0 on success, 2
 when an input file is missing or a flag is not one the verb takes, 1 on
@@ -212,64 +212,42 @@ def _row_fault(path: Path, header: list[str], rows: list[str], exc: ValueError) 
     return QGameError(f"{path}: {exc}")
 
 
-def _send_rows(reads: list[int], w: int, rows: list[str]) -> None:
-    """Body of a child of `_parse_split`: writes the raw float64 bytes of
-    np.loadtxt's parse of `rows` to `w`, and exits, with status 1 where
-    anything failed. Closes first the parent's read ends in `reads`."""
-    code = 1
-    try:
-        for fd in reads:
-            os.close(fd)
-        part = memoryview(np.loadtxt(rows, delimiter=",", ndmin=2)).cast("B")
-        while part:
-            part = part[os.write(w, part):]
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _parse_split(rows: list[str], width: int) -> np.ndarray | None:
     """`rows` parsed as np.loadtxt parses them all at once, cut into
-    contiguous ranges of at least `READ_PART_ROWS` rows, one per CPU. Each
-    range is parsed in a forked child, whose bytes are read straight into
-    the range's slice of the result, so that the caller holds no parse of
-    its own beside it. None, and no process started, where there are
-    fewer than two ranges or no fork. None where a range does not parse
-    as `width` values a row or a process cannot be started, so that the
+    contiguous ranges of at least `READ_PART_ROWS` rows, one per CPU. The
+    result is one anonymous shared mapping, allocated before the forks, and
+    each range is parsed in a forked child that writes its values straight
+    into the range's slice, so the parent only waits for the children's
+    exit statuses. None, and no process started, where there are fewer than
+    two ranges or no fork. None where a range does not parse as exactly
+    `width` values a row or a process cannot be started, so that the
     caller parses the rows again in one process."""
     n = len(rows)
     k = min(_cpu_count(), n // READ_PART_ROWS)
     if k < 2 or not hasattr(os, "fork"):
         return None
+    import mmap  # here, like multiprocessing: the CLI's import does not load it
+
     cuts = [i * n // k for i in range(k + 1)]
-    data = np.empty((n, width))
-    reads, pids = [], []
+    data = np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=np.float64).reshape(n, width)
+    pids = []
     try:
         for lo, hi in zip(cuts, cuts[1:]):
-            r, w = os.pipe()
-            reads.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _send_rows(reads, w, rows[lo:hi])
-                pids.append(pid)
-            finally:
-                os.close(w)
-        for r, lo, hi in zip(reads, cuts, cuts[1:]):
-            part = memoryview(data[lo:hi]).cast("B")
-            while part:
-                got = os.readv(r, [part])
-                if not got:  # a short read: the child failed, or its rows are narrower
-                    return None
-                part = part[got:]
-            if os.read(r, 1):  # an extra byte: its rows are wider
-                return None
+            pid = os.fork()
+            if pid == 0:  # the child
+                code = 1
+                try:
+                    part = np.loadtxt(rows[lo:hi], delimiter=",", ndmin=2)
+                    # rows all one value wide would broadcast into the slice
+                    if part.shape == (hi - lo, width):
+                        data[lo:hi] = part
+                        code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
     except OSError:
         return None
     finally:
-        # the read ends first: a child blocked on a full pipe then fails and exits
-        for r in reads:
-            os.close(r)
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     return data if not any(statuses) else None
 
@@ -309,6 +287,16 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     return Trajectory.from_rows(data, factors, strategies)
 
 
+def _output_dir(path: Path) -> Path:
+    """`path`, created with its parents. A directory that cannot be created
+    is an output fault, exit 1, even where the OS reports a missing path."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except FileNotFoundError as exc:
+        raise QGameError(str(exc)) from None
+    return path
+
+
 def write_plotdata(traj: Trajectory, plot_dir: Path, writer: _TrajectoryWriter) -> None:
     """Per-figure CSV panels of `traj`: x, z, utility, and y split by Tool
     level, each t and some of trajectory.csv's columns with the same text,
@@ -338,8 +326,7 @@ def cmd_simulate(args) -> int:
         report = an.analyze(traj, scenario.analysis)
         report_text = _report_json(report)
 
-        out_dir = Path(args.output or "out")
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _output_dir(Path(args.output or "out"))
         write_trajectory_csv(traj, out_dir / "trajectory.csv", writer)
         write_plotdata(traj, out_dir / "plotdata", writer)
     (out_dir / "report.json").write_text(report_text, encoding="utf-8")
@@ -373,7 +360,7 @@ def cmd_sample_y0(args) -> int:
         f"{code},{v:.17g}" for code, v in zip(CANONICAL_CODES, shares)
     ]
     if args.output:
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
+        _output_dir(Path(args.output).parent)
         Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {args.output}")
     else:
@@ -388,8 +375,7 @@ def cmd_analyze(args) -> int:
     )
     report = an.analyze(traj, thresholds)
     report_text = _report_json(report)
-    out_dir = Path(args.output) if args.output else Path(args.trajectory).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(Path(args.output) if args.output else Path(args.trajectory).parent)
     (out_dir / "report.json").write_text(report_text, encoding="utf-8")
     print(an.render_summary(report))
     print(f"report written to {out_dir / 'report.json'}")

@@ -196,12 +196,14 @@ def sample_y0(dist: StatementDistribution, config: SamplerConfig | None = None) 
 
 def load_distribution(path: str | Path) -> StatementDistribution:
     """Read per-strategy (mean, sigma) rows, reordered to canonical order;
-    a sigma that is not strictly positive names the path and the strategy."""
+    a sigma that is not strictly positive, or whose |mean| + 9 sigma
+    overflows, names the path and the strategy."""
     means, sigmas = _read_code_table(path, width=2).T
-    bad = np.flatnonzero(sigmas <= 0)
-    if len(bad):
-        j = bad[0]
-        raise QGameError(
-            f"{path}: sigma of {CANONICAL_CODES[j]} = {sigmas[j]} is not strictly positive"
-        )
+    with np.errstate(over="ignore"):
+        reach = np.abs(means) + 9 * sigmas
+    for bad, what in ((sigmas <= 0, "is not strictly positive"),
+                      (~np.isfinite(reach), "is too large: |mean| + 9 sigma overflows")):
+        j = np.flatnonzero(bad)
+        if len(j):
+            raise QGameError(f"{path}: sigma of {CANONICAL_CODES[j[0]]} = {sigmas[j[0]]} {what}")
     return StatementDistribution(means, sigmas)

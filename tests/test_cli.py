@@ -572,10 +572,14 @@ def test_sample_y0_over_sequence_limit_exits_1():
 def test_sample_y0_bad_sigma_names_the_file_and_strategy(tmp_path, capsys):
     bad = tmp_path / "dist.csv"
     text = (DATA / "symmetric_distribution.csv").read_text()
-    bad.write_text(text.replace("I.R.T.Pr,0.0,1.0", "I.R.T.Pr,0.0,-0.5", 1))
-    assert main(["sample-y0", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {bad}: sigma of I.R.T.Pr = -0.5 is not strictly positive\n"
+    for code, sigma, what in [
+        ("I.R.T.Pr", "-0.5", "is not strictly positive"),
+        ("D.R.T.Pu", "1e308", "is too large: |mean| + 9 sigma overflows"),
+    ]:
+        bad.write_text(text.replace(f"{code},0.0,1.0", f"{code},0.0,{sigma}", 1))
+        assert main(["sample-y0", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: sigma of {code} = {float(sigma)} {what}\n"
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -698,10 +702,31 @@ def test_split_parse_fault_reads_as_in_one_process(monkeypatch, tmp_path, capsys
     assert_no_child_left()
 
 
-def test_a_fault_in_the_first_range_does_not_wait_on_a_full_pipe(tmp_path, long_lines):
-    """The first range's child fails while the child of the next, with far
-    more than a pipe holds, blocks on writing it: the parent must close its
-    read ends before it waits for the children."""
+@pytest.mark.parametrize("edit, values", [(lambda row: row[:1], 1), (lambda row: row + ["0"], 49)],
+                         ids=["narrow", "wide"])
+def test_a_range_of_one_other_width_reads_as_in_one_process(monkeypatch, tmp_path, capsys,
+                                                            long_lines, edit, values):
+    """Every row of the last range has the same wrong width, so np.loadtxt
+    parses that range without a fault: only the child's check of its shape
+    keeps rows one value wide from broadcasting into the result."""
+    first = 2 * LONG_ROWS // 3 + 1  # the last range's first row on three CPUs
+    lines = list(long_lines[:first]) + [",".join(edit(ln.split(","))) for ln in long_lines[first:]]
+    bad = write_lines(tmp_path / "bad.csv", lines)
+    monkeypatch.setattr(qgame.cli, "_cpu_count", lambda: 3)
+    forks = spy_on_forks(monkeypatch)
+    out = tmp_path / "report"
+    assert main(["analyze", str(bad), "-o", str(out)]) == 1
+    message = f"row {first} after the header has {values} values, the header names 48"
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert len(forks) == 3
+    assert not out.exists()
+    assert_no_child_left()
+
+
+def test_a_fault_in_the_first_range_returns_promptly(tmp_path, long_lines):
+    """The first range's child fails while the next child parses a range
+    that does: the parent waits only for the children to exit, and reads
+    the fault from one process."""
     lines = list(long_lines)
     lines[2] += ",0"
     bad = write_lines(tmp_path / "bad.csv", lines)
@@ -714,6 +739,26 @@ def test_a_fault_in_the_first_range_does_not_wait_on_a_full_pipe(tmp_path, long_
     assert proc.returncode == 1
     message = "row 2 after the header has 49 values, the header names 48"
     assert proc.stderr == f"error: {bad}: {message}\n"
+
+
+def test_a_fork_that_fails_partway_waits_for_the_started_children(monkeypatch, tmp_path,
+                                                                  long_lines):
+    path = write_lines(tmp_path / "trajectory.csv", long_lines)
+    monkeypatch.setattr(qgame.cli, "_cpu_count", lambda: 3)
+    forks = spy_on_forks(monkeypatch)
+    fork = os.fork
+
+    def fail_second():
+        if forks:
+            raise OSError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fail_second)
+    traj = read_trajectory_csv(path)
+    assert len(forks) == 1
+    want = np.loadtxt(long_lines[1:], delimiter=",", ndmin=2)
+    assert all_columns(traj).tobytes() == want.tobytes()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("rows, cpus", [(LONG_ROWS, None), (2 * READ_PART_ROWS - 1, 8)],
@@ -740,6 +785,22 @@ def test_a_non_finite_report_is_not_written(short_run, tmp_path, monkeypatch, ca
     assert main(argv) == 1
     assert "not JSON compliant" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self").exists(), reason="needs a /proc to refuse a directory")
+@pytest.mark.parametrize("verb", ["simulate", "sample-y0", "analyze"])
+def test_an_output_directory_that_cannot_be_made_exits_1(short_run, capsys, verb):
+    """Exit 2 is for a missing input; /proc refuses a new directory with
+    the same errno, and that is an output fault."""
+    argv = {
+        "simulate": ["simulate", str(qgame.case_study_path()), "--t-end", "0.1",
+                     "-o", "/proc/qgame/out"],
+        "sample-y0": ["sample-y0", str(DATA / "symmetric_distribution.csv"),
+                      "-o", "/proc/qgame/y0.csv"],
+        "analyze": ["analyze", str(short_run / "trajectory.csv"), "-o", "/proc/qgame/out"],
+    }[verb]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: '/proc/qgame'\n"
 
 
 def test_simulate_output_over_a_file_exits_1(tmp_path):
