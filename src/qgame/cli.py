@@ -48,6 +48,19 @@ WRITER_EXIT_S = 10  # wait for the writer process to exit before killing it
 READ_PART_ROWS = 512
 
 
+def _write(path: Path, chunks) -> None:
+    """Writes the strings `chunks` to `path`, creating its directory. Any
+    fault is an output fault: a QGameError with the OS's text, which names
+    `path` where the OS names no file."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        exc.filename = exc.filename or str(path)
+        raise QGameError(str(exc)) from None
+
+
 def _format_rows(conn, parent_end, header: list[str]) -> None:
     """Body of the writer process that `simulate` starts.
 
@@ -55,9 +68,9 @@ def _format_rows(conn, parent_end, header: list[str]) -> None:
     own. Formats each row of a block once as the block arrives: that line
     is trajectory.csv's, and its cells are cut into every panel's line. A
     request (path, panels) writes trajectory.csv to path, or the panels
-    into the directory path, and is answered None or with the errno,
-    message and file name of the OSError that stopped it. Ends when the
-    parent's end closes.
+    into the directory path, through `_write`, and is answered None or
+    with the text of the fault that stopped it. Ends when the parent's end
+    closes.
     """
     import signal  # here, like multiprocessing: the CLI's import does not load it
 
@@ -87,25 +100,29 @@ def _format_rows(conn, parent_end, header: list[str]) -> None:
             continue
         path, panels = message
         try:
-            if panels:
-                path.mkdir(exist_ok=True)
             for name, text in texts.items():
                 if bool(name) == panels:  # path / "" is path
-                    with open(path / name, "w", encoding="utf-8", newline="\n") as fh:
-                        fh.writelines(text)
-        except OSError as exc:
-            conn.send((exc.errno, exc.strerror, exc.filename or str(path)))
+                    _write(path / name, text)
+        except QGameError as exc:
+            conn.send(str(exc))
         else:
             conn.send(None)
 
 
 class _TrajectoryWriter:
     """The writer process and its pipe; `add_samples` is `integrate`'s
-    `on_samples`. The process is started from `context`, the
-    multiprocessing context of the caller's choice, with trajectory.csv's
-    `header`, and ended on close."""
+    `on_samples`. The process is started with trajectory.csv's `header`,
+    and ended on close."""
 
-    def __init__(self, context, header: list[str]):
+    def __init__(self, header: list[str]):
+        # imported here, so that `import qgame` does not load it
+        import multiprocessing
+
+        # fork, not forkserver (Python 3.14's default on Linux) or spawn: the
+        # child is a copy of this process and starts at once, importing
+        # nothing. Spawn only where there is no fork, as on Windows.
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         self._conn, child_end = context.Pipe()
         self._proc = context.Process(
             target=_format_rows, args=(child_end, self._conn, header), daemon=True
@@ -129,10 +146,11 @@ class _TrajectoryWriter:
 
     def write(self, path: Path, panels: bool = False) -> None:
         """Has the writer process write trajectory.csv to `path`, or with
-        `panels` the plotdata/ panels into the directory `path`."""
-        failure = self._exchange((path, panels), path)
-        if failure is not None:
-            raise OSError(*failure)
+        `panels` the plotdata/ panels into the directory `path`; a fault
+        there is a QGameError with the writer process's text."""
+        fault = self._exchange((path, panels), path)
+        if fault is not None:
+            raise QGameError(fault)
 
     def __enter__(self):
         return self
@@ -287,16 +305,6 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     return Trajectory.from_rows(data, factors, strategies)
 
 
-def _output_dir(path: Path) -> Path:
-    """`path`, created with its parents. A directory that cannot be created
-    is an output fault, exit 1, even where the OS reports a missing path."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except FileNotFoundError as exc:
-        raise QGameError(str(exc)) from None
-    return path
-
-
 def write_plotdata(traj: Trajectory, plot_dir: Path, writer: _TrajectoryWriter) -> None:
     """Per-figure CSV panels of `traj`: x, z, utility, and y split by Tool
     level, each t and some of trajectory.csv's columns with the same text,
@@ -305,14 +313,6 @@ def write_plotdata(traj: Trajectory, plot_dir: Path, writer: _TrajectoryWriter) 
 
 
 def cmd_simulate(args) -> int:
-    # imported here, so that `import qgame` does not load it
-    import multiprocessing
-
-    # fork, not forkserver (Python 3.14's default on Linux) or spawn: the
-    # child is a copy of this process and starts at once, importing
-    # nothing. Spawn only where there is no fork, as on Windows.
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     scenario = load_scenario(args.scenario, sampler_seed=args.seed)
     overrides = {
         key: value
@@ -321,15 +321,15 @@ def cmd_simulate(args) -> int:
     }
     config = dataclasses.replace(scenario.integrator, **overrides)
     header = _header(scenario.scores.factor_labels, scenario.scores.strategy_labels)
-    with _TrajectoryWriter(context, header) as writer:
+    out_dir = Path(args.output or "out")
+    with _TrajectoryWriter(header) as writer:
         traj = run_scenario(scenario, config, on_samples=writer.add_samples)
         report = an.analyze(traj, scenario.analysis)
         report_text = _report_json(report)
 
-        out_dir = _output_dir(Path(args.output or "out"))
         write_trajectory_csv(traj, out_dir / "trajectory.csv", writer)
         write_plotdata(traj, out_dir / "plotdata", writer)
-    (out_dir / "report.json").write_text(report_text, encoding="utf-8")
+    _write(out_dir / "report.json", [report_text])
 
     print(f"simulated {len(traj)} samples to t={traj.t[-1]:g} ({config.method})")
     print(an.render_summary(report))
@@ -360,8 +360,7 @@ def cmd_sample_y0(args) -> int:
         f"{code},{v:.17g}" for code, v in zip(CANONICAL_CODES, shares)
     ]
     if args.output:
-        _output_dir(Path(args.output).parent)
-        Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(Path(args.output), ["\n".join(lines) + "\n"])
         print(f"wrote {args.output}")
     else:
         print("\n".join(lines))
@@ -375,8 +374,8 @@ def cmd_analyze(args) -> int:
     )
     report = an.analyze(traj, thresholds)
     report_text = _report_json(report)
-    out_dir = _output_dir(Path(args.output) if args.output else Path(args.trajectory).parent)
-    (out_dir / "report.json").write_text(report_text, encoding="utf-8")
+    out_dir = Path(args.output) if args.output else Path(args.trajectory).parent
+    _write(out_dir / "report.json", [report_text])
     print(an.render_summary(report))
     print(f"report written to {out_dir / 'report.json'}")
     return EXIT_OK

@@ -7,7 +7,7 @@ setting of the wrong type or outside its range is an `InvalidSetting`,
 whose `field` names the setting; a fault in a scenario file's content is
 a `ValidationError`, whose `field` names the offending entry. A missing
 input file is a `FileNotFoundError`, and a file that cannot be written
-an `OSError`.
+a `QGameError` naming the file.
 """
 
 import math

@@ -787,20 +787,30 @@ def test_a_non_finite_report_is_not_written(short_run, tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
-@pytest.mark.skipif(not Path("/proc/self").exists(), reason="needs a /proc to refuse a directory")
-@pytest.mark.parametrize("verb", ["simulate", "sample-y0", "analyze"])
-def test_an_output_directory_that_cannot_be_made_exits_1(short_run, capsys, verb):
-    """Exit 2 is for a missing input; /proc refuses a new directory with
-    the same errno, and that is an output fault."""
+@pytest.mark.skipif(not Path("/proc/self").exists(), reason="needs a /proc to refuse an output")
+@pytest.mark.parametrize(
+    "verb, output, named",
+    [
+        ("simulate", "/proc/qgame/out", "/proc/qgame"),
+        ("sample-y0", "/proc/qgame/y0.csv", "/proc/qgame"),
+        ("analyze", "/proc/qgame/out", "/proc/qgame"),
+        ("simulate", "/proc/self", "/proc/self/trajectory.csv"),
+        ("sample-y0", "/proc/self/y0.csv", "/proc/self/y0.csv"),
+        ("analyze", "/proc/self", "/proc/self/report.json"),
+    ],
+    ids=["simulate", "sample-y0", "analyze", "simulate-file", "sample-y0-file", "analyze-file"],
+)
+def test_an_output_directory_that_cannot_be_made_exits_1(short_run, capsys, verb, output, named):
+    """Exit 2 is for a missing input; /proc refuses a new directory, and a
+    new file in an existing one, with the same errno, and both are output
+    faults."""
     argv = {
-        "simulate": ["simulate", str(qgame.case_study_path()), "--t-end", "0.1",
-                     "-o", "/proc/qgame/out"],
-        "sample-y0": ["sample-y0", str(DATA / "symmetric_distribution.csv"),
-                      "-o", "/proc/qgame/y0.csv"],
-        "analyze": ["analyze", str(short_run / "trajectory.csv"), "-o", "/proc/qgame/out"],
+        "simulate": ["simulate", str(qgame.case_study_path()), "--t-end", "0.1"],
+        "sample-y0": ["sample-y0", str(DATA / "symmetric_distribution.csv")],
+        "analyze": ["analyze", str(short_run / "trajectory.csv")],
     }[verb]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: '/proc/qgame'\n"
+    assert main([*argv, "-o", output]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{named}'\n"
 
 
 def test_simulate_output_over_a_file_exits_1(tmp_path):
@@ -856,15 +866,17 @@ def test_simulate_reads_no_output_back(tmp_path, monkeypatch):
     assert reads == []
 
 
-def test_writer_process_started_by_spawn_writes_the_same_bytes(short_run, tmp_path):
+def test_writer_process_started_by_spawn_writes_the_same_bytes(short_run, tmp_path, monkeypatch):
     """The start method used where a platform has no fork."""
     import multiprocessing
 
     from qgame.cli import _header, _TrajectoryWriter, write_plotdata, write_trajectory_csv
 
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     traj = read_trajectory_csv(short_run / "trajectory.csv")
     header = _header(traj.factor_labels, traj.strategy_labels)
-    with _TrajectoryWriter(multiprocessing.get_context("spawn"), header) as writer:
+    with _TrajectoryWriter(header) as writer:
+        assert type(writer._proc).__name__ == "SpawnProcess"
         rows = np.column_stack([traj.t, traj.x, traj.z, traj.y, traj.utility])
         for start in range(0, len(traj), BLOCK):
             writer.add_samples(rows[start:start + BLOCK])
@@ -896,6 +908,28 @@ def test_a_writer_process_that_ends_is_reported(tmp_path, monkeypatch, capsys, t
     err = capsys.readouterr().err
     assert err == f"error: {out / 'trajectory.csv'}: the writer process ended without writing it\n"
     assert not (out / "report.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_writer_process_that_outlives_its_wait_is_killed(tmp_path, monkeypatch):
+    """Once its pipe is closed, the writer process has WRITER_EXIT_S to
+    exit before it is killed, and the run still succeeds."""
+    import multiprocessing
+    import time
+
+    format_rows = qgame.cli._format_rows
+
+    def lingers(*args):
+        format_rows(*args)
+        time.sleep(60)
+
+    monkeypatch.setattr(qgame.cli, "_format_rows", lingers)
+    monkeypatch.setattr(qgame.cli, "WRITER_EXIT_S", 0.2)
+    out = tmp_path / "out"
+    start = time.monotonic()
+    assert main(["simulate", str(qgame.case_study_path()), "-o", str(out), "--t-end", "0.5"]) == 0
+    assert time.monotonic() - start < 30
+    assert (out / "report.json").exists()
     assert multiprocessing.active_children() == []
 
 

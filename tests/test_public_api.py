@@ -11,8 +11,8 @@ needs a look by hand.
 
 The same holds for exception types: every `raise` in the package raises
 `QGameError`, `InvalidSetting` or `ValidationError` from `qgame.errors`,
-or `FileNotFoundError` or `OSError`, and every class `qgame.errors`
-defines is raised or caught by name in the package.
+or `FileNotFoundError`, and every class `qgame.errors` defines is raised
+or caught by name in the package.
 """
 
 import ast
@@ -143,7 +143,7 @@ def test_the_guard_sees_the_exports():
     assert {"factor_count", "strategy_labels"} <= attributes_used_in_package()
 
 
-ALLOWED_RAISES = {"QGameError", "InvalidSetting", "ValidationError", "FileNotFoundError", "OSError"}
+ALLOWED_RAISES = {"QGameError", "InvalidSetting", "ValidationError", "FileNotFoundError"}
 
 
 def raised_and_caught(tree: ast.AST) -> tuple[list[tuple[str, int]], set[str]]:

@@ -116,6 +116,21 @@ def test_load_loadings_bad_cell_names_path_stakeholder_and_column(tmp_path, cell
         load_loadings(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("stakeholder\nS1\n", "expected at least one factor column"),
+        ("stakeholder,Q1,Q2\nS1,0.5\n", "row 'S1' has 1 values, expected 2"),
+    ],
+    ids=["no-factor-column", "short-row"],
+)
+def test_load_loadings_bad_shape_names_path(tmp_path, text, message):
+    bad = tmp_path / "loadings.csv"
+    bad.write_text(text)
+    with pytest.raises(QGameError, match=f"^{re.escape(f'{bad}: {message}')}$"):
+        load_loadings(bad)
+
+
 # --- x0 ---
 
 def test_assignment_fractions_match_published_shares(loadings):
@@ -253,7 +268,7 @@ def test_bundled_share_table_matches_transcription():
 
 # --- faults shared by the three code-keyed tables ---
 
-@pytest.mark.parametrize("fault", ["short row", "nan", "inf", "duplicate after nan"])
+@pytest.mark.parametrize("fault", ["short row", "nan", "inf", "abc", "duplicate after nan"])
 @pytest.mark.parametrize(
     "loader, name",
     [

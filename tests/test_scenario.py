@@ -483,3 +483,33 @@ def test_negative_table_share_names_the_strategy_and_value(sandbox, code):
         qgame.load_scenario(write_scenario(scen_dir, base))
     assert info.value.field == "y0"
     assert info.value.reason == f"table share of {code} = {-share} is negative"
+
+
+@pytest.mark.parametrize(
+    "key, value, field, reason",
+    [
+        ("x0", [0.25] * 4, "x0", "expected 5 entries, got (4,)"),
+        ("flagging", 5, "flagging", "expected an object, got 5"),
+        ("zscores", None, "zscores", "required field is missing"),
+        ("x0", 5, "x0", "expected a vector or 'derive-from-loadings'"),
+        ("y0", {"mode": "table"}, "y0.path", "table mode requires a path"),
+        ("y0", {"mode": "table", "path": "../data/y0_sum_0.9.csv"}, "y0",
+         "table shares must be near the simplex (sum 0.9)"),
+        ("y0", {"mode": "sample"}, "y0.distribution", "sample mode requires a distribution path"),
+        ("y0", 5, "y0", "expected a vector or a table/sample object"),
+    ],
+    ids=["x0-length", "flagging-type", "zscores-missing", "x0-type", "y0-table-path",
+         "y0-table-sum", "y0-sample-distribution", "y0-type"],
+)
+def test_scenario_fault_names_field_and_reason(sandbox, key, value, field, reason):
+    scen_dir, base = sandbox
+    shares = "".join(f"{code},0.025\n" for code in CANONICAL_ORDER)
+    (scen_dir.parent / "data" / "y0_sum_0.9.csv").write_text("strategy,share\n" + shares)
+    if value is None:
+        del base[key]
+    else:
+        base[key] = value
+    with pytest.raises(ValidationError) as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == field
+    assert info.value.reason == reason
