@@ -182,13 +182,13 @@ def _field_calls(v, d, S, n, e, g, sums) -> list:
     sy, sx = sums
     return [
         (np.exp, (v, e)),
-        (np.matmul, (S, ey, Sy)),
+        (np.dot, (S, ey, Sy)),
         (np.add.reduce, (ey, 0, None, sy)),
         (np.divide, (Sy, sy, Sy)),
         (np.tanh, (v[n:2 * n], g)),
         (np.multiply, (g, Sy, d[:n])),
         (np.multiply, (g, ex, g)),
-        (np.matmul, (g, S, dc)),
+        (np.dot, (g, S, dc)),
         (np.add.reduce, (ex, 0, None, sx)),
         (np.divide, (dc, sx, dc)),
     ]

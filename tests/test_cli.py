@@ -970,23 +970,30 @@ def test_console_entry_point_runs():
     assert "Q1=7" in proc.stdout
 
 
-def test_import_does_not_load_the_process_machinery():
+def test_each_step_loads_only_what_it_needs(tmp_path):
+    """`import qgame` and loading a scenario load neither the sampler's
+    modules nor the process machinery; simulate and analyze still load no
+    sampler module; the first `sample_y0` loads both, which shows the
+    checks can fail."""
     code = (
         "import sys, qgame, qgame.cli\n"
-        "assert 'multiprocessing' not in sys.modules\n"
-    )
-    proc = run_python("-c", code)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_loading_a_scenario_does_not_import_scipy():
-    code = (
-        "import sys, qgame, qgame.cli\n"
+        "def loaded(*names):\n"
+        "    return [m for m in names if m in sys.modules]\n"
         "qgame.load_scenario(qgame.case_study_path())\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "print(loaded('numpy.random', 'scipy', 'multiprocessing', 'mmap', 'signal', 'hashlib'))\n"
+        "out = sys.argv[1]\n"
+        "assert qgame.cli.main(['simulate', str(qgame.case_study_path()), '-o', out,\n"
+        "                       '--t-end', '0.5']) == 0\n"
+        "assert qgame.cli.main(['analyze', out + '/trajectory.csv', '-o', out + '/a']) == 0\n"
+        "print(loaded('numpy.random', 'scipy', 'hashlib'))\n"
+        "dist = qgame.load_distribution(sys.argv[2])\n"
+        "qgame.sample_y0(dist, qgame.SamplerConfig(n_sequences=10))\n"
+        "print(loaded('numpy.random', 'scipy'))\n"
     )
-    proc = run_python("-c", code)
+    proc = run_python("-c", code, str(tmp_path), str(DATA / "symmetric_distribution.csv"))
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "['numpy.random', 'scipy']"]
 
 
 def test_round_trip_writer_reader(tmp_path, case_study):
