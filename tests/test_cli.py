@@ -970,30 +970,52 @@ def test_console_entry_point_runs():
     assert "Q1=7" in proc.stdout
 
 
-def test_each_step_loads_only_what_it_needs(tmp_path):
-    """`import qgame` and loading a scenario load neither the sampler's
-    modules nor the process machinery; simulate and analyze still load no
-    sampler module; the first `sample_y0` loads both, which shows the
-    checks can fail."""
+WATCHED = ("numpy.random", "scipy", "multiprocessing", "mmap", "signal", "hashlib")
+
+
+@pytest.fixture(scope="module")
+def loaded_after(tmp_path_factory):
+    """One fresh interpreter runs `import qgame`, loads a scenario, runs
+    simulate and analyze, then a first `sample_y0`; maps each step to the
+    WATCHED modules in sys.modules after it."""
+    out = tmp_path_factory.mktemp("steps")
     code = (
-        "import sys, qgame, qgame.cli\n"
-        "def loaded(*names):\n"
-        "    return [m for m in names if m in sys.modules]\n"
+        "import sys\n"
+        "def loaded():\n"
+        f"    print('loaded', *[m for m in {WATCHED!r} if m in sys.modules])\n"
+        "import qgame, qgame.cli\n"
+        "loaded()\n"
         "qgame.load_scenario(qgame.case_study_path())\n"
-        "print(loaded('numpy.random', 'scipy', 'multiprocessing', 'mmap', 'signal', 'hashlib'))\n"
+        "loaded()\n"
         "out = sys.argv[1]\n"
         "assert qgame.cli.main(['simulate', str(qgame.case_study_path()), '-o', out,\n"
         "                       '--t-end', '0.5']) == 0\n"
         "assert qgame.cli.main(['analyze', out + '/trajectory.csv', '-o', out + '/a']) == 0\n"
-        "print(loaded('numpy.random', 'scipy', 'hashlib'))\n"
+        "loaded()\n"
         "dist = qgame.load_distribution(sys.argv[2])\n"
         "qgame.sample_y0(dist, qgame.SamplerConfig(n_sequences=10))\n"
-        "print(loaded('numpy.random', 'scipy'))\n"
+        "loaded()\n"
     )
-    proc = run_python("-c", code, str(tmp_path), str(DATA / "symmetric_distribution.csv"))
+    proc = run_python("-c", code, str(out), str(DATA / "symmetric_distribution.csv"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "[]"
-    assert proc.stdout.splitlines()[-2:] == ["[]", "['numpy.random', 'scipy']"]
+    steps = ["import", "load_scenario", "simulate+analyze", "sample_y0"]
+    found = [line.split()[1:] for line in proc.stdout.splitlines() if line.startswith("loaded")]
+    return dict(zip(steps, map(set, found), strict=True))
+
+
+def test_import_does_not_load_the_process_machinery(loaded_after):
+    assert loaded_after["import"] == set()
+
+
+def test_loading_a_scenario_does_not_import_scipy(loaded_after):
+    assert loaded_after["load_scenario"] == set()
+
+
+def test_each_step_loads_only_what_it_needs(loaded_after):
+    """simulate and analyze load no sampler module and no OpenSSL; the first
+    `sample_y0` loads both sampler modules, which shows the checks can fail."""
+    assert loaded_after["simulate+analyze"].isdisjoint({"numpy.random", "scipy", "hashlib"})
+    assert {"numpy.random", "scipy"} <= loaded_after["sample_y0"]
 
 
 def test_round_trip_writer_reader(tmp_path, case_study):
