@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as an
-from .dynamics import Trajectory
+from .dynamics import STATE_SUM_TOL, Trajectory
 from .errors import QGameError
 from .qdata import flag_stakeholders, load_loadings
 from .sampling import SamplerConfig, _cpu_count, load_distribution, sample_y0
@@ -270,8 +270,38 @@ def _parse_split(rows: list[str], width: int) -> np.ndarray | None:
     return data if not any(statuses) else None
 
 
+def _state_fault(data: np.ndarray, header: list[str], n: int) -> str | None:
+    """Where the first row, counted from 1 after the header, is not a state
+    as `GameState.validate` checks one: its first negative x or y entry or
+    block off 1 by more than STATE_SUM_TOL, then its first z entry outside
+    [0, 1]. None where every row is a state."""
+    blocks = (slice(1, 1 + n), slice(1 + 2 * n, -1))
+    z = data[:, 1 + n:1 + 2 * n]
+    sums = [data[:, b].sum(axis=1) for b in blocks]
+    bad = ((z < 0.0) | (z > 1.0)).any(axis=1)
+    for b, total in zip(blocks, sums):
+        bad |= (data[:, b] < 0.0).any(axis=1) | (np.abs(total - 1.0) > STATE_SUM_TOL)
+    if not bad.any():
+        return None
+    r = np.argmax(bad)
+    where = f"row {r + 1} after the header"
+    for b, total in zip(blocks, sums):
+        names = header[b]
+        neg = np.flatnonzero(data[r, b] < 0.0)
+        if len(neg):
+            return f"{where}, column {names[neg[0]]}: {data[r, b][neg[0]]} is negative"
+        if abs(total[r] - 1.0) > STATE_SUM_TOL:
+            return (f"{where}, columns {names[0]} to {names[-1]} sum to {total[r]:.12g}, "
+                    f"outside 1 +/- {STATE_SUM_TOL}")
+    k = np.flatnonzero((z[r] < 0.0) | (z[r] > 1.0))[0]
+    return f"{where}, column {header[1 + n + k]}: {z[r, k]} is outside [0, 1]"
+
+
 def read_trajectory_csv(path: Path) -> Trajectory:
-    """Rebuild a trajectory from its CSV export; t must rise strictly."""
+    """Rebuild a trajectory from its CSV export. Every cell must be a finite
+    number, every row a state (x and y on their simplices, z in [0, 1]) and
+    t must rise strictly. The utility column is not checked against the
+    state: that needs the scores, which the file does not hold."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln for ln in fh if ln.strip()]
     if len(lines) < 2:
@@ -294,6 +324,9 @@ def read_trajectory_csv(path: Path) -> Trajectory:
             f"{path}: row {row + 1} after the header, column {header[col]}: "
             f"{data[row, col]} is not a finite number"
         )
+    fault = _state_fault(data, header, len(factors))
+    if fault:
+        raise QGameError(f"{path}: {fault}")
     t = data[:, 0]
     stalls = np.flatnonzero(t[1:] <= t[:-1])
     if len(stalls):

@@ -305,15 +305,31 @@ def test_sample_y0_deterministic_files(tmp_path):
     assert len(lines) == 37
 
 
+SEED_42_SHA256 = "ee80a428ecd05057ecab4d53009df81424b3539334e802cc9b92e440a7d04cfb"
+
+
 def test_sample_y0_seed_42_bytes_are_pinned(tmp_path):
     # the 30000-row default sample: any change to the stream, the clip, the
     # tie rule or the formatting moves this hash
     out = tmp_path / "y0.csv"
     assert main(["sample-y0", str(DATA / "symmetric_distribution.csv"),
                  "--seed", "42", "-o", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "ee80a428ecd05057ecab4d53009df81424b3539334e802cc9b92e440a7d04cfb"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED_42_SHA256
+
+
+def test_sample_y0_runs_where_scipy_cannot_be_imported(tmp_path):
+    # numpy is the one runtime dependency: a None entry makes `import scipy` fail
+    out = tmp_path / "y0.csv"
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import qgame.cli\n"
+        "sys.exit(qgame.cli.main(sys.argv[1:]))\n"
     )
+    proc = run_python("-c", code, "sample-y0", str(DATA / "symmetric_distribution.csv"),
+                      "--seed", "42", "-o", str(out), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED_42_SHA256
 
 
 def test_sample_y0_prints_when_no_output(capsys):
@@ -702,6 +718,40 @@ def test_split_parse_fault_reads_as_in_one_process(monkeypatch, tmp_path, capsys
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        ("x_Q1", "7", "columns x_Q1 to x_Q5 sum to 7.00000"),
+        ("x_Q2", "-3", "column x_Q2: -3.0 is negative"),
+        ("z_Q3", "2.5", "column z_Q3: 2.5 is outside [0, 1]"),
+        ("y_D.R.A.PP", "-1", "column y_D.R.A.PP: -1.0 is negative"),
+        ("y_D.R.A.PP", "0.5", "columns y_D.R.T.Pu to y_I.C.A.PP sum to 0.50022"),
+        ("z_Q5", "-0.0001", "column z_Q5: -0.0001 is outside [0, 1]"),
+    ],
+    ids=["x_sum", "x_negative", "z_above", "y_negative", "y_sum", "z_below"],
+)
+def test_analyze_rejects_a_row_that_is_not_a_state(monkeypatch, tmp_path, capsys, long_lines,
+                                                   cpus, column, cell, message):
+    """Each fault names the row and the column, the same from the forked
+    parse and from the one-process parse."""
+    lines = list(long_lines)
+    row = lines[1000].split(",")
+    row[lines[0].split(",").index(column)] = cell
+    lines[1000] = ",".join(row)
+    bad = write_lines(tmp_path / "bad.csv", lines)
+    monkeypatch.setattr(qgame.cli, "_cpu_count", lambda: cpus)
+    forks = spy_on_forks(monkeypatch)
+    out = tmp_path / "report"
+    assert main(["analyze", str(bad), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: row 1000 after the header, {message}")
+    assert err.count("\n") == 1
+    assert len(forks) == (cpus if cpus > 1 else 0)
+    assert not out.exists()
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("edit, values", [(lambda row: row[:1], 1), (lambda row: row + ["0"], 49)],
                          ids=["narrow", "wide"])
 def test_a_range_of_one_other_width_reads_as_in_one_process(monkeypatch, tmp_path, capsys,
@@ -977,12 +1027,14 @@ WATCHED = ("numpy.random", "scipy", "multiprocessing", "mmap", "signal", "hashli
 def loaded_after(tmp_path_factory):
     """One fresh interpreter runs `import qgame`, loads a scenario, runs
     simulate and analyze, then a first `sample_y0`; maps each step to the
-    WATCHED modules in sys.modules after it."""
+    WATCHED modules in sys.modules after it, and to "brackets" once the
+    sampler's bracket table is built."""
     out = tmp_path_factory.mktemp("steps")
     code = (
         "import sys\n"
         "def loaded():\n"
-        f"    print('loaded', *[m for m in {WATCHED!r} if m in sys.modules])\n"
+        f"    print('loaded', *[m for m in {WATCHED!r} if m in sys.modules],\n"
+        "          *['brackets'] * qgame.sampling._brackets.cache_info().currsize)\n"
         "import qgame, qgame.cli\n"
         "loaded()\n"
         "qgame.load_scenario(qgame.case_study_path())\n"
@@ -1012,10 +1064,13 @@ def test_loading_a_scenario_does_not_import_scipy(loaded_after):
 
 
 def test_each_step_loads_only_what_it_needs(loaded_after):
-    """simulate and analyze load no sampler module and no OpenSSL; the first
-    `sample_y0` loads both sampler modules, which shows the checks can fail."""
-    assert loaded_after["simulate+analyze"].isdisjoint({"numpy.random", "scipy", "hashlib"})
-    assert {"numpy.random", "scipy"} <= loaded_after["sample_y0"]
+    """simulate and analyze load no sampler module, no OpenSSL and build no
+    bracket table; the first `sample_y0` loads numpy.random and builds the
+    table, which shows the checks can fail, and still loads no scipy."""
+    assert loaded_after["simulate+analyze"].isdisjoint({"numpy.random", "scipy", "hashlib",
+                                                         "brackets"})
+    assert {"numpy.random", "brackets"} <= loaded_after["sample_y0"]
+    assert "scipy" not in loaded_after["sample_y0"]
 
 
 def test_round_trip_writer_reader(tmp_path, case_study):

@@ -1,11 +1,12 @@
 import re
+import statistics
 import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from qgame import SamplerConfig, StatementDistribution, sample_y0
 from qgame import sampling
@@ -26,7 +27,8 @@ def skewed(m: int = 36) -> StatementDistribution:
 
 def one_block_reference(dist: StatementDistribution, cfg: SamplerConfig) -> np.ndarray:
     """The sampler as one n_sequences x m block of draws, the form it had
-    before it was blocked; kept here as the reference for the blocked one."""
+    before it was blocked; kept here as the reference for the blocked one,
+    with scipy's ndtri as a quantile independent of the sampler's own."""
     m = len(dist)
     u = _stream(cfg.seed).random((cfg.n_sequences, m))
     np.clip(u, 2.0**-53, None, out=u)
@@ -79,25 +81,79 @@ def test_pruned_sampler_equals_one_block(monkeypatch, target, case, n):
     assert np.array_equal(sample_y0(dist, cfg), one_block_reference(dist, cfg))
 
 
-@pytest.mark.parametrize("case", ["symmetric", "skewed", "saturated-cut"])
+# draws that reach the exact quantile at n = 30000, seed 3: the rows where two
+# brackets reach the best lower one, out of 1080000 draws
+EXACT_DRAWS = {"symmetric": 50, "skewed": 32, "saturated-cut": 0}
+
+
+@pytest.mark.parametrize("case", EXACT_DRAWS)
 def test_ndtri_sees_a_fraction_of_the_draws(monkeypatch, case):
-    # a prune that turned itself off, such as an infinite bound, would
-    # still be exact but would pass every draw through ndtri
-    import scipy.special
+    # a prune that turned itself off, such as an infinite bound, would still
+    # be exact but would pass every draw through the bracket step, and
+    # brackets that overlapped would pass them through the exact quantile
+    sampling._brackets()  # built outside the count
+    bracketed, mapped = [], []
+    winners, ndtri_ = sampling._winners, sampling._ndtri
 
-    seen = []
-    ndtri_ = scipy.special.ndtri
+    def count_bracketed(dist, draws, at, *rest):
+        bracketed.append(len(at))
+        return winners(dist, draws, at, *rest)
 
-    def counting(u, *args, **kwargs):
-        seen.append(np.size(u))
-        return ndtri_(u, *args, **kwargs)
+    def count_mapped(u):
+        mapped.append(len(u))
+        return ndtri_(u)
 
-    monkeypatch.setattr(scipy.special, "ndtri", counting)
+    monkeypatch.setattr(sampling, "_winners", count_bracketed)
+    monkeypatch.setattr(sampling, "_ndtri", count_mapped)
     dist = PRUNE_CASES[case]()
     n = 30000
     cfg = SamplerConfig(n_sequences=n, seed=3)
     assert np.array_equal(sample_y0(dist, cfg), one_block_reference(dist, cfg))
-    assert 0 < sum(seen) <= 0.2 * n * len(dist)
+    assert n <= sum(bracketed) <= 0.2 * n * len(dist)
+    # the first call maps the cuts, before any counting thread starts
+    assert mapped[0] == len(dist) and sum(mapped[1:]) == EXACT_DRAWS[case]
+
+
+UNIFORMS = np.concatenate([
+    np.random.default_rng(5).random(10**5),
+    2.0 ** -np.arange(1, 54),
+    1 - 2.0 ** -np.arange(1, 54),
+])
+UNIFORMS = UNIFORMS[UNIFORMS >= 2.0**-53]
+
+
+def ulps(x: np.ndarray, reference: np.ndarray) -> float:
+    return np.max(np.abs(x - reference) / np.spacing(np.abs(reference)))
+
+
+def test_quantile_is_the_standard_librarys_as241():
+    inv_cdf = statistics.NormalDist().inv_cdf
+    reference = np.array([inv_cdf(u) for u in UNIFORMS.tolist()])
+    assert ulps(sampling._ndtri(UNIFORMS), reference) <= 2
+
+
+def test_quantile_is_within_9_ulp_of_scipy():
+    assert ulps(sampling._ndtri(UNIFORMS), ndtri(UNIFORMS)) <= 9
+
+
+def test_quantile_does_not_decrease():
+    u = np.sort(np.random.default_rng(6).random(10**6))
+    np.clip(u, 2.0**-53, None, out=u)
+    assert np.all(np.diff(sampling._ndtri(u)) >= 0)
+
+
+def test_cdf_is_within_1e_13_of_scipy():
+    x = np.linspace(-9, 9, 100001)
+    assert np.max(np.abs(sampling._ndtr(x) / ndtr(x) - 1)) < 1e-13
+
+
+def test_brackets_hold_the_quantile_of_their_cells():
+    lo, hi = sampling._brackets()
+    u = np.concatenate([UNIFORMS, np.arange(sampling.CELLS) / sampling.CELLS])
+    np.clip(u, 2.0**-53, None, out=u)
+    cell = (u * sampling.CELLS).astype(np.intp)
+    for q in (sampling._ndtri(u), ndtri(u)):
+        assert np.all(lo[cell] < q) and np.all(q < hi[cell])
 
 
 @pytest.mark.parametrize("block", [1, 7, 1000])
@@ -218,7 +274,7 @@ def test_ties_across_block_boundaries_go_to_the_first_index():
 
 def test_sampler_memory_does_not_grow_with_n_sequences():
     dist = skewed()
-    sample_y0(dist, SamplerConfig(n_sequences=10))  # scipy imported outside the trace
+    sample_y0(dist, SamplerConfig(n_sequences=10))  # brackets built outside the trace
     tracemalloc.start()
     try:
         sample_y0(dist, SamplerConfig(n_sequences=300000, seed=4))
