@@ -286,10 +286,10 @@ def _state_fault(data: np.ndarray, header: list[str], n: int) -> str | None:
     r = np.argmax(bad)
     where = f"row {r + 1} after the header"
     for b, total in zip(blocks, sums):
-        names = header[b]
-        neg = np.flatnonzero(data[r, b] < 0.0)
+        names, values = header[b], data[r, b]
+        neg = np.flatnonzero(values < 0.0)
         if len(neg):
-            return f"{where}, column {names[neg[0]]}: {data[r, b][neg[0]]} is negative"
+            return f"{where}, column {names[neg[0]]}: {values[neg[0]]} is negative"
         if abs(total[r] - 1.0) > STATE_SUM_TOL:
             return (f"{where}, columns {names[0]} to {names[-1]} sum to {total[r]:.12g}, "
                     f"outside 1 +/- {STATE_SUM_TOL}")

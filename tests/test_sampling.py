@@ -36,7 +36,8 @@ def one_block_reference(dist: StatementDistribution, cfg: SamplerConfig) -> np.n
     return np.bincount(np.argmax(draws, axis=1), minlength=m) / cfg.n_sequences
 
 
-@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 30000])
+# sizes within one block (4095-4097 are half of it), at its boundary and across several
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 30000])
 def test_blocked_sampler_equals_one_block(n):
     dist = skewed()
     for seed in range(10):
@@ -70,7 +71,7 @@ PRUNE_CASES = {
 }
 
 
-@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 30000])
+@pytest.mark.parametrize("n", [1, 4095, 4097, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 30000])
 @pytest.mark.parametrize("case", PRUNE_CASES)
 @pytest.mark.parametrize("target", [None, 1e-9, 36.0], ids=["default", "all-fall-back", "no-prune"])
 def test_pruned_sampler_equals_one_block(monkeypatch, target, case, n):
@@ -81,8 +82,8 @@ def test_pruned_sampler_equals_one_block(monkeypatch, target, case, n):
     assert np.array_equal(sample_y0(dist, cfg), one_block_reference(dist, cfg))
 
 
-# draws that reach the exact quantile at n = 30000, seed 3: the rows where two
-# brackets reach the best lower one, out of 1080000 draws
+# draws that reach the exact quantile at n = 30000, seed 3: those of the rows where
+# two or more upper brackets reach the best lower one, out of 1080000 draws
 EXACT_DRAWS = {"symmetric": 50, "skewed": 32, "saturated-cut": 0}
 
 
