@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as an
-from .dynamics import STATE_SUM_TOL, Trajectory
+from .dynamics import Trajectory, _state_fault
 from .errors import QGameError
 from .qdata import flag_stakeholders, load_loadings
 from .sampling import SamplerConfig, _cpu_count, load_distribution, sample_y0
@@ -208,16 +208,25 @@ def _parse_header(path: Path, line: str) -> tuple[list[str], tuple[str, ...], tu
     return header, factors, strategies
 
 
-def _row_fault(path: Path, header: list[str], rows: list[str], exc: ValueError) -> QGameError:
-    """The first row, counted from 1 after the header, that is not as
-    wide as the header or holds a cell that is not a number. `exc` is
-    np.loadtxt's own account, for a cell such as '1_0' that float()
-    reads and np.loadtxt does not."""
-    for i, line in enumerate(rows, 1):
+def _row_name(lines: list[str], r: int) -> str:
+    """'row N after the header' for the row r, counted from 0 after the
+    header, of the lines that are not blank: N counts every line of the
+    file after the header, blank ones too."""
+    kept = [i for i, line in enumerate(lines) if line.strip()]
+    return f"row {kept[r + 1] - kept[0]} after the header"
+
+
+def _row_fault(path: Path, header: list[str], lines: list[str], rows: list[str],
+               exc: ValueError) -> QGameError:
+    """The first of `rows`, the lines of `lines` after the header that are
+    not blank, that is not as wide as the header or holds a cell that is
+    not a number. `exc` is np.loadtxt's own account, for a cell such as
+    '1_0' that float() reads and np.loadtxt does not."""
+    for r, line in enumerate(rows):
         cells = line.rstrip("\n").split(",")
         if len(cells) != len(header):
             return QGameError(
-                f"{path}: row {i} after the header has {len(cells)} values, "
+                f"{path}: {_row_name(lines, r)} has {len(cells)} values, "
                 f"the header names {len(header)}"
             )
         for name, cell in zip(header, cells):
@@ -225,7 +234,7 @@ def _row_fault(path: Path, header: list[str], rows: list[str], exc: ValueError) 
                 float(cell)
             except ValueError:
                 return QGameError(
-                    f"{path}: row {i} after the header, column {name}: {cell!r} is not a number"
+                    f"{path}: {_row_name(lines, r)}, column {name}: {cell!r} is not a number"
                 )
     return QGameError(f"{path}: {exc}")
 
@@ -270,49 +279,26 @@ def _parse_split(rows: list[str], width: int) -> np.ndarray | None:
     return data if not any(statuses) else None
 
 
-def _state_fault(data: np.ndarray, header: list[str], n: int) -> str | None:
-    """Where the first row, counted from 1 after the header, is not a state
-    as `GameState.validate` checks one: its first negative x or y entry or
-    block off 1 by more than STATE_SUM_TOL, then its first z entry outside
-    [0, 1]. None where every row is a state."""
-    blocks = (slice(1, 1 + n), slice(1 + 2 * n, -1))
-    z = data[:, 1 + n:1 + 2 * n]
-    sums = [data[:, b].sum(axis=1) for b in blocks]
-    bad = ((z < 0.0) | (z > 1.0)).any(axis=1)
-    for b, total in zip(blocks, sums):
-        bad |= (data[:, b] < 0.0).any(axis=1) | (np.abs(total - 1.0) > STATE_SUM_TOL)
-    if not bad.any():
-        return None
-    r = np.argmax(bad)
-    where = f"row {r + 1} after the header"
-    for b, total in zip(blocks, sums):
-        names, values = header[b], data[r, b]
-        neg = np.flatnonzero(values < 0.0)
-        if len(neg):
-            return f"{where}, column {names[neg[0]]}: {values[neg[0]]} is negative"
-        if abs(total[r] - 1.0) > STATE_SUM_TOL:
-            return (f"{where}, columns {names[0]} to {names[-1]} sum to {total[r]:.12g}, "
-                    f"outside 1 +/- {STATE_SUM_TOL}")
-    k = np.flatnonzero((z[r] < 0.0) | (z[r] > 1.0))[0]
-    return f"{where}, column {header[1 + n + k]}: {z[r, k]} is outside [0, 1]"
-
-
 def read_trajectory_csv(path: Path) -> Trajectory:
-    """Rebuild a trajectory from its CSV export. Every cell must be a finite
-    number, every row a state (x and y on their simplices, z in [0, 1]) and
-    t must rise strictly. The utility column is not checked against the
-    state: that needs the scores, which the file does not hold."""
+    """Rebuild a trajectory from its CSV export. Blank lines are skipped,
+    and counted in the row numbers of a fault. Every cell must be a finite
+    number, every row a state by the rule `GameState.validate` checks
+    (x and y on their simplices, z in [0, 1]) and t must rise strictly.
+    The utility column is not checked against the state: that needs the
+    scores, which the file does not hold."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip()]
-    if len(lines) < 2:
+        lines = fh.readlines()
+    kept = [ln for ln in lines if ln.strip()]
+    if len(kept) < 2:
         raise QGameError(f"{path}: no trajectory rows")
-    header, factors, strategies = _parse_header(path, lines[0])
-    data = _parse_split(lines[1:], len(header))
+    header, factors, strategies = _parse_header(path, kept[0])
+    rows = kept[1:]
+    data = _parse_split(rows, len(header))
     if data is None:
         try:
-            data = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+            data = np.loadtxt(rows, delimiter=",", ndmin=2)
         except ValueError as exc:
-            raise _row_fault(path, header, lines[1:], exc) from None
+            raise _row_fault(path, header, lines, rows, exc) from None
     if data.shape[1] != len(header):
         raise QGameError(
             f"{path}: rows have {data.shape[1]} values, the header names {len(header)}"
@@ -321,21 +307,25 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise QGameError(
-            f"{path}: row {row + 1} after the header, column {header[col]}: "
+            f"{path}: {_row_name(lines, row)}, column {header[col]}: "
             f"{data[row, col]} is not a finite number"
         )
-    fault = _state_fault(data, header, len(factors))
+    traj = Trajectory.from_rows(data, factors, strategies)
+    fault = _state_fault(traj.x, traj.y, traj.z)
     if fault:
-        raise QGameError(f"{path}: {fault}")
-    t = data[:, 0]
-    stalls = np.flatnonzero(t[1:] <= t[:-1])
+        row, block, i, text = fault
+        labels = strategies if block == "y" else factors
+        what = (f"columns {block}_{labels[0]} to {block}_{labels[-1]} sum to {text}"
+                if i is None else f"column {block}_{labels[i]}: {text}")
+        raise QGameError(f"{path}: {_row_name(lines, row)}, {what}")
+    stalls = np.flatnonzero(traj.t[1:] <= traj.t[:-1])
     if len(stalls):
         row = stalls[0] + 1
         raise QGameError(
-            f"{path}: row {row + 1} after the header: t = {t[row]} does not rise "
-            f"above the previous row's {t[row - 1]}"
+            f"{path}: {_row_name(lines, row)}: t = {traj.t[row]} does not rise "
+            f"above the previous row's {traj.t[row - 1]}"
         )
-    return Trajectory.from_rows(data, factors, strategies)
+    return traj
 
 
 def write_plotdata(traj: Trajectory, plot_dir: Path, writer: _TrajectoryWriter) -> None:

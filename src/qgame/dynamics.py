@@ -67,19 +67,40 @@ class GameState:
             object.__setattr__(self, name, arr)
 
     def validate(self) -> None:
-        """Raise QGameError naming the first entry that is not finite, then the
-        first negative x or y entry or block off its simplex, then the first z
-        entry outside [0, 1]."""
+        """Raise QGameError naming the first entry that is not finite, then
+        the fault that `_state_fault` finds: the first negative x or y entry
+        or block off its simplex, then the first z entry outside [0, 1].
+        `analyze` checks each row it reads by the same rule."""
         blocks = (("x", self.x), ("y", self.y), ("z", self.z))
         for name, vec in blocks:
             first_bad(name, vec, ~np.isfinite(vec), "is not finite")
-        for name, vec in blocks[:2]:
-            first_bad(name, vec, vec < 0.0, "is negative")
-            if abs(vec.sum() - 1.0) > STATE_SUM_TOL:
-                raise QGameError(
-                    f"{name} sums to {vec.sum():.12g}, outside 1 +/- {STATE_SUM_TOL}"
-                )
-        first_bad("z", self.z, (self.z < 0.0) | (self.z > 1.0), "is outside [0, 1]")
+        fault = _state_fault(*(vec.reshape(1, -1) for _, vec in blocks))
+        if fault:
+            _, name, i, text = fault
+            raise QGameError(f"{name} sums to {text}" if i is None else f"{name}[{i}] = {text}")
+
+
+def _state_fault(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple | None:
+    """The first of the stacked states x (k, n), y (k, m) and z (k, n)
+    that is not a state, as (row, block, entry, text): its first negative
+    x or y entry, or x or y block whose sum is off 1 by more than
+    STATE_SUM_TOL (entry None, text the sum), then its first z entry
+    outside [0, 1]. None where every row is a state."""
+    sums = (x.sum(axis=1), y.sum(axis=1))
+    bad = ((z < 0.0) | (z > 1.0)).any(axis=1)
+    for vec, total in zip((x, y), sums):
+        bad |= (vec < 0.0).any(axis=1) | (np.abs(total - 1.0) > STATE_SUM_TOL)
+    if not bad.any():
+        return None
+    r = int(np.argmax(bad))
+    for name, vec, total in zip("xy", (x, y), sums):
+        i = np.flatnonzero(vec[r] < 0.0)
+        if len(i):
+            return r, name, i[0], f"{vec[r, i[0]]} is negative"
+        if abs(total[r] - 1.0) > STATE_SUM_TOL:
+            return r, name, None, f"{total[r]:.12g}, outside 1 +/- {STATE_SUM_TOL}"
+    i = np.flatnonzero((z[r] < 0.0) | (z[r] > 1.0))[0]
+    return r, "z", i, f"{z[r, i]} is outside [0, 1]"
 
 
 @dataclass(frozen=True)

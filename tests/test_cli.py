@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 
 import qgame
 from qgame.cli import READ_PART_ROWS, build_parser, main, read_trajectory_csv
-from qgame.dynamics import BLOCK
+from qgame.dynamics import BLOCK, STATE_SUM_TOL
+from qgame.errors import QGameError
 
 DATA = qgame.case_study_path().parent.parent / "data"
 SRC = Path(qgame.__file__).resolve().parent.parent
@@ -752,7 +754,105 @@ def test_analyze_rejects_a_row_that_is_not_a_state(monkeypatch, tmp_path, capsys
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("edit, values", [(lambda row: row[:1], 1), (lambda row: row + ["0"], 49)],
+def with_blank_lines(lines: list[str]) -> list[str]:
+    """`lines` with a blank line above the header and an empty and a
+    whitespace-only line above row 500: row r from 500 on sits on line
+    r + 2 after the header."""
+    return [""] + lines[:500] + ["", "  \t"] + lines[500:]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: row[:3], " has 3 values, the header names 48"),
+        (lambda row: row[:3] + ["abc"] + row[4:], ", column x_Q3: 'abc' is not a number"),
+        (lambda row: row[:37] + ["inf"] + row[38:],
+         ", column y_D.R.A.PP: inf is not a finite number"),
+        (lambda row: row[:2] + ["-3"] + row[3:], ", column x_Q2: -3.0 is negative"),
+        (lambda row: ["0"] + row[1:], ": t = 0.0 does not rise above the previous row's 9.98"),
+    ],
+    ids=["width", "not_a_number", "not_finite", "not_a_state", "t_not_rising"],
+)
+def test_row_numbers_count_blank_lines(monkeypatch, tmp_path, capsys, long_lines, cpus, edit,
+                                       message):
+    """A fault names the line after the header that it sits on, counting
+    the blank lines the reader skips, the same from both read paths."""
+    lines = list(long_lines)
+    lines[1000] = ",".join(edit(lines[1000].split(",")))
+    bad = write_lines(tmp_path / "bad.csv", with_blank_lines(lines))
+    monkeypatch.setattr(qgame.cli, "_cpu_count", lambda: cpus)
+    forks = spy_on_forks(monkeypatch)
+    out = tmp_path / "report"
+    assert main(["analyze", str(bad), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: row 1002 after the header{message}\n"
+    assert len(forks) == (cpus if cpus > 1 else 0)
+    assert not out.exists()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_blank_lines_read_as_if_absent(monkeypatch, tmp_path, long_lines, cpus):
+    path = write_lines(tmp_path / "trajectory.csv", with_blank_lines(long_lines) + [""])
+    monkeypatch.setattr(qgame.cli, "_cpu_count", lambda: cpus)
+    want = np.loadtxt(long_lines[1:], delimiter=",", ndmin=2)
+    assert all_columns(read_trajectory_csv(path)).tobytes() == want.tobytes()
+
+
+def columns_of(header: list[str], block: str) -> list[str]:
+    return [name for name in header if name.startswith(block + "_")]
+
+
+@pytest.mark.parametrize(
+    "column, edit, rejected",
+    [
+        ("x_Q1", lambda cell: "7", True),
+        ("x_Q2", lambda cell: "-3", True),
+        ("z_Q3", lambda cell: "2.5", True),
+        ("y_D.R.A.PP", lambda cell: "-1", True),
+        ("utility", lambda cell: "1e300", False),
+        # sums off 1 by just over and just under the tolerance
+        ("y_D.R.A.PP", lambda cell: repr(float(cell) + 2 * STATE_SUM_TOL), True),
+        ("y_D.R.A.PP", lambda cell: repr(float(cell) + STATE_SUM_TOL / 2), False),
+    ],
+    ids=["x_sum", "x_negative", "z_above", "y_negative", "utility", "y_sum_over_tol",
+         "y_sum_under_tol"],
+)
+def test_validate_and_analyze_apply_one_state_rule(tmp_path, long_lines, column, edit, rejected):
+    """GameState.validate on an edited row and read_trajectory_csv on a
+    file holding it name the same block, entry and value, or both accept
+    the row."""
+    header = long_lines[0].split(",")
+    row = long_lines[1000].split(",")
+    j = header.index(column)
+    row[j] = edit(row[j])
+    values = dict(zip(header, map(float, row)))
+    state = qgame.GameState(
+        **{block: [values[name] for name in columns_of(header, block)] for block in "xyz"}
+    )
+    path = write_lines(tmp_path / "edited.csv", long_lines[:1000] + [",".join(row)]
+                       + long_lines[1001:])
+    faults = []
+    for check in (state.validate, lambda: read_trajectory_csv(path)):
+        try:
+            check()
+        except QGameError as exc:
+            faults.append(str(exc))
+    if not rejected:
+        assert faults == []
+        return
+    fault, read_fault = faults
+    if entry := re.fullmatch(r"(\w)\[(\d+)\] = (.*)", fault):
+        block, i, text = entry.groups()
+        want = f"column {columns_of(header, block)[int(i)]}: {text}"
+    else:
+        block, text = re.fullmatch(r"(\w) sums to (.*)", fault).groups()
+        names = columns_of(header, block)
+        want = f"columns {names[0]} to {names[-1]} sum to {text}"
+    assert read_fault == f"{path}: row 1000 after the header, {want}"
+
+
+@pytest.mark.parametrize("edit, values",[(lambda row: row[:1], 1), (lambda row: row + ["0"], 49)],
                          ids=["narrow", "wide"])
 def test_a_range_of_one_other_width_reads_as_in_one_process(monkeypatch, tmp_path, capsys,
                                                             long_lines, edit, values):
