@@ -33,7 +33,7 @@ import numpy as np
 
 from . import analysis as an
 from .dynamics import Trajectory, _state_fault
-from .errors import QGameError
+from .errors import QGameError, reading
 from .qdata import flag_stakeholders, load_loadings
 from .sampling import SamplerConfig, _cpu_count, load_distribution, sample_y0
 from .scenario import load_scenario, run_scenario
@@ -181,7 +181,7 @@ def _report_json(report: dict) -> str:
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
-def _parse_header(path: Path, line: str) -> tuple[list[str], tuple[str, ...], tuple[str, ...]]:
+def _parse_header(line: str) -> tuple[list[str], tuple[str, ...], tuple[str, ...]]:
     """Names of a trajectory header and its factor and strategy labels.
 
     The header reads t, x_<f>..., z_<f>... over the same factors in the
@@ -194,17 +194,14 @@ def _parse_header(path: Path, line: str) -> tuple[list[str], tuple[str, ...], tu
     strategies = tuple(h[2:] for h in header[1 + 2 * n:-1])
     for i, (name, want) in enumerate(zip(header, _header(factors, strategies))):
         if name in header[:i]:
-            raise QGameError(
-                f"{path}: header column {i + 1}, {name!r}, repeats column {header.index(name) + 1}"
-            )
+            raise QGameError(f"header column {i + 1}, {name!r}, repeats column "
+                             f"{header.index(name) + 1}")
         if name != want:
-            raise QGameError(
-                f"{path}: header column {i + 1}, {name!r}, is out of place: expected t, "
-                "x_<f>..., z_<f>... over the same factors, y_<s>..., utility"
-            )
+            raise QGameError(f"header column {i + 1}, {name!r}, is out of place: expected t, "
+                             "x_<f>..., z_<f>... over the same factors, y_<s>..., utility")
     if not factors or not strategies:
         col, kind = (2 + 2 * n, "y_") if factors else (2, "x_")
-        raise QGameError(f"{path}: header column {col} must be the first {kind} column")
+        raise QGameError(f"header column {col} must be the first {kind} column")
     return header, factors, strategies
 
 
@@ -216,27 +213,24 @@ def _row_name(lines: list[str], r: int) -> str:
     return f"row {kept[r + 1] - kept[0]} after the header"
 
 
-def _row_fault(path: Path, header: list[str], lines: list[str], rows: list[str],
+def _row_fault(header: list[str], lines: list[str], rows: list[str],
                exc: ValueError) -> QGameError:
     """The first of `rows`, the lines of `lines` after the header that are
     not blank, that is not as wide as the header or holds a cell that is
-    not a number. `exc` is np.loadtxt's own account, for a cell such as
-    '1_0' that float() reads and np.loadtxt does not."""
+    not a number; else `exc`, the fault the caller saw: np.loadtxt's own
+    account, for a cell such as '1_0' that float() reads and it does not."""
     for r, line in enumerate(rows):
         cells = line.rstrip("\n").split(",")
         if len(cells) != len(header):
             return QGameError(
-                f"{path}: {_row_name(lines, r)} has {len(cells)} values, "
-                f"the header names {len(header)}"
+                f"{_row_name(lines, r)} has {len(cells)} values, the header names {len(header)}"
             )
         for name, cell in zip(header, cells):
             try:
                 float(cell)
             except ValueError:
-                return QGameError(
-                    f"{path}: {_row_name(lines, r)}, column {name}: {cell!r} is not a number"
-                )
-    return QGameError(f"{path}: {exc}")
+                return QGameError(f"{_row_name(lines, r)}, column {name}: {cell!r} is not a number")
+    return QGameError(str(exc))
 
 
 def _parse_split(rows: list[str], width: int) -> np.ndarray | None:
@@ -286,46 +280,39 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     (x and y on their simplices, z in [0, 1]) and t must rise strictly.
     The utility column is not checked against the state: that needs the
     scores, which the file does not hold."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    kept = [ln for ln in lines if ln.strip()]
-    if len(kept) < 2:
-        raise QGameError(f"{path}: no trajectory rows")
-    header, factors, strategies = _parse_header(path, kept[0])
-    rows = kept[1:]
-    data = _parse_split(rows, len(header))
-    if data is None:
-        try:
-            data = np.loadtxt(rows, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise _row_fault(path, header, lines, rows, exc) from None
-    if data.shape[1] != len(header):
-        raise QGameError(
-            f"{path}: rows have {data.shape[1]} values, the header names {len(header)}"
-        )
-    bad = ~np.isfinite(data)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise QGameError(
-            f"{path}: {_row_name(lines, row)}, column {header[col]}: "
-            f"{data[row, col]} is not a finite number"
-        )
-    traj = Trajectory.from_rows(data, factors, strategies)
-    fault = _state_fault(traj.x, traj.y, traj.z)
-    if fault:
-        row, block, i, text = fault
-        labels = strategies if block == "y" else factors
-        what = (f"columns {block}_{labels[0]} to {block}_{labels[-1]} sum to {text}"
-                if i is None else f"column {block}_{labels[i]}: {text}")
-        raise QGameError(f"{path}: {_row_name(lines, row)}, {what}")
-    stalls = np.flatnonzero(traj.t[1:] <= traj.t[:-1])
-    if len(stalls):
-        row = stalls[0] + 1
-        raise QGameError(
-            f"{path}: {_row_name(lines, row)}: t = {traj.t[row]} does not rise "
-            f"above the previous row's {traj.t[row - 1]}"
-        )
-    return traj
+    with reading(path) as lines:
+        kept = [ln for ln in lines if ln.strip()]
+        if len(kept) < 2:
+            raise QGameError("no trajectory rows")
+        header, factors, strategies = _parse_header(kept[0])
+        rows = kept[1:]
+        data = _parse_split(rows, len(header))
+        if data is None:
+            try:
+                data = np.loadtxt(rows, delimiter=",", ndmin=2)
+                if data.shape[1] != len(header):  # rows all of one other width: the first is named
+                    raise QGameError("the rows are not as wide as the header")
+            except ValueError as exc:  # a QGameError is one too
+                raise _row_fault(header, lines, rows, exc) from None
+        bad = ~np.isfinite(data)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise QGameError(f"{_row_name(lines, row)}, column {header[col]}: "
+                             f"{data[row, col]} is not a finite number")
+        traj = Trajectory.from_rows(data, factors, strategies)
+        fault = _state_fault(traj.x, traj.y, traj.z)
+        if fault:
+            row, block, i, text = fault
+            labels = strategies if block == "y" else factors
+            what = (f"columns {block}_{labels[0]} to {block}_{labels[-1]} sum to {text}"
+                    if i is None else f"column {block}_{labels[i]}: {text}")
+            raise QGameError(f"{_row_name(lines, row)}, {what}")
+        stalls = np.flatnonzero(traj.t[1:] <= traj.t[:-1])
+        if len(stalls):
+            row = stalls[0] + 1
+            raise QGameError(f"{_row_name(lines, row)}: t = {traj.t[row]} does not rise "
+                             f"above the previous row's {traj.t[row - 1]}")
+        return traj
 
 
 def write_plotdata(traj: Trajectory, plot_dir: Path, writer: _TrajectoryWriter) -> None:

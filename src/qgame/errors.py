@@ -6,12 +6,13 @@ message names what is at fault: the file, row, field, entry or time. A
 setting of the wrong type or outside its range is an `InvalidSetting`,
 whose `field` names the setting; a fault in a scenario file's content is
 a `ValidationError`, whose `field` names the offending entry. A missing
-input file is a `FileNotFoundError`, and a file that cannot be written
-a `QGameError` naming the file.
+input file is a `FileNotFoundError`; a fault in any other input file, all
+read by `reading`, or in writing a file is a `QGameError` naming the file.
 """
 
 import math
 import numbers
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,6 +32,22 @@ class InvalidSetting(QGameError):
 
 class ValidationError(InvalidSetting):
     """Scenario content failed validation; `field` names the offending entry."""
+
+
+@contextmanager
+def reading(path):
+    """Reads `path` as UTF-8 text into its lines, closes it, and yields them to
+    the `with` block that checks them. Text that is not UTF-8 is a QGameError,
+    and one the block raises keeps its type; either message starts with `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        yield lines
+    except UnicodeDecodeError:
+        raise QGameError(f"{path}: not UTF-8 text") from None
+    except QGameError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def first_bad(name: str, vec: np.ndarray, bad: np.ndarray, what: str) -> None:

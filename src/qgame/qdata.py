@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSetting, QGameError, require_int
+from .errors import InvalidSetting, QGameError, reading, require_int
 from .strategy_space import CANONICAL_CODES, STRATEGIES, parse_code
 
 SCORE_MIN, SCORE_MAX = -5, 5
@@ -170,42 +170,35 @@ def derive_x0(flags: FlagAssignment) -> np.ndarray:
     return fractions / mass
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV, skipping blank lines and '#' comment lines."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [
-            row
-            for row in csv.reader(fh)
-            if row and not row[0].lstrip().startswith("#")
-        ]
+def _read_rows(lines: list[str]) -> tuple[list[str], list[list[str]]]:
+    """The CSV rows of `lines`, skipping blank lines and '#' comment lines."""
+    rows = [row for row in csv.reader(lines) if row and not row[0].lstrip().startswith("#")]
     if not rows:
-        raise QGameError(f"{path}: no data rows")
+        raise QGameError("no data rows")
     return rows[0], rows[1:]
 
 
 def load_loadings(path: str | Path) -> LoadingMatrix:
     """Read a stakeholder-by-factor loading table (header: stakeholder,Q1..Qn)."""
-    header, rows = _read_rows(path)
-    n_factors = len(header) - 1
-    if n_factors < 1:
-        raise QGameError(f"{path}: expected at least one factor column")
-    ids = []
-    values = []
-    for row in rows:
-        if len(row) != n_factors + 1:
-            raise QGameError(
-                f"{path}: row {row[0]!r} has {len(row) - 1} values, expected {n_factors}"
-            )
-        if row[0] in ids:
-            raise QGameError(f"{path}: duplicate row for stakeholder {row[0]!r}")
-        ids.append(row[0])
-        values.append(
-            [_loading(path, row[0], col, cell) for col, cell in zip(header[1:], row[1:])]
-        )
-    return LoadingMatrix(np.array(values), tuple(ids))
+    with reading(path) as lines:
+        header, rows = _read_rows(lines)
+        n_factors = len(header) - 1
+        if n_factors < 1:
+            raise QGameError("expected at least one factor column")
+        if not rows:
+            raise QGameError("no stakeholder rows")
+        ids, values = [], []
+        for row in rows:
+            if len(row) != n_factors + 1:
+                raise QGameError(f"row {row[0]!r} has {len(row) - 1} values, expected {n_factors}")
+            if row[0] in ids:
+                raise QGameError(f"duplicate row for stakeholder {row[0]!r}")
+            ids.append(row[0])
+            values.append([_loading(row[0], col, cell) for col, cell in zip(header[1:], row[1:])])
+        return LoadingMatrix(np.array(values), tuple(ids))
 
 
-def _loading(path: str | Path, stakeholder: str, column: str, cell: str) -> float:
+def _loading(stakeholder: str, column: str, cell: str) -> float:
     """One loading cell as a float in [-1, 1]; a fault names the cell."""
     try:
         value = float(cell)
@@ -213,44 +206,38 @@ def _loading(path: str | Path, stakeholder: str, column: str, cell: str) -> floa
         value = math.nan
     if not -1.0 <= value <= 1.0:  # also NaN and non-numeric cells
         raise QGameError(
-            f"{path}: stakeholder {stakeholder!r}, column {column}: "
-            f"{cell!r} is not a loading in [-1, 1]"
+            f"stakeholder {stakeholder!r}, column {column}: {cell!r} is not a loading in [-1, 1]"
         )
     return value
 
 
-def _read_code_table(path: str | Path, width: int | None = None) -> np.ndarray:
+def _read_code_table(lines: list[str], width: int | None = None) -> np.ndarray:
     """Read rows `code,v1..vk` in any order into a (36, k) array in
     canonical order; k is `width`, or the header's column count minus one.
 
     Every canonical code must appear exactly once, every row must carry k
     values, and every value must be a finite number. A fault names the
-    path.
+    row's code.
     """
-    header, rows = _read_rows(path)
+    header, rows = _read_rows(lines)
     k = len(header) - 1 if width is None else width
     by_index: dict[int, list[float]] = {}
     for row in rows:
-        try:
-            code = parse_code(row[0])
-        except QGameError as exc:
-            raise QGameError(f"{path}: {exc}") from None
+        code = parse_code(row[0])
         if len(row) != k + 1:
-            raise QGameError(
-                f"{path}: row {code.code} has {len(row) - 1} values, expected {k}"
-            )
+            raise QGameError(f"row {code.code} has {len(row) - 1} values, expected {k}")
         if code.index in by_index:
-            raise QGameError(f"{path}: duplicate row for {code.code}")
+            raise QGameError(f"duplicate row for {code.code}")
         try:
             values = [float(v) for v in row[1:]]
         except ValueError:
-            raise QGameError(f"{path}: row {code.code} has a non-numeric value") from None
+            raise QGameError(f"row {code.code} has a non-numeric value") from None
         if not all(map(math.isfinite, values)):
-            raise QGameError(f"{path}: row {code.code} has a non-finite value")
+            raise QGameError(f"row {code.code} has a non-finite value")
         by_index[code.index] = values
     missing = [s.code for s in STRATEGIES if s.index not in by_index]
     if missing:
-        raise QGameError(f"{path}: missing strategies {missing}")
+        raise QGameError(f"missing strategies {missing}")
     return np.array([by_index[s.index] for s in STRATEGIES])
 
 
@@ -260,17 +247,17 @@ def load_zscores(path: str | Path) -> ZScoreMatrix:
     The source must provide exactly one row per canonical strategy code
     (trailing dots tolerated); scores are validated as integers in -5..5.
     """
-    table = _read_code_table(path)
-    bad = np.argwhere((table != np.round(table)) | (table < SCORE_MIN) | (table > SCORE_MAX))
-    if len(bad):
-        i, f = bad[0]
-        raise QGameError(
-            f"{path}: score {table[i, f]} for {CANONICAL_CODES[i]} outside integers "
-            f"{SCORE_MIN}..{SCORE_MAX}"
-        )
-    return ZScoreMatrix(table.T, CANONICAL_CODES)  # factors x strategies
+    with reading(path) as lines:
+        table = _read_code_table(lines)
+        bad = np.argwhere((table != np.round(table)) | (table < SCORE_MIN) | (table > SCORE_MAX))
+        if len(bad):
+            i, f = bad[0]
+            raise QGameError(f"score {table[i, f]} for {CANONICAL_CODES[i]} outside integers "
+                             f"{SCORE_MIN}..{SCORE_MAX}")
+        return ZScoreMatrix(table.T, CANONICAL_CODES)  # factors x strategies
 
 
 def load_share_table(path: str | Path) -> np.ndarray:
     """Read per-strategy shares (header: strategy,share) into canonical order."""
-    return _read_code_table(path, width=1)[:, 0]
+    with reading(path) as lines:
+        return _read_code_table(lines, width=1)[:, 0]

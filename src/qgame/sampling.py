@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import QGameError, first_bad, require_int
+from .errors import QGameError, first_bad, reading, require_int
 from .qdata import _read_code_table
 from .strategy_space import CANONICAL_CODES
 
@@ -314,12 +314,13 @@ def load_distribution(path: str | Path) -> StatementDistribution:
     """Read per-strategy (mean, sigma) rows, reordered to canonical order;
     a sigma that is not strictly positive, or whose |mean| + 9 sigma
     overflows, names the path and the strategy."""
-    means, sigmas = _read_code_table(path, width=2).T
-    with np.errstate(over="ignore"):
-        reach = np.abs(means) + 9 * sigmas
-    for bad, what in ((sigmas <= 0, "is not strictly positive"),
-                      (~np.isfinite(reach), "is too large: |mean| + 9 sigma overflows")):
-        j = np.flatnonzero(bad)
-        if len(j):
-            raise QGameError(f"{path}: sigma of {CANONICAL_CODES[j[0]]} = {sigmas[j[0]]} {what}")
-    return StatementDistribution(means, sigmas)
+    with reading(path) as lines:
+        means, sigmas = _read_code_table(lines, width=2).T
+        with np.errstate(over="ignore"):
+            reach = np.abs(means) + 9 * sigmas
+        for bad, what in ((sigmas <= 0, "is not strictly positive"),
+                          (~np.isfinite(reach), "is too large: |mean| + 9 sigma overflows")):
+            j = np.flatnonzero(bad)
+            if len(j):
+                raise QGameError(f"sigma of {CANONICAL_CODES[j[0]]} = {sigmas[j[0]]} {what}")
+        return StatementDistribution(means, sigmas)

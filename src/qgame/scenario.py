@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import AnalysisThresholds
 from .dynamics import GameState, IntegratorConfig, Trajectory, integrate
-from .errors import InvalidSetting, QGameError, ValidationError, require_real
+from .errors import InvalidSetting, QGameError, ValidationError, reading, require_real
 from .qdata import (
     ZScoreMatrix,
     derive_x0,
@@ -133,12 +133,15 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     if not path.exists():
         raise FileNotFoundError(f"no such scenario file: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise QGameError(f"{path}: top level must be a JSON object")
+        with reading(path) as lines:
+            try:
+                raw = json.loads("".join(lines))
+            except json.JSONDecodeError as exc:
+                raise QGameError(f"not valid JSON ({exc})") from exc
+            if not isinstance(raw, dict):
+                raise QGameError("top level must be a JSON object")
+        # outside the block: a fault that names a field names no file
         _require_finite(raw, "")
-    except json.JSONDecodeError as exc:
-        raise QGameError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError:  # from the parser or from _require_finite
         raise QGameError(f"{path}: JSON nested too deeply") from None
     unknown = set(raw) - _TOP_KEYS
@@ -157,7 +160,8 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
 
     loadings = None
     if "loadings" in raw:
-        loadings = load_loadings(_resolve_path(base, raw["loadings"], "loadings"))
+        loadings_path = _resolve_path(base, raw["loadings"], "loadings")
+        loadings = load_loadings(loadings_path)
         if loadings.loadings.shape[1] != n:
             raise ValidationError(
                 "loadings", f"{loadings.loadings.shape[1]} factor columns, "
@@ -173,7 +177,10 @@ def load_scenario(path: str | Path, sampler_seed: int | None = None) -> Resolved
     if x0_spec == "derive-from-loadings":
         if loadings is None:
             raise ValidationError("x0", "derive-from-loadings requires a loadings file")
-        x0 = derive_x0(flag_stakeholders(loadings, **{"n_statements": m, **flagging}))
+        try:
+            x0 = derive_x0(flag_stakeholders(loadings, **{"n_statements": m, **flagging}))
+        except QGameError as exc:  # no stakeholder was flagged
+            raise ValidationError("x0", f"{exc} in {loadings_path}") from None
     elif isinstance(x0_spec, list):
         x0 = _simplex_vector(x0_spec, "x0", n)
     else:

@@ -600,6 +600,15 @@ def test_sample_y0_bad_sigma_names_the_file_and_strategy(tmp_path, capsys):
         assert err == f"error: {bad}: sigma of {code} = {float(sigma)} {what}\n"
 
 
+@pytest.mark.parametrize("verb", ["simulate", "analyze", "sample-y0", "flag"])
+def test_an_input_that_is_not_utf8_names_the_file(tmp_path, capsys, verb):
+    bad = tmp_path / "input"
+    bad.write_bytes(b"\xff" + (DATA / "loadings.csv").read_bytes())
+    assert main([verb, str(bad)] + (["-o", str(tmp_path / "out")] if verb != "flag" else [])) == 1
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_analyze_rejects_non_finite_cells(short_run, tmp_path, capsys, cell):
     lines = (short_run / "trajectory.csv").read_text().splitlines()
@@ -869,6 +878,26 @@ def test_a_range_of_one_other_width_reads_as_in_one_process(monkeypatch, tmp_pat
     message = f"row {first} after the header has {values} values, the header names 48"
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert len(forks) == 3
+    assert not out.exists()
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("edit, values", [(lambda row: row[:-1], 47), (lambda row: row + ["0"], 49)],
+                         ids=["narrow", "wide"])
+def test_a_file_of_one_other_width_names_its_first_row(monkeypatch, tmp_path, capsys, long_lines,
+                                                       cpus, edit, values):
+    """Every row has the same wrong width, so np.loadtxt parses the whole
+    file without a fault: the fault still names the first row."""
+    lines = long_lines[:1] + [",".join(edit(ln.split(","))) for ln in long_lines[1:]]
+    bad = write_lines(tmp_path / "bad.csv", lines)
+    monkeypatch.setattr(qgame.cli, "_cpu_count", lambda: cpus)
+    forks = spy_on_forks(monkeypatch)
+    out = tmp_path / "report"
+    assert main(["analyze", str(bad), "-o", str(out)]) == 1
+    message = f"row 1 after the header has {values} values, the header names 48"
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert len(forks) == (cpus if cpus > 1 else 0)
     assert not out.exists()
     assert_no_child_left()
 

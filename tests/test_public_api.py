@@ -205,3 +205,41 @@ def test_the_raise_guard_sees_raises_helpers_and_catches():
     assert error_classes() == ["QGameError", "InvalidSetting", "ValidationError"]
     names = {name for _, name, _ in package_raises_and_catches()[0]}
     assert {"QGameError", "InvalidSetting", "ValidationError"} <= names
+
+
+FILE_READS = {"open", "read_text", "read_bytes"}
+
+
+def file_opens(tree: ast.AST) -> list[tuple[str, int]]:
+    """The enclosing function and line of every call in tree to `open` or
+    to a method `open`, `read_text` or `read_bytes`."""
+    opens = []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "open"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr in FILE_READS
+                ):
+                    opens.append((func.name, node.lineno))
+    return opens
+
+
+def test_one_function_reads_every_input_file():
+    """Input files are read only by `errors.reading`, which names the file
+    in every fault it reports, and output files written only by `cli._write`."""
+    opens = {
+        (path.name, name)
+        for path in PACKAGE.glob("*.py")
+        for name, _ in file_opens(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert opens == {("errors.py", "reading"), ("cli.py", "_write")}
+
+
+def test_the_open_guard_sees_every_way_to_read():
+    tree = ast.parse(
+        "def a():\n    open(p)\n"
+        "def b():\n    p.read_text()\n    p.read_bytes()\n"
+        "def c():\n    os.open(p)\n    p.write_text()\n"
+    )
+    assert file_opens(tree) == [("a", 2), ("b", 4), ("b", 5), ("c", 7)]

@@ -131,6 +131,13 @@ def test_load_loadings_bad_shape_names_path(tmp_path, text, message):
         load_loadings(bad)
 
 
+def test_load_loadings_without_rows_names_path(tmp_path):
+    bad = tmp_path / "loadings.csv"
+    bad.write_text("stakeholder,Q1,Q2\n# a comment, then nothing\n")
+    with pytest.raises(QGameError, match=f"^{re.escape(f'{bad}: no stakeholder rows')}$"):
+        load_loadings(bad)
+
+
 # --- x0 ---
 
 def test_assignment_fractions_match_published_shares(loadings):

@@ -218,7 +218,8 @@ def test_non_finite_numbers_are_rejected(sandbox, literal, key, field):
         base["z0"] = [0.39, "HOLE", 0.39, 0.28, 0.28]
     p = scen_dir / "scenario.json"
     p.write_text(json.dumps(base).replace('"HOLE"', literal))
-    with pytest.raises(ValidationError, match=field):
+    value = json.loads(literal)
+    with pytest.raises(ValidationError, match=rf"^{field}: expected a finite number, got {value}$"):
         qgame.load_scenario(p)
 
 
@@ -371,6 +372,16 @@ def test_derive_without_loadings_fails(sandbox):
     del base["loadings"]
     with pytest.raises(ValidationError, match="x0"):
         qgame.load_scenario(write_scenario(scen_dir, base))
+
+
+def test_derive_that_flags_no_one_names_x0_and_the_loadings(sandbox):
+    scen_dir, base = sandbox
+    loadings = scen_dir / base["loadings"]
+    loadings.write_text("stakeholder,Q1,Q2,Q3,Q4,Q5\nA,0.1,0.1,0.1,0.1,0.1\n")
+    with pytest.raises(ValidationError) as info:
+        qgame.load_scenario(write_scenario(scen_dir, base))
+    assert info.value.field == "x0"
+    assert str(info.value) == f"x0: no stakeholder was flagged on any factor in {loadings}"
 
 
 def test_sampled_y0_is_deterministic(sandbox):
