@@ -217,7 +217,7 @@ def _read_code_table(lines: list[str], width: int | None = None) -> np.ndarray:
 
     Every canonical code must appear exactly once, every row must carry k
     values, and every value must be a finite number. A fault names the
-    row's code.
+    row's code, and the caller's `reading` block the file.
     """
     header, rows = _read_rows(lines)
     k = len(header) - 1 if width is None else width
