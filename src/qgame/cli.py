@@ -258,7 +258,7 @@ def _parse_split(rows: list[str], width: int) -> np.ndarray | None:
             if pid == 0:  # the child
                 code = 1
                 try:
-                    part = np.loadtxt(rows[lo:hi], delimiter=",", ndmin=2)
+                    part = np.loadtxt(rows[lo:hi], delimiter=",", ndmin=2, comments=None)
                     # rows all one value wide would broadcast into the slice
                     if part.shape == (hi - lo, width):
                         data[lo:hi] = part
@@ -289,7 +289,7 @@ def read_trajectory_csv(path: Path) -> Trajectory:
         data = _parse_split(rows, len(header))
         if data is None:
             try:
-                data = np.loadtxt(rows, delimiter=",", ndmin=2)
+                data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
                 if data.shape[1] != len(header):  # rows all of one other width: the first is named
                     raise QGameError("the rows are not as wide as the header")
             except ValueError as exc:  # a QGameError is one too

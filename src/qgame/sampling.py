@@ -11,8 +11,9 @@ CDF q is Wichura's AS241 (Applied Statistics 37, 1988), the algorithm of
 bit-for-bit reproducible for a fixed seed and independent of any
 batching or scheduling, and `sample_y0` relies on both:
 - it walks the stream in blocks of at most `BLOCK_ROWS` sequences
-  through one reused buffer (8192 x 36 float64, about 2.4 MB), so its
-  memory does not grow with `n_sequences`;
+  through one reused buffer (4096 x 36 float64, about 1.2 MB), and builds
+  the table below in slices of 4096 cells, so its memory does not grow
+  with `n_sequences`: about 2.2 MB at its peak, besides the 1 MB table;
 - it cuts the sequences into contiguous ranges, one per CPU the process
   may run on, and counts each range on its own thread from its own copy
   of the stream, advanced to the range's first uniform (Salmon et al.,
@@ -52,7 +53,7 @@ from .errors import QGameError, first_bad, reading, require_int
 from .qdata import _read_code_table
 from .strategy_space import CANONICAL_CODES
 
-BLOCK_ROWS = 8192  # sequences drawn per block: 8192 x 36 float64 is about 2.4 MB
+BLOCK_ROWS = 4096  # sequences drawn per block: 4096 x 36 float64 is about 1.2 MB
 # about 3.7 s of sampling at 0.37 us per row on one CPU, less where more are free
 MAX_SEQUENCES = 10**7
 CANDIDATES = 3.0  # draws per row expected above the common level of `_candidates`
@@ -171,37 +172,36 @@ def _ndtr(x: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _brackets() -> tuple:
-    """Read-only (lo, hi) over the `CELLS` cells [i, i + 1) / CELLS of the
-    clipped uniforms, which lie in [2^-53, 1 - 2^-53]: lo[i] <= q(u) <=
+def _brackets() -> np.ndarray:
+    """Read-only rows (lo, hi) over the `CELLS` cells [i, i + 1) / CELLS of
+    the clipped uniforms, which lie in [2^-53, 1 - 2^-53]: lo[i] <= q(u) <=
     hi[i] for u in cell i, each widened by the margin of `_candidates`'
     bound. Built at the first `sample_y0`."""
-    edges = np.arange(CELLS + 1) / CELLS
-    edges[[0, -1]] = 2.0**-53, 1 - 2.0**-53
-    q = _ndtri(edges)
-    margin = 1e-9 * (1 + np.abs(q))
-    lo, hi = q[:-1] - margin[:-1], q[1:] + margin[1:]
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    return lo, hi
+    table, step = np.empty((2, CELLS)), CELLS // 16
+    # in slices of 4096 cells, whose edges overlap by one: q and the margin
+    # work entry by entry, so the bits are those of one pass over every edge
+    for a in range(0, CELLS, step):
+        edges = np.arange(a, a + step + 1) / CELLS
+        np.clip(edges, 2.0**-53, 1 - 2.0**-53, out=edges)
+        q = _ndtri(edges)
+        margin = 1e-9 * (1 + np.abs(q))
+        np.subtract(q[:-1], margin[:-1], out=table[0, a: a + step])
+        np.add(q[1:], margin[1:], out=table[1, a: a + step])
+    table.setflags(write=False)
+    return table
 
 
 def _winners(dist, draws, at, table) -> tuple:
     """Over the draws at the ascending flat positions `at` of the block
-    `draws`, each row's best lower bracket (-inf where it has none) and the
-    column of its largest draw, the first of equal ones."""
+    `draws`, each clipped to at least 2^-53, each row's best lower bracket
+    (-inf where it has none) and the column of its largest draw, the first
+    of equal ones."""
     m, rows = len(dist), len(draws)
-    row = at // m
-    col = at - row * m
-    u = draws.take(at)
-    cell = (u * CELLS).astype(np.intp)
-    sigma, mean = dist.sigmas.take(col), dist.means.take(col)
-    lower = table[0].take(cell)
-    lower *= sigma
-    lower += mean
-    upper = table[1].take(cell)
-    upper *= sigma
-    upper += mean
+    row, col = np.divmod(at, m)
+    # a draw below 2^-53 lies in cell 0, as it does clipped to 2^-53
+    lower, upper = bounds = table.take((draws.take(at) * CELLS).astype(np.intp), axis=1)
+    bounds *= dist.sigmas.take(col)
+    bounds += dist.means.take(col)
     best = np.full(rows, -np.inf)
     np.maximum.at(best, row, lower)
     # the draws that may be their row's largest, the one at its best among them
@@ -212,9 +212,9 @@ def _winners(dist, draws, at, table) -> tuple:
     # rows where two or more of them are left are settled by q
     exact = over[np.bincount(over_row, minlength=rows)[over_row] > 1]
     if len(exact):
-        x = _ndtri(u[exact])
-        x *= sigma[exact]
-        x += mean[exact]
+        x = _ndtri(np.maximum(draws.take(at[exact]), 2.0**-53))
+        x *= dist.sigmas[col[exact]]
+        x += dist.means[col[exact]]
         r = row[exact]
         top = np.full(rows, -np.inf)
         np.maximum.at(top, r, x)
@@ -233,11 +233,15 @@ def _count_range(dist, seed, start, stop, block, cut, bound, table) -> np.ndarra
     rng.bit_generator.advance(start * m // 4)
     rng.random(start * m % 4)
     counts = np.zeros(m, dtype=np.int64)
+    # the draws stay unclipped: a draw of 0 below a cut under 2^-53 is no
+    # candidate, but clipped it is at most B, which `_candidates` takes at
+    # the clipped cut
+    above = np.empty(block.shape, dtype=bool)
     for lo in range(start, stop, len(block)):
         draws = block[: min(len(block), stop - lo)]
         rng.random(out=draws)
-        np.clip(draws, 2.0**-53, None, out=draws)
-        best, win = _winners(dist, draws, np.flatnonzero(draws >= cut), table)
+        at = np.flatnonzero(np.greater_equal(draws, cut, out=above[: len(draws)]))
+        best, win = _winners(dist, draws, at, table)
         # rows whose best candidate does not clear `bound` (or a nan one)
         # are settled from all their draws
         redo = np.flatnonzero(~(best > bound))

@@ -808,6 +808,30 @@ def test_blank_lines_read_as_if_absent(monkeypatch, tmp_path, long_lines, cpus):
     assert all_columns(read_trajectory_csv(path)).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("trailing", [False, True], ids=["comment_line", "trailing_comment"])
+def test_a_hash_is_not_a_comment(monkeypatch, tmp_path, capsys, long_lines, cpus, trailing):
+    """np.loadtxt would read `#` as the start of a comment, and trajectory.csv
+    has none: a `# note` line and a `#x` after a row's last cell each name
+    their row, from the forked and the one-process parse."""
+    lines = list(long_lines)
+    if trailing:
+        lines[1000] += "#x"
+        message = f", column utility: {lines[1000].split(',')[-1]!r} is not a number"
+    else:
+        lines.insert(1000, "# note")
+        message = " has 1 values, the header names 48"
+    bad = write_lines(tmp_path / "bad.csv", lines)
+    monkeypatch.setattr(qgame.cli, "_cpu_count", lambda: cpus)
+    forks = spy_on_forks(monkeypatch)
+    out = tmp_path / "report"
+    assert main(["analyze", str(bad), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: row 1000 after the header{message}\n"
+    assert len(forks) == (cpus if cpus > 1 else 0)
+    assert not out.exists()
+    assert_no_child_left()
+
+
 def columns_of(header: list[str], block: str) -> list[str]:
     return [name for name in header if name.startswith(block + "_")]
 

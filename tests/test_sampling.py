@@ -25,19 +25,21 @@ def skewed(m: int = 36) -> StatementDistribution:
     return StatementDistribution(rng.normal(0.0, 0.3, m), rng.uniform(0.5, 1.5, m))
 
 
-def one_block_reference(dist: StatementDistribution, cfg: SamplerConfig) -> np.ndarray:
+def one_block_reference(dist: StatementDistribution, cfg: SamplerConfig,
+                        stream=_stream) -> np.ndarray:
     """The sampler as one n_sequences x m block of draws, the form it had
     before it was blocked; kept here as the reference for the blocked one,
     with scipy's ndtri as a quantile independent of the sampler's own."""
     m = len(dist)
-    u = _stream(cfg.seed).random((cfg.n_sequences, m))
+    u = stream(cfg.seed).random((cfg.n_sequences, m))
     np.clip(u, 2.0**-53, None, out=u)
     draws = dist.means + dist.sigmas * ndtri(u)
     return np.bincount(np.argmax(draws, axis=1), minlength=m) / cfg.n_sequences
 
 
-# sizes within one block (4095-4097 are half of it), at its boundary and across several
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 30000])
+# sizes within one block, at the boundary of one (4095-4097) and of two (8191-8193)
+# and across several
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8191, 8192, 8193, 30000])
 def test_blocked_sampler_equals_one_block(n):
     dist = skewed()
     for seed in range(10):
@@ -71,7 +73,7 @@ PRUNE_CASES = {
 }
 
 
-@pytest.mark.parametrize("n", [1, 4095, 4097, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 30000])
+@pytest.mark.parametrize("n", [1, 4095, 4097, 8191, 8193, 30000])
 @pytest.mark.parametrize("case", PRUNE_CASES)
 @pytest.mark.parametrize("target", [None, 1e-9, 36.0], ids=["default", "all-fall-back", "no-prune"])
 def test_pruned_sampler_equals_one_block(monkeypatch, target, case, n):
@@ -155,6 +157,57 @@ def test_brackets_hold_the_quantile_of_their_cells():
     cell = (u * sampling.CELLS).astype(np.intp)
     for q in (sampling._ndtri(u), ndtri(u)):
         assert np.all(lo[cell] < q) and np.all(q < hi[cell])
+
+
+def test_brackets_equal_a_one_shot_build():
+    edges = np.arange(sampling.CELLS + 1) / sampling.CELLS
+    edges[[0, -1]] = 2.0**-53, 1 - 2.0**-53
+    q = sampling._ndtri(edges)
+    margin = 1e-9 * (1 + np.abs(q))
+    lo, hi = sampling._brackets()
+    assert np.array_equal(lo, q[:-1] - margin[:-1]) and np.array_equal(hi, q[1:] + margin[1:])
+
+
+def test_bracket_build_memory_is_the_table_and_one_slice():
+    tracemalloc.start()
+    try:
+        sampling._brackets.__wrapped__()  # a fresh build, past the cache
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20  # the table is 1 MiB; one pass over every edge took 3.69
+
+
+class ZeroedStream:
+    """The Philox stream of `seed` read as rows of 36 uniforms, with exact
+    zeros for every draw of each fifth row and every seventh draw of the
+    others: 0 is a uniform that the sampler and the reference clip to 2^-53."""
+
+    def __init__(self, seed: int):
+        self.rng = _stream(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.at = 0
+
+    def random(self, size=None, out=None):
+        u = self.rng.random(size, out=out)
+        k = self.at + np.arange(u.size)
+        u.reshape(-1)[(k // 36 % 5 == 0) | (k % 7 == 0)] = 0.0
+        self.at += u.size
+        return u
+
+
+# cuts of about 0.94 for every strategy; one of 2.3e-19, below 2^-53; one of 0
+@pytest.mark.parametrize("case", ["skewed", "tiny-cut", "saturated-cut"])
+def test_zero_draws_are_counted_as_clipped(monkeypatch, case):
+    dist = means_at({9: 10.5}) if case == "tiny-cut" else PRUNE_CASES[case]()
+    cut, bound = sampling._candidates(dist)
+    assert (np.min(cut) > 2.0**-53) == (case == "skewed")
+    monkeypatch.setattr(sampling, "_stream", ZeroedStream)
+    n = 2 * BLOCK_ROWS + 3
+    counts = sampling._count_range(dist, 7, 0, n, np.empty((BLOCK_ROWS, 36)), cut, bound,
+                                   sampling._brackets())
+    reference = one_block_reference(dist, SamplerConfig(n, 7), ZeroedStream)
+    assert np.array_equal(counts / n, reference)
 
 
 @pytest.mark.parametrize("block", [1, 7, 1000])
@@ -273,16 +326,19 @@ def test_ties_across_block_boundaries_go_to_the_first_index():
         assert np.array_equal(shares, one_block_reference(dist, cfg))
 
 
-def test_sampler_memory_does_not_grow_with_n_sequences():
+def test_sampler_memory_does_not_grow_with_n_sequences(monkeypatch):
     dist = skewed()
     sample_y0(dist, SamplerConfig(n_sequences=10))  # brackets built outside the trace
-    tracemalloc.start()
-    try:
-        sample_y0(dist, SamplerConfig(n_sequences=300000, seed=4))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    for cpus in (1, 2):
+        monkeypatch.setattr(sampling, "_cpu_count", lambda: cpus)
+        tracemalloc.start()
+        try:
+            sample_y0(dist, SamplerConfig(n_sequences=300000, seed=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 1.1 MiB buffer, the candidates' arrays and each thread's mask
+        assert peak < 2.25 * 2**20, cpus
 
 
 def test_output_is_on_the_simplex():
