@@ -380,8 +380,7 @@ def integrate(
     buf = np.empty((rows, 2 * n + m + 2))
     t = 0.0
     buf[0, :-1] = np.concatenate([[t], state0.x, state0.z, state0.y])
-    k = 1  # samples stored
-    sent = 0  # samples converted and passed to on_samples
+    k = 1  # samples stored; rows up to the last multiple of BLOCK are converted
     accepted = 0
     rejected = 0  # rk45 steps tried and rejected
     recentrings = 0  # accepted states whose log blocks were shifted
@@ -397,7 +396,6 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v[:] = _to_log(state0.x, state0.z, state0.y)
         _rhs(v, S, n, out=K[0])
-        evaluations = 1  # field evaluations
         while t < cfg.t_end - T_EPS:
             if rk4:
                 # counter-based time avoids accumulation drift and spurious
@@ -421,13 +419,13 @@ def integrate(
                 err *= h_try
                 err /= cfg.tol + cfg.tol * np.maximum(np.abs(v), np.abs(v_new))
                 err_norm = math.sqrt((err * err).sum() / len(err))  # nan or inf: rejected
-            evaluations += len(K) - 1
-            if not (rk4 or err_norm <= 1.0):
-                rejected += 1
-                h = h_try * (max(0.2, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm) else 0.2)
-                if h < MIN_STEP:
-                    raise QGameError(f"adaptive step fell to {h:.3e} at t={t:.6g}")
-                continue
+                if not err_norm <= 1.0:
+                    rejected += 1
+                    h = h_try * (max(0.2, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm) else 0.2)
+                    if h < MIN_STEP:
+                        raise QGameError(f"adaptive step fell to {h:.3e} at t={t:.6g}")
+                    continue
+                h = h_try * (5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2))
             v[:] = v_new  # the next step starts from V[0]
             tu, ta, tc = np.maximum.reduceat(v, edges).tolist()  # nan if any entry is
             if -LOG_BOUND <= tu <= LOG_BOUND and -LOG_BOUND <= tc <= LOG_BOUND and ta == ta:
@@ -435,27 +433,24 @@ def integrate(
             else:  # v moved: f(v) anew
                 _recentre(v, n, t_next, cfg)
                 recentrings += 1
-                evaluations += 1
                 _rhs(v, S, n, out=K[0])
             t = t_next
             accepted += 1
             h_min, h_max = min(h_min, h_try), max(h_max, h_try)
-            if not rk4:
-                h = h_try * (5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2))
             if k == len(buf):
                 buf = np.concatenate([buf, np.empty_like(buf)])
             buf[k, 0] = t
             buf[k, 1:-1] = v
             k += 1
-            if k - sent == BLOCK:
-                _finish_block(buf, sent, k, scores, on_samples)
-                sent = k
-        if k > sent:
-            _finish_block(buf, sent, k, scores, on_samples)
+            if k % BLOCK == 0:
+                _finish_block(buf, k - BLOCK, k, scores, on_samples)
+        if k % BLOCK:
+            _finish_block(buf, k - k % BLOCK, k, scores, on_samples)
 
     traj = Trajectory.from_rows(buf[:k], scores.factor_labels, scores.strategy_labels)
     traj.meta.update(
-        accepted_steps=accepted, rejected_steps=rejected, field_evaluations=evaluations,
+        accepted_steps=accepted, rejected_steps=rejected,
+        field_evaluations=1 + (len(K) - 1) * (accepted + rejected) + recentrings,
         recentrings=recentrings, min_step=h_min if accepted else None,
         max_step=h_max if accepted else None,
         max_x_drift=float(np.abs(traj.x.sum(axis=1) - 1.0).max()),

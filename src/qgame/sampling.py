@@ -84,6 +84,15 @@ _AS241 = (
 )
 
 
+def _sigma_faults(means: np.ndarray, sigmas: np.ndarray) -> tuple:
+    """(mask, reason) of each fault of finite sigmas, in the order they are checked."""
+    # the prune's level searches mean +- 9 sigma, and a draw reaches about 8.3 sigma
+    with np.errstate(over="ignore"):
+        reach = np.abs(means) + 9 * sigmas
+    return ((sigmas <= 0, "is not strictly positive"),
+            (~np.isfinite(reach), "is too large: |mean| + 9 sigma overflows"))
+
+
 @dataclass(frozen=True)
 class StatementDistribution:
     means: np.ndarray   # (n_strategies,), in canonical order from load_distribution
@@ -97,11 +106,8 @@ class StatementDistribution:
             raise QGameError("means and sigmas must be 1-d arrays of equal length")
         first_bad("means", means, ~np.isfinite(means), "is not finite")
         first_bad("sigmas", sigmas, ~np.isfinite(sigmas), "is not finite")
-        first_bad("sigmas", sigmas, sigmas <= 0, "is not strictly positive")
-        # the prune's level searches mean +- 9 sigma, and a draw reaches about 8.3 sigma
-        with np.errstate(over="ignore"):
-            reach = np.abs(means) + 9 * sigmas
-        first_bad("sigmas", sigmas, ~np.isfinite(reach), "is too large: |mean| + 9 sigma overflows")
+        for bad, what in _sigma_faults(means, sigmas):
+            first_bad("sigmas", sigmas, bad, what)
         means.setflags(write=False)
         sigmas.setflags(write=False)
         object.__setattr__(self, "means", means)
@@ -134,25 +140,18 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _horner(r: np.ndarray, coefs: tuple) -> np.ndarray:
-    acc = coefs[0] * r
-    for c in coefs[1:-1]:
-        acc += c
-        acc *= r
-    acc += coefs[-1]
-    return acc
-
-
 def _ndtri(u: np.ndarray) -> np.ndarray:
-    """The standard normal quantile of each u in (0, 1) by AS241, with the
-    operations of `statistics.NormalDist().inv_cdf` in the same order."""
+    """The standard normal quantile of each u, clipped to [2^-53, 1 - 2^-53], by
+    AS241 with the operations of `statistics.NormalDist().inv_cdf` in the same
+    order; `np.polyval` runs Horner's rule as it does."""
+    u = np.clip(u, 2.0**-53, 1 - 2.0**-53)
     q = u - 0.5
     x = np.empty_like(q)
     mid = np.abs(q) <= 0.425
     i = np.flatnonzero(mid)
     qi = q[i]
     r = 0.180625 - qi * qi
-    x[i] = _horner(r, _AS241[0][0]) * qi / _horner(r, _AS241[0][1])
+    x[i] = np.polyval(_AS241[0][0], r) * qi / np.polyval(_AS241[0][1], r)
     j = np.flatnonzero(~mid)
     t = u[j]
     r = np.sqrt(-np.log(np.minimum(t, 1.0 - t)))
@@ -160,7 +159,7 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     for (num, den), shift, sel in zip(_AS241[1:], (1.6, 5.0), (~far, far)):
         k = np.flatnonzero(sel)
         rk = r[k] - shift
-        x[j[k]] = _horner(rk, num) / _horner(rk, den)
+        x[j[k]] = np.polyval(num, rk) / np.polyval(den, rk)
     low = np.flatnonzero(q < -0.425)
     x[low] = -x[low]
     return x
@@ -174,16 +173,14 @@ def _ndtr(x: np.ndarray) -> np.ndarray:
 @functools.cache
 def _brackets() -> np.ndarray:
     """Read-only rows (lo, hi) over the `CELLS` cells [i, i + 1) / CELLS of
-    the clipped uniforms, which lie in [2^-53, 1 - 2^-53]: lo[i] <= q(u) <=
-    hi[i] for u in cell i, each widened by the margin of `_candidates`'
-    bound. Built at the first `sample_y0`."""
+    [0, 1]: lo[i] <= q(u) <= hi[i] for u in cell i, q clipping u as `_ndtri`
+    does, each widened by the margin of `_candidates`' bound. Built at the
+    first `sample_y0`."""
     table, step = np.empty((2, CELLS)), CELLS // 16
     # in slices of 4096 cells, whose edges overlap by one: q and the margin
     # work entry by entry, so the bits are those of one pass over every edge
     for a in range(0, CELLS, step):
-        edges = np.arange(a, a + step + 1) / CELLS
-        np.clip(edges, 2.0**-53, 1 - 2.0**-53, out=edges)
-        q = _ndtri(edges)
+        q = _ndtri(np.arange(a, a + step + 1) / CELLS)
         margin = 1e-9 * (1 + np.abs(q))
         np.subtract(q[:-1], margin[:-1], out=table[0, a: a + step])
         np.add(q[1:], margin[1:], out=table[1, a: a + step])
@@ -193,7 +190,7 @@ def _brackets() -> np.ndarray:
 
 def _winners(dist, draws, at, table) -> tuple:
     """Over the draws at the ascending flat positions `at` of the block
-    `draws`, each clipped to at least 2^-53, each row's best lower bracket
+    `draws`, each clipped as `_ndtri` clips it, each row's best lower bracket
     (-inf where it has none) and the column of its largest draw, the first
     of equal ones."""
     m, rows = len(dist), len(draws)
@@ -212,7 +209,7 @@ def _winners(dist, draws, at, table) -> tuple:
     # rows where two or more of them are left are settled by q
     exact = over[np.bincount(over_row, minlength=rows)[over_row] > 1]
     if len(exact):
-        x = _ndtri(np.maximum(draws.take(at[exact]), 2.0**-53))
+        x = _ndtri(draws.take(at[exact]))
         x *= dist.sigmas[col[exact]]
         x += dist.means[col[exact]]
         r = row[exact]
@@ -265,7 +262,7 @@ def _candidates(dist) -> tuple:
             lo, hi = (t, hi) if _ndtr((means - t) / sigmas).sum() > CANDIDATES else (lo, t)
         cut = _ndtr((t - means) / sigmas)
         # a cut outside the clipped uniforms bounds no draw; inside, q is finite
-        x = sigmas * _ndtri(np.clip(cut, 2.0**-53, 1 - 2.0**-53))
+        x = sigmas * _ndtri(cut)
         return cut, np.max(means + x + 1e-9 * (1 + np.abs(means) + np.abs(x)))
 
 
@@ -320,10 +317,7 @@ def load_distribution(path: str | Path) -> StatementDistribution:
     overflows, names the path and the strategy."""
     with reading(path) as lines:
         means, sigmas = _read_code_table(lines, width=2).T
-        with np.errstate(over="ignore"):
-            reach = np.abs(means) + 9 * sigmas
-        for bad, what in ((sigmas <= 0, "is not strictly positive"),
-                          (~np.isfinite(reach), "is too large: |mean| + 9 sigma overflows")):
+        for bad, what in _sigma_faults(means, sigmas):
             j = np.flatnonzero(bad)
             if len(j):
                 raise QGameError(f"sigma of {CANONICAL_CODES[j[0]]} = {sigmas[j[0]]} {what}")

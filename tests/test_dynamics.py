@@ -654,6 +654,33 @@ def test_rk45_reuses_the_last_stage(case_trajectory_rk45):
     assert meta["max_step"] > 10.0
 
 
+@pytest.mark.parametrize(
+    "cfg, counts",
+    [
+        (IntegratorConfig(), (20004, 5000, 0, 3)),
+        (IntegratorConfig(method="rk45"), (405, 67, 0, 2)),
+        (IntegratorConfig(method="rk45", t_end=1000.0), (763, 95, 27, 30)),
+    ],
+    ids=["rk4", "rk45", "rk45-to-1000"],
+)
+def test_field_evaluations_are_the_fields_evaluated(case_study, monkeypatch, cfg, counts):
+    # `field_evaluations` is derived from the other counters, so count the
+    # evaluations themselves: each calls np.tanh once, and nothing else in
+    # integrate calls it; a lost reuse of the last stage shows here
+    calls = []
+    tanh = np.tanh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return tanh(*args, **kwargs)
+
+    monkeypatch.setattr(np, "tanh", counted)
+    meta = integrate(case_study.initial, case_study.scores, cfg).meta
+    assert len(calls) == meta["field_evaluations"]
+    names = ("field_evaluations", "accepted_steps", "rejected_steps", "recentrings")
+    assert tuple(meta[name] for name in names) == counts
+
+
 def test_step_range_is_none_without_a_step(scores):
     meta = integrate(case_start(), scores, IntegratorConfig(step=0.01, t_end=1e-15)).meta
     assert meta["accepted_steps"] == 0

@@ -3,12 +3,14 @@ import statistics
 import sys
 import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from qgame import SamplerConfig, StatementDistribution, sample_y0
+from qgame import SamplerConfig, StatementDistribution, load_distribution, sample_y0
 from qgame import sampling
 from qgame.sampling import BLOCK_ROWS, _stream
 
@@ -143,6 +145,16 @@ def test_quantile_does_not_decrease():
     u = np.sort(np.random.default_rng(6).random(10**6))
     np.clip(u, 2.0**-53, None, out=u)
     assert np.all(np.diff(sampling._ndtri(u)) >= 0)
+
+
+def test_quantile_clips_its_argument():
+    # the clip is _ndtri's own: 0 and 1 map as 2^-53 and 1 - 2^-53, without
+    # the divide-by-zero of log(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edges = sampling._ndtri(np.array([0.0, 1.0]))
+    assert np.array_equal(edges, sampling._ndtri(np.array([2.0**-53, 1 - 2.0**-53])))
+    assert np.all(np.isfinite(edges))
 
 
 def test_cdf_is_within_1e_13_of_scipy():
@@ -440,6 +452,38 @@ def test_distribution_rejects_a_sigma_whose_reach_overflows(mean, sigma):
     message = f"sigmas[6] = {sigmas[6]} is too large: |mean| + 9 sigma overflows"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         StatementDistribution(means, sigmas)
+
+
+SYMMETRIC_CSV = Path(sampling.__file__).parent / "data" / "symmetric_distribution.csv"
+
+
+@pytest.mark.parametrize(
+    "mean, sigma, reason",
+    [
+        (0.0, np.nextafter(HUGE_SIGMA, np.inf), "is too large: |mean| + 9 sigma overflows"),
+        (0.0, 1e308, "is too large: |mean| + 9 sigma overflows"),
+        (-1.7e308, 1e307, "is too large: |mean| + 9 sigma overflows"),
+        (0.0, -0.5, "is not strictly positive"),
+        (0.0, 0.0, "is not strictly positive"),
+    ],
+    ids=["one-ulp-over", "1e308", "large-mean", "negative", "zero"],
+)
+def test_distribution_and_its_file_reject_a_sigma_alike(tmp_path, mean, sigma, reason):
+    # one rule for both: the class names sigmas[6], the loader the file and
+    # the strategy's code, each with the same value and reason
+    means, sigmas = np.zeros(36), np.ones(36)
+    means[6], sigmas[6] = mean, sigma
+    with pytest.raises(ValueError) as by_class:
+        StatementDistribution(means, sigmas)
+    assert str(by_class.value) == f"sigmas[6] = {sigmas[6]} {reason}"
+    code = sampling.CANONICAL_CODES[6]
+    text = SYMMETRIC_CSV.read_text()
+    bad = tmp_path / "dist.csv"
+    bad.write_text(text.replace(f"{code},0.0,1.0", f"{code},{mean!r},{float(sigma)!r}", 1))
+    assert bad.read_text() != text
+    with pytest.raises(ValueError) as by_file:
+        load_distribution(bad)
+    assert str(by_file.value) == f"{bad}: sigma of {code} = {sigmas[6]} {reason}"
 
 
 def test_repeat_stability_identical_seeds_is_zero():
