@@ -11,10 +11,13 @@ a column slice of the same cells. At the end it only writes the files,
 so the run is faster where two cores are free. `simulate` reads none of
 its outputs back and writes report.json last. `read_trajectory_csv` is
 the one reader of trajectory.csv. From `2 * READ_PART_ROWS` rows on, it
-parses one contiguous range of rows per free CPU, each in a forked
-process that writes its values into its own slice of one shared result,
-so `analyze` is faster where two cores are free; any fault there falls
-back to one process, whose errors are the ones reported.
+cuts the file at line starts into one byte range per free CPU, and a
+forked process reads, decodes and parses each range into its own slice
+of one shared result. The first process reads the header and counts
+line ends, so it holds the parsed rows but never the file's text, and
+`analyze` is faster where two cores are free. Any fault there, or in
+the checks of the parsed rows, falls back to one process that reads the
+file's lines, whose errors are the ones reported.
 
 Each verb takes only the flags it reads. Exit status: 0 on success, 2
 when an input file is missing or a flag is not one the verb takes, 1 on
@@ -23,9 +26,12 @@ any other validation, runtime or output failure.
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
+import warnings
+from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
 
@@ -43,7 +49,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_FOUND = 2
 WRITER_EXIT_S = 10  # wait for the writer process to exit before killing it
-# fewest rows a child of `_parse_split` parses: two children lose to one
+# fewest rows a forked child of `_parse_ranges` parses, give or take the
+# lines that a cut at a byte offset moves: two children lose to one
 # process on 500 rows in all, and win on 1000
 READ_PART_ROWS = 512
 
@@ -233,35 +240,63 @@ def _row_fault(header: list[str], lines: list[str], rows: list[str],
     return QGameError(str(exc))
 
 
-def _parse_split(rows: list[str], width: int) -> np.ndarray | None:
-    """`rows` parsed as np.loadtxt parses them all at once, cut into
-    contiguous ranges of at least `READ_PART_ROWS` rows, one per CPU. The
-    result is one anonymous shared mapping, allocated before the forks, and
-    each range is parsed in a forked child that writes its values straight
-    into the range's slice, so the parent only waits for the children's
-    exit statuses. None, and no process started, where there are fewer than
-    two ranges or no fork. None where a range does not parse as exactly
-    `width` values a row or a process cannot be started, so that the
-    caller parses the rows again in one process."""
-    n = len(rows)
-    k = min(_cpu_count(), n // READ_PART_ROWS)
-    if k < 2 or not hasattr(os, "fork"):
-        return None
+def _line_ranges(fh, start: int, size: int, k: int) -> tuple[list[int], list[int]]:
+    """Cuts the bytes of the binary file `fh` from `start` to its end at the
+    first line start at or after each of start + (size - start) * i / k,
+    0 < i < k, and counts each range's lines: its line feeds, and a last
+    line with no end. Reads through one reused buffer, so that no line's
+    text is held; returns the cuts, ends included, and the counts."""
+    buf = bytearray(2**16)
+    targets = [start + (size - start) * i // k for i in range(1, k)]
+    cuts, counts = [start], []
+    at, count, last = start, 0, ord("\n")  # buf[0]'s offset; lines since the last cut
+    fh.seek(start)
+    while got := fh.readinto(buf):
+        done = 0  # buf[:done] is counted
+        while targets and targets[0] <= at + got:
+            cut = buf.find(b"\n", max(done, targets[0] - 1 - at), got) + 1
+            if not cut:  # the line goes on into the next read
+                break
+            cuts.append(at + cut)
+            counts.append(count + buf.count(b"\n", done, cut))
+            count, done = 0, cut
+            del targets[0]
+        count += buf.count(b"\n", done, got)
+        at, last = at + got, buf[got - 1]
+    cuts.append(at)
+    counts.append(count + (last != ord("\n")))
+    return cuts, counts
+
+
+def _parse_ranges(fh, cuts: list[int], counts: list[int], width: int) -> np.ndarray | None:
+    """The bytes of the binary file `fh` between each two `cuts`, parsed
+    as np.loadtxt parses the lines of `errors.reading`, into one anonymous
+    shared mapping of `counts` rows a range, allocated before the forks.
+    Each range is parsed in a forked child that reads only its own bytes,
+    decodes them as strict UTF-8 with universal newlines, and writes its
+    values straight into its slice, so the parent only waits for the
+    children's exit statuses. None where a range does not parse as exactly
+    its count of rows of `width` values, which a blank line or a lone \\r
+    in it also breaks, or a process cannot be started."""
     import mmap  # here, like multiprocessing: the CLI's import does not load it
 
-    cuts = [i * n // k for i in range(k + 1)]
-    data = np.frombuffer(mmap.mmap(-1, n * width * 8), dtype=np.float64).reshape(n, width)
+    data = np.frombuffer(mmap.mmap(-1, sum(counts) * width * 8), dtype=np.float64)
+    data = data.reshape(-1, width)
+    rows = list(accumulate(counts, initial=0))
     pids = []
     try:
-        for lo, hi in zip(cuts, cuts[1:]):
+        for lo, hi, first, end in zip(cuts, cuts[1:], rows, rows[1:]):
             pid = os.fork()
             if pid == 0:  # the child
                 code = 1
                 try:
-                    part = np.loadtxt(rows[lo:hi], delimiter=",", ndmin=2, comments=None)
+                    warnings.simplefilter("error")  # a warning fails the range, unprinted
+                    text = io.TextIOWrapper(io.BytesIO(os.pread(fh.fileno(), hi - lo, lo)),
+                                            encoding="utf-8")
+                    part = np.loadtxt(text, delimiter=",", ndmin=2, comments=None)
                     # rows all one value wide would broadcast into the slice
-                    if part.shape == (hi - lo, width):
-                        data[lo:hi] = part
+                    if part.shape == (end - first, width):
+                        data[first:end] = part
                         code = 0
                 finally:
                     os._exit(code)
@@ -273,45 +308,102 @@ def _parse_split(rows: list[str], width: int) -> np.ndarray | None:
     return data if not any(statuses) else None
 
 
+def _parse_split(path: Path) -> tuple | None:
+    """trajectory.csv's parsed rows, header, factors and strategies, the
+    rows parsed in contiguous ranges of about `READ_PART_ROWS` rows or more,
+    one per CPU, by `_parse_ranges`. The parent reads the file's first line
+    that is not blank as the header, and after it only counts line ends.
+    None, and no process started, where there are fewer than two ranges, no
+    fork or `path` is not a regular file; None on any fault, so that the
+    caller reads the file again in one process and reports it."""
+    k = _cpu_count()
+    # a pipe or a FIFO could not be read twice: it is not even opened here
+    if k < 2 or not hasattr(os, "fork") or not os.path.isfile(path):
+        return None
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            for line in fh:
+                head = line.decode("utf-8").replace("\r\n", "\n")
+                if "\r" in head:  # a line end that the lines of `fh` do not see
+                    return None
+                if head.strip():
+                    break
+            else:
+                return None
+            header, factors, strategies = _parse_header(head)
+            start = fh.tell()
+            cuts, counts = _line_ranges(fh, start, size, k)
+            k = min(k, sum(counts) // READ_PART_ROWS)
+            if k < 2:
+                return None
+            if k < len(counts):
+                cuts, counts = _line_ranges(fh, start, size, k)
+            data = _parse_ranges(fh, cuts, counts, len(header))
+    except (OSError, ValueError):  # a QGameError and a UnicodeDecodeError are ValueErrors
+        return None
+    return None if data is None else (data, header, factors, strategies)
+
+
+def _checked(data: np.ndarray, header: list[str], factors: tuple,
+             strategies: tuple) -> Trajectory | tuple[int, str]:
+    """The trajectory of the parsed rows `data`, or the first fault as its
+    row, counted from 0 after the header, and the text that follows the
+    row's name: a cell that is not finite, a row that is not a state, or a
+    t that does not rise."""
+    if not np.isfinite(data).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        return row, f", column {header[col]}: {data[row, col]} is not a finite number"
+    traj = Trajectory.from_rows(data, factors, strategies)
+    fault = _state_fault(traj.x, traj.y, traj.z)
+    if fault:
+        row, block, i, text = fault
+        labels = strategies if block == "y" else factors
+        what = (f"columns {block}_{labels[0]} to {block}_{labels[-1]} sum to {text}"
+                if i is None else f"column {block}_{labels[i]}: {text}")
+        return row, f", {what}"
+    stalls = np.flatnonzero(traj.t[1:] <= traj.t[:-1])
+    if len(stalls):
+        row = stalls[0] + 1
+        return row, (f": t = {traj.t[row]} does not rise "
+                     f"above the previous row's {traj.t[row - 1]}")
+    return traj
+
+
 def read_trajectory_csv(path: Path) -> Trajectory:
     """Rebuild a trajectory from its CSV export. Blank lines are skipped,
     and counted in the row numbers of a fault. Every cell must be a finite
     number, every row a state by the rule `GameState.validate` checks
     (x and y on their simplices, z in [0, 1]) and t must rise strictly.
     The utility column is not checked against the state: that needs the
-    scores, which the file does not hold."""
+    scores, which the file does not hold.
+
+    From `2 * READ_PART_ROWS` rows on, where a second CPU is free,
+    `_parse_split` parses the file in forked processes, one byte range
+    each, and this process holds the parsed rows but never their text. A
+    fault there, or any fault the checks find in its rows, falls back to
+    one process that reads the file's lines through `errors.reading` and
+    parses them again, so every fault reads the same from both paths."""
+    split = _parse_split(path)
+    traj = split and _checked(*split)
+    if isinstance(traj, Trajectory):
+        return traj
     with reading(path) as lines:
         kept = [ln for ln in lines if ln.strip()]
         if len(kept) < 2:
             raise QGameError("no trajectory rows")
         header, factors, strategies = _parse_header(kept[0])
         rows = kept[1:]
-        data = _parse_split(rows, len(header))
-        if data is None:
-            try:
-                data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
-                if data.shape[1] != len(header):  # rows all of one other width: the first is named
-                    raise QGameError("the rows are not as wide as the header")
-            except ValueError as exc:  # a QGameError is one too
-                raise _row_fault(header, lines, rows, exc) from None
-        bad = ~np.isfinite(data)
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
-            raise QGameError(f"{_row_name(lines, row)}, column {header[col]}: "
-                             f"{data[row, col]} is not a finite number")
-        traj = Trajectory.from_rows(data, factors, strategies)
-        fault = _state_fault(traj.x, traj.y, traj.z)
-        if fault:
-            row, block, i, text = fault
-            labels = strategies if block == "y" else factors
-            what = (f"columns {block}_{labels[0]} to {block}_{labels[-1]} sum to {text}"
-                    if i is None else f"column {block}_{labels[i]}: {text}")
-            raise QGameError(f"{_row_name(lines, row)}, {what}")
-        stalls = np.flatnonzero(traj.t[1:] <= traj.t[:-1])
-        if len(stalls):
-            row = stalls[0] + 1
-            raise QGameError(f"{_row_name(lines, row)}: t = {traj.t[row]} does not rise "
-                             f"above the previous row's {traj.t[row - 1]}")
+        try:
+            data = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+            if data.shape[1] != len(header):  # rows all of one other width: the first is named
+                raise QGameError("the rows are not as wide as the header")
+        except ValueError as exc:  # a QGameError is one too
+            raise _row_fault(header, lines, rows, exc) from None
+        traj = _checked(data, header, factors, strategies)
+        if not isinstance(traj, Trajectory):
+            row, text = traj
+            raise QGameError(f"{_row_name(lines, row)}{text}")
         return traj
 
 

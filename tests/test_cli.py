@@ -2,9 +2,11 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -977,6 +979,138 @@ def test_fewer_than_two_ranges_start_no_process(monkeypatch, tmp_path, long_line
     assert forks == []
     want = np.loadtxt(long_lines[1:1 + rows], delimiter=",", ndmin=2)
     assert all_columns(traj).tobytes() == want.tobytes()
+
+
+def test_the_forked_read_holds_no_text(monkeypatch, tmp_path, long_lines):
+    """On the forked path this process reads the header and counts line
+    ends: the rows land in a shared mapping, which tracemalloc does not
+    see, and their text is read only by the children."""
+    path = write_lines(tmp_path / "trajectory.csv", long_lines)
+    monkeypatch.setattr(qgame.cli, "_cpu_count", lambda: 2)
+    forks = spy_on_forks(monkeypatch)
+    tracemalloc.start()
+    try:
+        traj = read_trajectory_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(forks) == 2
+    assert peak < path.stat().st_size / 8  # the lines alone are the file's size
+    want = np.loadtxt(long_lines[1:], delimiter=",", ndmin=2)
+    assert all_columns(traj).tobytes() == want.tobytes()
+
+
+def odd_file(lines: list[str], edit: str, rng: random.Random) -> bytes:
+    """The bytes of `lines`, the header and `LONG_ROWS` rows, with one edit
+    that a reader of byte ranges could take otherwise than one of lines.
+    The rows picked by `rng` sit inside the second and the last of three
+    ranges where the edit names one."""
+    rows = [line.encode() for line in lines]
+    second, last = rng.randrange(600, 940), rng.randrange(1100, LONG_ROWS)
+    end = b"\n"
+    if edit == "crlf":
+        end = b"\r\n"
+    elif edit == "blank_and_cr_lines":
+        rows[second:second] = [b"", b"\r"] if rng.random() < 0.5 else [b"\r", b"", b"\r"]
+    elif edit == "not_utf8":
+        cell = rng.randrange(len(rows[last]))
+        rows[last] = rows[last][:cell] + b"\xff" + rows[last][cell + 1:]
+    elif edit == "truncated_last_row":
+        rows[-1] = rows[-1][:rng.randrange(1, len(rows[-1]))]
+    elif edit == "dropped_row":
+        del rows[rng.randrange(1, len(rows))]
+    elif edit == "duplicated_row":
+        row = rng.randrange(1, len(rows))
+        rows.insert(row, rows[row])
+    elif edit == "swapped_rows":
+        row = rng.randrange(1, len(rows) - 1)
+        rows[row:row + 2] = rows[row + 1], rows[row]
+    elif edit == "empty_last_range":  # as many empty lines as the rows have bytes
+        rows += [b""] * sum(map(len, rows))
+    text = end.join(rows) + end
+    return text[:-len(end)] if edit == "no_final_newline" else text
+
+
+# (edit, forked, exit code): the forked result stands, or the file is read
+# again in one process, as where a range's line count is not its row count
+ODD_FILES = [
+    ("crlf", True, 0),
+    ("no_final_newline", True, 0),
+    ("dropped_row", True, 0),
+    ("blank_and_cr_lines", False, 0),
+    ("not_utf8", False, 1),
+    ("truncated_last_row", False, 1),
+    ("duplicated_row", False, 1),
+    ("swapped_rows", False, 1),
+]
+UNSEEDED = ("crlf", "no_final_newline")
+
+
+@pytest.mark.parametrize(
+    "edit, forked, code, seed",
+    [(*odd, seed) for odd in ODD_FILES for seed in ([0] if odd[0] in UNSEEDED else [0, 1])],
+)
+def test_both_read_paths_agree_on_odd_files(monkeypatch, tmp_path, capfd, long_lines, edit,
+                                            forked, code, seed):
+    """The one-process and the forked reader give the same exit code, the
+    same stderr, with any output of the children, and the same report.json
+    bytes."""
+    bad = tmp_path / "trajectory.csv"
+    bad.write_bytes(odd_file(long_lines, edit, random.Random(seed)))
+    reads = []
+    reading = qgame.cli.reading
+    monkeypatch.setattr(qgame.cli, "reading", lambda path: reads.append(path) or reading(path))
+    forks = spy_on_forks(monkeypatch)
+    seen = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(qgame.cli, "_cpu_count", lambda: cpus)
+        del reads[:], forks[:]
+        out = tmp_path / f"cpus{cpus}"
+        seen.append((main(["analyze", str(bad), "-o", str(out)]), capfd.readouterr().err,
+                     (out / "report.json").exists() and (out / "report.json").read_bytes()))
+        assert len(forks) == (cpus if cpus > 1 else 0)
+        assert_no_child_left()
+    assert seen[0] == seen[1]
+    assert seen[0][0] == code
+    assert len(reads) == (0 if forked else 1)  # on three CPUs
+
+
+def test_a_range_of_empty_lines_is_read_without_a_warning(tmp_path, long_lines):
+    """np.loadtxt warns of a range of empty lines, which parses to no rows:
+    its child fails the range without printing the warning, and the file
+    is read again in one process."""
+    bad = tmp_path / "trajectory.csv"
+    bad.write_bytes(odd_file(long_lines, "empty_last_range", random.Random(0)))
+    code = (
+        "import sys, qgame.cli\n"
+        "qgame.cli._cpu_count = lambda: 3\n"
+        "sys.exit(qgame.cli.main(sys.argv[1:]))\n"
+    )
+    proc = run_python("-c", code, "analyze", str(bad), "-o", str(tmp_path / "r"), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_a_fifo_is_opened_once(tmp_path, long_lines):
+    """A FIFO's text can be read only once, and its writer fails if the
+    reader closes it early: on two CPUs the FIFO is opened only by the
+    one-process read, as a file would be."""
+    path = write_lines(tmp_path / "trajectory.csv", long_lines)
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    code = (
+        "import sys, threading, qgame.cli\n"
+        "qgame.cli._cpu_count = lambda: 2\n"
+        "def feed():\n"
+        "    with open(sys.argv[1]) as text, open(sys.argv[2], 'w') as fh:\n"
+        "        fh.write(text.read())\n"
+        "threading.Thread(target=feed, daemon=True).start()\n"
+        "sys.exit(qgame.cli.main(['analyze', sys.argv[2], '-o', sys.argv[3]]))\n"
+    )
+    proc = run_python("-c", code, str(path), str(fifo), str(tmp_path / "fifo"), timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(["analyze", str(path), "-o", str(tmp_path / "file")]) == 0
+    report = (tmp_path / "fifo" / "report.json").read_bytes()
+    assert report == (tmp_path / "file" / "report.json").read_bytes()
 
 
 @pytest.mark.parametrize("verb", ["simulate", "analyze"])
