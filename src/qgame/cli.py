@@ -244,8 +244,10 @@ def _line_ranges(fh, start: int, size: int, k: int) -> tuple[list[int], list[int
     """Cuts the bytes of the binary file `fh` from `start` to its end at the
     first line start at or after each of start + (size - start) * i / k,
     0 < i < k, and counts each range's lines: its line feeds, and a last
-    line with no end. Reads through one reused buffer, so that no line's
-    text is held; returns the cuts, ends included, and the counts."""
+    line with no end. A target in the last line cuts at the end itself,
+    and no empty range follows that cut.
+    Reads through one reused buffer, so that no line's text is held;
+    returns the cuts, ends included, and the counts."""
     buf = bytearray(2**16)
     targets = [start + (size - start) * i // k for i in range(1, k)]
     cuts, counts = [start], []
@@ -263,8 +265,9 @@ def _line_ranges(fh, start: int, size: int, k: int) -> tuple[list[int], list[int
             del targets[0]
         count += buf.count(b"\n", done, got)
         at, last = at + got, buf[got - 1]
-    cuts.append(at)
-    counts.append(count + (last != ord("\n")))
+    if at > cuts[-1]:
+        cuts.append(at)
+        counts.append(count + (last != ord("\n")))
     return cuts, counts
 
 
@@ -335,10 +338,10 @@ def _parse_split(path: Path) -> tuple | None:
             start = fh.tell()
             cuts, counts = _line_ranges(fh, start, size, k)
             k = min(k, sum(counts) // READ_PART_ROWS)
-            if k < 2:
-                return None
-            if k < len(counts):
+            if 2 <= k < len(counts):
                 cuts, counts = _line_ranges(fh, start, size, k)
+            if min(k, len(counts)) < 2:
+                return None
             data = _parse_ranges(fh, cuts, counts, len(header))
     except (OSError, ValueError):  # a QGameError and a UnicodeDecodeError are ValueErrors
         return None

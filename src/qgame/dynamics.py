@@ -31,10 +31,10 @@ both edges: shares come in, and shares go out in blocks of rows t, x, z,
 y, utility, trajectory.csv's layout, each block given its utility as it
 is converted. rk4 and rk45 (Dormand-Prince 5(4), advancing the
 fifth-order solution) run one explicit Runge-Kutta step on two Butcher
-tableaus: `_stepper` builds it once per run as a list of numpy calls on
-fixed buffers, the stage values V and their fields K, and each step runs
-that list. Between recentrings the first stage of each step is the last
-stage of the step before, bit for bit.
+tableaus: `_stepper` allocates the stage values V and their fields K once
+per run, and each step writes every stage and its field (`_field`) into
+them with numpy calls that allocate nothing. Between recentrings the first
+stage of each step is the last stage of the step before, bit for bit.
 """
 
 import math
@@ -189,39 +189,38 @@ def _to_shares(w: np.ndarray, n: int) -> None:
     np.reciprocal(a, out=a)
 
 
-def _field_calls(v, d, S, n, e, g, sums) -> list:
-    """The (function, args) calls that write the coupled field at log
-    coordinates v = (u, a, c) into d, with scratch e (like v), g (n,) and
-    sums, two 0-d arrays.
+def _field(v: np.ndarray, d: np.ndarray, S: np.ndarray, n: int) -> Callable[[], None]:
+    """A function that writes the coupled field at log coordinates
+    v = (u, a, c) into d each time it is called, through views and scratch
+    fixed here.
 
     With ex = exp(u), ey = exp(c) and g = tanh a: S y = S @ ey / sum(ey),
     u' = A y = g * (S y), a' = S y and c' = A' x = (g * ex) @ S / sum(ex).
     A -inf entry of u or c adds nothing to the sums; the exp of a is unused.
     """
-    ex, ey = e[:n], e[2 * n:]
-    Sy, dc = d[n:2 * n], d[2 * n:]
-    sy, sx = sums
-    return [
-        (np.exp, (v, e)),
-        (np.dot, (S, ey, Sy)),
-        (np.add.reduce, (ey, 0, None, sy)),
-        (np.divide, (Sy, sy, Sy)),
-        (np.tanh, (v[n:2 * n], g)),
-        (np.multiply, (g, Sy, d[:n])),
-        (np.multiply, (g, ex, g)),
-        (np.dot, (g, S, dc)),
-        (np.add.reduce, (ex, 0, None, sx)),
-        (np.divide, (dc, sx, dc)),
-    ]
+    e, g, sy, sx = np.empty_like(v), np.empty(n), np.empty(()), np.empty(())
+    ex, ey, a = e[:n], e[2 * n:], v[n:2 * n]
+    du, Sy, dc = d[:n], d[n:2 * n], d[2 * n:]
+
+    def evaluate() -> None:
+        np.exp(v, e)
+        np.dot(S, ey, Sy)
+        np.add.reduce(ey, 0, None, sy)
+        np.divide(Sy, sy, Sy)
+        np.tanh(a, g)
+        np.multiply(g, Sy, du)
+        np.multiply(g, ex, g)
+        np.dot(g, S, dc)
+        np.add.reduce(ex, 0, None, sx)
+        np.divide(dc, sx, dc)
+
+    return evaluate
 
 
-def _rhs(v: np.ndarray, S: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The coupled field at log coordinates v, into out if given, by the
-    calls of `_field_calls` on fresh scratch."""
-    d = np.empty_like(v) if out is None else out
-    for call, args in _field_calls(v, d, S, n, np.empty_like(v), np.empty(n),
-                                   (np.empty(()), np.empty(()))):
-        call(*args)
+def _rhs(v: np.ndarray, S: np.ndarray, n: int) -> np.ndarray:
+    """The coupled field at log coordinates v, in a new array."""
+    d = np.empty_like(v)
+    _field(v, d, S, n)()
     return d
 
 
@@ -276,27 +275,21 @@ def _stepper(S: np.ndarray, n: int, tableau) -> tuple:
     in K[0]; step(h) takes one explicit Runge-Kutta step of size h from
     there, filling the stage values V[1:] and their fields K[1:], so V[-1]
     is the new state and K[-1] its field. A step writes nothing that the
-    caller owns: V[0] and K[0] keep their bits. The calls of one step are
-    built here once, on the same buffers and scratch for every step.
+    caller owns: V[0] and K[0] keep their bits. Every step works on the
+    same buffers, and each stage's field on its own scratch, all fixed here.
     """
     V = np.empty((len(tableau) + 1, 2 * n + S.shape[1]))  # the stage values, V[0] = v
     K = np.empty_like(V)  # their fields, K[0] = f(v)
-    H = np.empty(len(tableau))  # h / divisor of each row
-    divisors = np.array([divisor for _, divisor in tableau])
-    e, g, sums = np.empty(V.shape[1]), np.empty(n), (np.empty(()), np.empty(()))
-    calls = []
-    for s, (row, _) in enumerate(tableau, 1):
-        calls += [
-            (np.dot, (row, K[:s], V[s])),
-            (np.multiply, (V[s], H[s - 1:s], V[s])),
-            (np.add, (V[s], V[0], V[s])),
-        ]
-        calls += _field_calls(V[s], K[s], S, n, e, g, sums)
+    v = V[0]
+    stages = [(row, K[:s], V[s], divisor, _field(V[s], K[s], S, n))
+              for s, (row, divisor) in enumerate(tableau, 1)]
 
     def step(h: float) -> None:
-        np.divide(h, divisors, out=H)
-        for call, args in calls:
-            call(*args)
+        for row, k, vs, divisor, evaluate in stages:
+            np.dot(row, k, vs)
+            vs *= h / divisor
+            vs += v
+            evaluate()
 
     return V, K, step
 
@@ -395,7 +388,8 @@ def integrate(
     # holds a NaN or an overflowed log block
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v[:] = _to_log(state0.x, state0.z, state0.y)
-        _rhs(v, S, n, out=K[0])
+        field_of_v = _field(v, K[0], S, n)  # K[0] = f(v) where the last stage does not give it
+        field_of_v()
         while t < cfg.t_end - T_EPS:
             if rk4:
                 # counter-based time avoids accumulation drift and spurious
@@ -433,7 +427,7 @@ def integrate(
             else:  # v moved: f(v) anew
                 _recentre(v, n, t_next, cfg)
                 recentrings += 1
-                _rhs(v, S, n, out=K[0])
+                field_of_v()
             t = t_next
             accepted += 1
             h_min, h_max = min(h_min, h_try), max(h_max, h_try)

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import qgame
-from qgame.cli import READ_PART_ROWS, build_parser, main, read_trajectory_csv
+from qgame.cli import READ_PART_ROWS, _line_ranges, build_parser, main, read_trajectory_csv
 from qgame.dynamics import BLOCK, STATE_SUM_TOL
 from qgame.errors import QGameError
 
@@ -966,10 +967,22 @@ def test_a_fork_that_fails_partway_waits_for_the_started_children(monkeypatch, t
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("rows, cpus", [(LONG_ROWS, None), (2 * READ_PART_ROWS - 1, 8)],
-                         ids=["one-cpu", "short-file"])
-def test_fewer_than_two_ranges_start_no_process(monkeypatch, tmp_path, long_lines, rows, cpus):
-    path = write_lines(tmp_path / "trajectory.csv", long_lines[:1 + rows])
+@pytest.mark.parametrize(
+    "rows, cpus, long_last_line",
+    [(LONG_ROWS, None, False), (2 * READ_PART_ROWS - 1, 8, False), (1100, 2, True)],
+    ids=["one-cpu", "short-file", "long-last-line"],
+)
+def test_fewer_than_two_ranges_start_no_process(monkeypatch, tmp_path, long_lines, rows, cpus,
+                                                long_last_line):
+    """long-last-line: zeros that end the last row's x_Q1 cell make that row
+    over half the file, so the one cut on two CPUs falls at the file's end
+    and one range is left."""
+    lines = long_lines[:1 + rows]
+    if long_last_line:
+        cells = lines[-1].split(",")
+        cells[1] += "0" * sum(map(len, lines))
+        lines = lines[:-1] + [",".join(cells)]
+    path = write_lines(tmp_path / "trajectory.csv", lines)
     if cpus is None:  # the CPU count comes from the affinity mask, as under taskset
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     else:
@@ -979,6 +992,27 @@ def test_fewer_than_two_ranges_start_no_process(monkeypatch, tmp_path, long_line
     assert forks == []
     want = np.loadtxt(long_lines[1:1 + rows], delimiter=",", ndmin=2)
     assert all_columns(traj).tobytes() == want.tobytes()
+
+
+def test_line_ranges_cut_after_line_feeds_and_count_each_range():
+    """Seeded files of lines 0 to 140 KB long, some with no final newline,
+    so that many targets fall in a line that crosses the 64 KB read buffer:
+    the cuts run from `start` to the end, ascend, and each one between
+    follows a line feed; each count is its range's line feeds, plus one for
+    a last line with no end."""
+    rng = random.Random(0)
+    for _ in range(300):
+        lines = [b"x" * rng.randrange(rng.choice((2, 100, 140_000)))
+                 for _ in range(rng.randint(1, 8))]
+        data = b"\n".join(lines) + b"\n" * (rng.random() < 0.7)
+        start = rng.choice((0, data.find(b"\n") + 1))  # 0 or the first line's end
+        k = rng.randint(2, 5)
+        cuts, counts = _line_ranges(io.BytesIO(data), start, len(data), k)
+        assert cuts[0] == start and cuts[-1] == len(data) and len(counts) <= k
+        assert all(lo < hi for lo, hi in zip(cuts, cuts[1:]))
+        assert all(data[cut - 1] == ord("\n") for cut in cuts[1:-1])
+        assert counts == [data.count(b"\n", lo, hi) + (hi == len(data) and data[-1:] != b"\n")
+                          for lo, hi in zip(cuts, cuts[1:])]
 
 
 def test_the_forked_read_holds_no_text(monkeypatch, tmp_path, long_lines):
@@ -1027,6 +1061,14 @@ def odd_file(lines: list[str], edit: str, rng: random.Random) -> bytes:
         rows[row:row + 2] = rows[row + 1], rows[row]
     elif edit == "empty_last_range":  # as many empty lines as the rows have bytes
         rows += [b""] * sum(map(len, rows))
+    elif edit == "header_only":
+        rows = rows[:1]
+    elif edit == "blank_lines_only":
+        rows = [b"", b" ", b"\t"]
+    elif edit == "header_ends_in_cr":
+        rows[:2] = [rows[0] + b"\r" + rows[1]]
+    elif edit == "1100_rows":
+        rows = rows[:1101]
     text = end.join(rows) + end
     return text[:-len(end)] if edit == "no_final_newline" else text
 
@@ -1060,19 +1102,47 @@ def test_both_read_paths_agree_on_odd_files(monkeypatch, tmp_path, capfd, long_l
     reads = []
     reading = qgame.cli.reading
     monkeypatch.setattr(qgame.cli, "reading", lambda path: reads.append(path) or reading(path))
+    got, _, forks = analyze_on_one_and_three_cpus(monkeypatch, tmp_path, capfd, bad)
+    assert (got, forks) == (code, 3)
+    assert len(reads) == (1 if forked else 2)  # one CPU's read, and three's where it falls back
+
+
+@pytest.mark.parametrize(
+    "edit, code, forks",
+    [("header_only", 1, 0), ("blank_lines_only", 1, 0), ("header_ends_in_cr", 0, 0),
+     ("1100_rows", 0, 2)],
+)
+def test_both_read_paths_agree_where_the_reader_decides_before_forking(
+        monkeypatch, tmp_path, capfd, long_lines, edit, code, forks):
+    """A file with no rows, or whose header ends in a lone \\r that a binary
+    file's lines do not end, forks nothing; 1100 rows on three CPUs are cut
+    again into two ranges, as READ_PART_ROWS allows."""
+    bad = tmp_path / "trajectory.csv"
+    bad.write_bytes(odd_file(long_lines, edit, random.Random(0)))
+    got, err, got_forks = analyze_on_one_and_three_cpus(monkeypatch, tmp_path, capfd, bad)
+    assert (got, got_forks) == (code, forks)
+    if code:
+        assert err == f"error: {bad}: no trajectory rows\n"
+
+
+def analyze_on_one_and_three_cpus(monkeypatch, tmp_path, capfd, path) -> tuple:
+    """`analyze` of `path` on one CPU, which forks nothing, and on three:
+    both give the same exit code, the same stderr, with any output of the
+    children, and the same report.json bytes, and leave no child. Returns
+    the exit code, the stderr and the number of forks on three CPUs."""
     forks = spy_on_forks(monkeypatch)
     seen = []
     for cpus in (1, 3):
         monkeypatch.setattr(qgame.cli, "_cpu_count", lambda: cpus)
-        del reads[:], forks[:]
+        del forks[:]
         out = tmp_path / f"cpus{cpus}"
-        seen.append((main(["analyze", str(bad), "-o", str(out)]), capfd.readouterr().err,
+        seen.append((main(["analyze", str(path), "-o", str(out)]), capfd.readouterr().err,
                      (out / "report.json").exists() and (out / "report.json").read_bytes()))
-        assert len(forks) == (cpus if cpus > 1 else 0)
         assert_no_child_left()
+        assert forks == [] or cpus > 1
     assert seen[0] == seen[1]
-    assert seen[0][0] == code
-    assert len(reads) == (0 if forked else 1)  # on three CPUs
+    code, err, _ = seen[0]
+    return code, err, len(forks)
 
 
 def test_a_range_of_empty_lines_is_read_without_a_warning(tmp_path, long_lines):
